@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError
 from .rng import Pcg32
 
 
@@ -34,15 +34,6 @@ class DualBatch:
             raise ContractError(
                 f"value shape {self.value.shape} != tangent shape {self.tangent.shape}"
             )
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite entries in {what}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -113,37 +104,6 @@ def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.n
     dw = cache.x_value.T @ adj_value + cache.x_tangent.T @ adj_tangent
     db = adj_value.sum(axis=0)
     return adj_x_value, adj_x_tangent, [dw, db]
-
-
-# ---------------------------------------------------------------------------
-# concat: join the time column with the emotion columns
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConcatCache:
-    widths: tuple[int, ...]
-
-
-def concat_forward(parts: list[DualBatch]):
-    if not parts:
-        raise ContractError("concat requires at least one part")
-    rows = parts[0].value.shape[0]
-    for p in parts:
-        if p.value.shape[0] != rows:
-            raise ContractError("concat parts must share the batch dimension")
-    out = DualBatch(
-        np.concatenate([p.value for p in parts], axis=1),
-        np.concatenate([p.tangent for p in parts], axis=1),
-    )
-    return out, ConcatCache(tuple(p.value.shape[1] for p in parts))
-
-
-def concat_backward(cache: ConcatCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    splits = np.cumsum(cache.widths)[:-1]
-    adj_vals = np.split(adj_value, splits, axis=1)
-    adj_tans = np.split(adj_tangent, splits, axis=1)
-    return adj_vals, adj_tans, []
 
 
 # ---------------------------------------------------------------------------
@@ -284,127 +244,3 @@ def dropout_backward(cache: DropoutCache, adj_value: np.ndarray, adj_tangent: np
     if cache.mask is None:
         return adj_value, adj_tangent, []
     return adj_value * cache.mask, adj_tangent * cache.mask, []
-
-
-# ---------------------------------------------------------------------------
-# output heads
-# ---------------------------------------------------------------------------
-
-_PROB_CLIP = 1e-12  # keeps head probabilities strictly inside (0, 1)
-
-
-@dataclass
-class SigmoidCache:
-    x_value: np.ndarray
-    x_tangent: np.ndarray
-    clamped: np.ndarray
-
-
-def sigmoid_forward(x: DualBatch):
-    p = sigmoid(x.value)
-    clipped = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
-    clamped = clipped != p
-    tangent = np.where(clamped, 0.0, p * (1.0 - p) * x.tangent)
-    return DualBatch(clipped, tangent), SigmoidCache(x.value, x.tangent, clamped)
-
-
-def sigmoid_backward(cache: SigmoidCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    s = sigmoid(cache.x_value)
-    d1 = s * (1.0 - s)
-    d2 = d1 * (1.0 - 2.0 * s)
-    live = ~cache.clamped
-    adj_x_value = live * (d1 * adj_value + d2 * cache.x_tangent * adj_tangent)
-    adj_x_tangent = live * d1 * adj_tangent
-    return adj_x_value, adj_x_tangent, []
-
-
-@dataclass
-class IdentityCache:
-    pass
-
-
-def identity_forward(x: DualBatch):
-    return DualBatch(x.value, x.tangent), IdentityCache()
-
-
-def identity_backward(cache: IdentityCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    return adj_value, adj_tangent, []
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch over the primitive catalog
-# ---------------------------------------------------------------------------
-
-PRIMITIVES = (
-    "affine",
-    "concat",
-    "swish",
-    "batchnorm",
-    "dropout",
-    "sigmoid",
-    "identity",
-)
-
-
-def dual_forward(
-    prim: str,
-    params: list[np.ndarray],
-    x,
-    mode: str = "train",
-    rng: Pcg32 | None = None,
-    **kwargs,
-):
-    """Run one primitive on a DualBatch (or a list of them, for concat).
-
-    Returns (output DualBatch, cache). The cache feeds dual_backward.
-    """
-    inputs = x if isinstance(x, list) else [x]
-    for part in inputs:
-        _require_finite(part.value, f"{prim} input value")
-        _require_finite(part.tangent, f"{prim} input tangent")
-    if prim == "affine":
-        return affine_forward(x, params[0], params[1])
-    if prim == "concat":
-        return concat_forward(x)
-    if prim == "swish":
-        return swish_forward(x)
-    if prim == "batchnorm":
-        return batchnorm_forward(x, params[0], params[1], params[2], params[3], mode, **kwargs)
-    if prim == "dropout":
-        return dropout_forward(x, kwargs.get("rate", 0.0), mode, rng, kwargs.get("mask"))
-    if prim == "sigmoid":
-        return sigmoid_forward(x)
-    if prim == "identity":
-        return identity_forward(x)
-    raise ContractError(f"unknown primitive {prim!r}")
-
-
-_BACKWARD = {
-    AffineCache: affine_backward,
-    ConcatCache: concat_backward,
-    SwishCache: swish_backward,
-    BatchNormCache: batchnorm_backward,
-    DropoutCache: dropout_backward,
-    SigmoidCache: sigmoid_backward,
-    IdentityCache: identity_backward,
-}
-
-
-def dual_backward(prim: str, cache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    """Reverse rule matching a dual_forward call with the same primitive id."""
-    expected = {
-        "affine": AffineCache,
-        "concat": ConcatCache,
-        "swish": SwishCache,
-        "batchnorm": BatchNormCache,
-        "dropout": DropoutCache,
-        "sigmoid": SigmoidCache,
-        "identity": IdentityCache,
-    }.get(prim)
-    if expected is None:
-        raise ContractError(f"unknown primitive {prim!r}")
-    if type(cache) is not expected:
-        raise ContractError(
-            f"cache of type {type(cache).__name__} does not match primitive {prim!r}"
-        )
-    return _BACKWARD[expected](cache, adj_value, adj_tangent)

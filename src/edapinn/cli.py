@@ -24,7 +24,7 @@ from .data import (
     write_ddt_csv,
 )
 from .errors import CheckpointError, ConfigError, DataFormatError, NumericError
-from .model import save_checkpoint, checkpoint_text
+from .model import checkpoint_text
 from .objective import physics_residual
 from .reporting import (
     ablation_csv,
@@ -85,13 +85,11 @@ def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
     return EXIT_OK
 
 
-def _write_fold_outputs(out: Path, reports, models) -> None:
+def _write_fold_tables(out: Path, reports) -> None:
     write_text_atomic(out / "metrics.csv", metrics_csv(reports))
     write_text_atomic(out / "curves.csv", curves_csv(reports))
     write_text_atomic(out / "params.csv", params_csv(reports))
     write_text_atomic(out / "confusion.csv", confusion_csv(reports))
-    for report, params in zip(reports, models):
-        write_text_atomic(out / f"fold_{report.fold}.ckpt.json", checkpoint_text(params))
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
@@ -99,11 +97,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     tr_idx, va_idx = stratified_kfold(data, cfg.train.k, cfg.train.seed)[0]
     report, params = run_fold(data.subset(tr_idx), data.subset(va_idx), cfg.train, cfg.model)
     out.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out / "metrics.csv", metrics_csv([report]))
-    write_text_atomic(out / "curves.csv", curves_csv([report]))
-    write_text_atomic(out / "params.csv", params_csv([report]))
-    write_text_atomic(out / "confusion.csv", confusion_csv([report]))
-    save_checkpoint(params, out / "checkpoint.json")
+    _write_fold_tables(out, [report])
+    write_text_atomic(out / "checkpoint.json", checkpoint_text(params))
     print(f"trained 1 holdout split ({len(tr_idx)} train / {len(va_idx)} valid) -> {out}")
     print(render_csv_file(out / "metrics.csv"))
     return EXIT_OK
@@ -113,7 +108,9 @@ def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
     data, _ = _load_dataset(cfg)
     reports, models = run_kfold(data, cfg.train.k, cfg.train, cfg.model, threads=threads)
     out.mkdir(parents=True, exist_ok=True)
-    _write_fold_outputs(out, reports, models)
+    _write_fold_tables(out, reports)
+    for report, params in zip(reports, models):
+        write_text_atomic(out / f"fold_{report.fold}.ckpt.json", checkpoint_text(params))
     print(f"{cfg.train.k}-fold run complete -> {out}")
     print(render_csv_file(out / "metrics.csv"))
     return EXIT_OK

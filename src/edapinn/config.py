@@ -114,7 +114,7 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         msec,
         {
             "hidden", "dropout", "bn_eps", "bn_momentum", "threshold",
-            "lambda_floor", "lambda_frozen", "residual_on_raw_features",
+            "lambda_floor", "lambda_frozen",
         },
         "model",
     )
@@ -133,9 +133,6 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         threshold=_get(msec, "threshold", mdefault.threshold, "model", float),
         lambda_floor=_get(msec, "lambda_floor", mdefault.lambda_floor, "model", float),
         lambda_frozen=_get(msec, "lambda_frozen", mdefault.lambda_frozen, "model", bool),
-        residual_on_raw_features=_get(
-            msec, "residual_on_raw_features", mdefault.residual_on_raw_features, "model", bool
-        ),
     )
     model.validate()
 

@@ -1,7 +1,9 @@
 """Finite-difference validation of the analytic gradients.
 
 Checks every trainable block of the full objective (EDA MSE + emotion BCE +
-lambda * physics penalty), including the path through d(EDA)/dt. Dropout
+lambda * physics penalty), including the path through d(EDA)/dt. The
+analytic side is the trainer's own ``batch_gradients`` under the ``full``
+variant, so the check covers the code that training runs. Dropout
 masks are materialized once and pinned for every evaluation so the checked
 function is deterministic; batch-norm runs in train mode, so the finite
 differences see the batch statistics' dependence on the perturbed weights,
@@ -20,6 +22,7 @@ from .data import Dataset
 from .errors import ContractError
 from .model import ModelParams
 from .rng import Pcg32
+from .trainer import TrainRunConfig, batch_gradients
 
 
 @dataclass
@@ -44,26 +47,6 @@ def _loss_value(params: ModelParams, batch: Dataset, masks) -> float:
     return breakdown.total
 
 
-def analytic_gradients(params: ModelParams, batch: Dataset, masks) -> dict[str, np.ndarray]:
-    preds = model_mod.forward_batch(params, batch, "train", dropout_masks=masks)
-    lg = obj.loss_gradients(
-        preds,
-        batch.y,
-        batch.label.astype(np.float64),
-        batch.e,
-        params.physics,
-        lambda_floor=params.config.lambda_floor,
-        lambda_frozen=params.config.lambda_frozen,
-    )
-    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_p)
-    grads["physics.alpha0"] = np.array([lg.d_alpha0])
-    grads["physics.beta"] = lg.d_beta
-    grads["physics.gamma"] = np.array([lg.d_gamma])
-    if not params.config.lambda_frozen:
-        grads["physics.rho"] = np.array([lg.d_rho])
-    return grads
-
-
 def check_gradients(
     params: ModelParams,
     batch: Dataset,
@@ -84,7 +67,7 @@ def check_gradients(
         masks = model_mod.draw_dropout_masks(
             params, len(batch), rng if rng is not None else Pcg32(params.config.seed).derive("gradcheck")
         )
-    analytic = analytic_gradients(params, batch, masks)
+    _, analytic, _ = batch_gradients(params, batch, TrainRunConfig(), None, masks)
     blocks = model_mod.trainable_blocks(params)
     block_errors: dict[str, float] = {}
     for name, block in blocks.items():

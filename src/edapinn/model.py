@@ -1,13 +1,16 @@
 """The multi-task network: shared trunk, regression and classification heads.
 
-Two input branches (scalar time proxy, three emotion features) are
-concatenated and passed through hidden blocks of
+The input block is the scalar time proxy followed by the three emotion
+features, passed through hidden blocks of
 affine -> batch-norm -> swish -> dropout. Hidden affines carry no bias: the
 batch-norm shift directly behind them plays that role, and a bias there
 would have an identically-zero training gradient (batch centering removes
 it), which would poison finite-difference gradient validation. Both output
-heads are affine with bias; the regression head is linear, the
-classification head logistic.
+heads are affine with bias. The regression head is linear. The
+classification head outputs a logit z; the objective takes its BCE on z
+and hands the adjoint d(loss)/dz straight back to the head's affine, so a
+confidently wrong logit still gets its full gradient. The probability
+sigmoid(z) is reported for thresholding and metrics only.
 
 The time column's tangent is seeded to 1 and the emotion columns' to 0, so
 the dual channel carries d(EDA)/dt with respect to the (normalized) time
@@ -38,6 +41,7 @@ from .rng import Pcg32
 
 CHECKPOINT_VERSION = "1"
 INPUT_WIDTH = 4  # 1 time column + 3 emotion features
+_INPUT_TANGENT = np.array([1.0, 0.0, 0.0, 0.0])  # d(input)/dt per column
 
 
 @dataclass
@@ -50,7 +54,6 @@ class ModelConfig:
     threshold: float = 0.5
     lambda_floor: float = 1e-3
     lambda_frozen: bool = False
-    residual_on_raw_features: bool = False
 
     def validate(self) -> None:
         if not self.hidden or any(w < 1 for w in self.hidden):
@@ -121,18 +124,17 @@ class LayerCaches:
 
 @dataclass
 class ForwardCaches:
-    concat: ad.ConcatCache
     layers: list[LayerCaches]
     reg_affine: ad.AffineCache
     cls_affine: ad.AffineCache
-    cls_sigmoid: ad.SigmoidCache
 
 
 @dataclass
 class Predictions:
     y_eda: np.ndarray
     dydt: np.ndarray
-    p_emotion: np.ndarray
+    z_emotion: np.ndarray  # classification logit
+    p_emotion: np.ndarray  # sigmoid(z_emotion)
     caches: ForwardCaches
 
 
@@ -169,8 +171,6 @@ def forward(
     mode: str = "eval",
     rng: Pcg32 | None = None,
     dropout_masks: list[np.ndarray] | None = None,
-    time_tangent: float = 1.0,
-    emotion_tangent: float = 0.0,
 ) -> Predictions:
     """Dual-channel forward pass over a normalized batch.
 
@@ -182,15 +182,11 @@ def forward(
     e = np.asarray(e, dtype=np.float64)
     if t.ndim != 1 or t.size == 0 or e.shape != (t.size, 3):
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
-    n = t.size
     cfg = params.config
-    branch_t = DualBatch(t[:, None], np.full((n, 1), time_tangent))
-    branch_e = DualBatch(e, np.full((n, 3), emotion_tangent))
+    x = DualBatch(np.column_stack([t, e]), np.tile(_INPUT_TANGENT, (t.size, 1)))
     # divergence is reported through the explicit per-layer checks below;
     # numpy's warnings on the already-poisoned arithmetic are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, concat_cache = ad.concat_forward([branch_t, branch_e])
-
         layer_caches = []
         for i, layer in enumerate(params.layers):
             x, c_aff = ad.affine_forward(x, layer.w, np.zeros(layer.w.shape[1]))
@@ -213,12 +209,12 @@ def forward(
 
         y_out, reg_cache = ad.affine_forward(x, params.head_reg.w, params.head_reg.b)
         z_out, cls_cache = ad.affine_forward(x, params.head_cls.w, params.head_cls.b)
-        p_out, sig_cache = ad.sigmoid_forward(z_out)
         if not np.all(np.isfinite(y_out.value)) or not np.all(np.isfinite(y_out.tangent)):
             raise NumericError("non-finite activations in the regression head")
 
-    caches = ForwardCaches(concat_cache, layer_caches, reg_cache, cls_cache, sig_cache)
-    return Predictions(y_out.value[:, 0], y_out.tangent[:, 0], p_out.value[:, 0], caches)
+    z = z_out.value[:, 0]
+    caches = ForwardCaches(layer_caches, reg_cache, cls_cache)
+    return Predictions(y_out.value[:, 0], y_out.tangent[:, 0], z, ad.sigmoid(z), caches)
 
 
 def forward_batch(
@@ -237,13 +233,14 @@ def backward(
     caches: ForwardCaches,
     adj_y_value: np.ndarray,
     adj_y_tangent: np.ndarray,
-    adj_p_value: np.ndarray,
+    adj_z_value: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss wrt every network block.
 
     The loss is described by its adjoints on the three model outputs:
-    d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(p_emotion). Physics
-    parameters are handled by the objective module, not here.
+    d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(z_emotion), the
+    classification logit. Physics parameters are handled by the objective
+    module, not here.
     """
     n = adj_y_value.shape[0]
     grads: dict[str, np.ndarray] = {}
@@ -254,8 +251,9 @@ def backward(
     grads["head_reg.w"] = dw_reg
     grads["head_reg.b"] = db_reg
 
-    pv, pt, _ = ad.sigmoid_backward(caches.cls_sigmoid, adj_p_value[:, None], np.zeros((n, 1)))
-    cv, ct, (dw_cls, db_cls) = ad.affine_backward(caches.cls_affine, pv, pt)
+    cv, ct, (dw_cls, db_cls) = ad.affine_backward(
+        caches.cls_affine, adj_z_value[:, None], np.zeros((n, 1))
+    )
     grads["head_cls.w"] = dw_cls
     grads["head_cls.b"] = db_cls
 
@@ -341,7 +339,6 @@ def _params_to_doc(params: ModelParams) -> dict:
             "threshold": cfg.threshold,
             "lambda_floor": cfg.lambda_floor,
             "lambda_frozen": cfg.lambda_frozen,
-            "residual_on_raw_features": cfg.residual_on_raw_features,
         },
         "normalizer": None,
         "physics": {
@@ -408,7 +405,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             threshold=float(doc["config"]["threshold"]),
             lambda_floor=float(doc["config"]["lambda_floor"]),
             lambda_frozen=bool(doc["config"]["lambda_frozen"]),
-            residual_on_raw_features=bool(doc["config"]["residual_on_raw_features"]),
         )
         norm = None
         if doc["normalizer"] is not None:

@@ -1,8 +1,10 @@
 """Loss components and the composite training objective.
 
 The total objective combines an EDA regression loss (MSE), an emotion
-classification loss (BCE) and a physics penalty: the mean squared residual
-of the first-order EDA model
+classification loss (BCE on the head's logit z, computed as
+log(1 + exp(z)) - label * z, so it is never clipped and its gradient
+sigmoid(z) - label never vanishes on a confidently wrong prediction) and a
+physics penalty: the mean squared residual of the first-order EDA model
 
     r_i = gamma * (dy/dt)_i + alpha0 * y_i - beta . e_i
 
@@ -25,8 +27,6 @@ from .errors import ContractError
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with model.py
     from .model import Predictions
-
-BCE_CLIP = 1e-7
 
 
 @dataclass
@@ -75,15 +75,15 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def bce(prob: np.ndarray, label: np.ndarray) -> float:
-    prob = np.asarray(prob, dtype=np.float64)
+def bce(logit: np.ndarray, label: np.ndarray) -> float:
+    """Mean binary cross-entropy of sigmoid(logit) against 0/1 labels."""
+    z = np.asarray(logit, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
-    if prob.shape != label.shape or prob.size == 0:
+    if z.shape != label.shape or z.size == 0:
         raise ContractError("bce needs equal-length nonempty vectors")
     if not np.all((label == 0.0) | (label == 1.0)):
         raise ContractError("labels must be 0 or 1")
-    p = np.clip(prob, BCE_CLIP, 1.0 - BCE_CLIP)
-    return float(np.mean(-(label * np.log(p) + (1.0 - label) * np.log(1.0 - p))))
+    return float(np.mean(np.logaddexp(0.0, z) - label * z))
 
 
 def physics_residual(
@@ -125,7 +125,7 @@ def total_loss(
     total == l_eda + l_emotion + lambda_eff * l_physics holds by definition.
     """
     l_eda = mse(preds.y_eda, y_true)
-    l_emotion = bce(preds.p_emotion, labels)
+    l_emotion = bce(preds.z_emotion, labels)
     l_phys = physics_loss(physics_residual(preds.dydt, preds.y_eda, e, phys))
     lam = phys.lambda_eff(lambda_floor)
     return LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
@@ -137,7 +137,7 @@ class LossGrads:
 
     adj_y: np.ndarray
     adj_dydt: np.ndarray
-    adj_p: np.ndarray
+    adj_z: np.ndarray
     d_alpha0: float
     d_beta: np.ndarray
     d_gamma: float
@@ -166,7 +166,7 @@ def loss_gradients(
 
     adj_y = np.zeros(n)
     adj_dydt = np.zeros(n)
-    adj_p = np.zeros(n)
+    adj_z = np.zeros(n)
     d_alpha0 = 0.0
     d_beta = np.zeros(3)
     d_gamma = 0.0
@@ -176,9 +176,7 @@ def loss_gradients(
         adj_y += 2.0 * (y - y_true) / n
 
     if use_emotion:
-        pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-        live = (p > BCE_CLIP) & (p < 1.0 - BCE_CLIP)
-        adj_p += live * ((1.0 - labels) / (1.0 - pc) - labels / pc) / n
+        adj_z += (p - labels) / n
 
     if use_physics:
         r = physics_residual(dydt, y, e, phys)
@@ -191,4 +189,4 @@ def loss_gradients(
         if not lambda_frozen and softplus(phys.rho) > lambda_floor:
             d_rho = physics_loss(r) * float(sigmoid(np.array([phys.rho]))[0])
 
-    return LossGrads(adj_y, adj_dydt, adj_p, d_alpha0, d_beta, d_gamma, d_rho)
+    return LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)

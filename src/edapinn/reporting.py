@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import baseline_rows
-from .data import Dataset, stratified_kfold
+from .data import Dataset, _fmt, stratified_kfold
 from .errors import ConfigError, ContractError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
@@ -26,10 +26,6 @@ from .trainer import VARIANTS, FoldReport, TrainRunConfig, run_kfold
 
 PINN_VARIANTS = VARIANTS
 BASELINE_IDS = ("ridge", "logistic")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -146,22 +146,24 @@ def batch_gradients(
     cfg: TrainRunConfig,
     rng: Pcg32 | None,
     dropout_masks: list[np.ndarray] | None = None,
-    raw_e: np.ndarray | None = None,
 ) -> tuple[obj.LossBreakdown, dict[str, np.ndarray], model_mod.Predictions]:
-    """Forward + backward for one normalized batch under the variant's objective."""
+    """Forward + backward for one normalized batch under the variant's objective.
+
+    The only place the network and physics gradients are packed into the
+    block dict that Adam and the gradient checker consume.
+    """
     use_eda, use_emotion, use_physics = cfg.task_weights()
     mcfg = params.config
     preds = forward_batch(params, batch, "train", rng, dropout_masks)
-    e_res = raw_e if mcfg.residual_on_raw_features and raw_e is not None else batch.e
     labels = batch.label.astype(np.float64)
     breakdown = obj.total_loss(
-        preds, batch.y, labels, e_res, params.physics, mcfg.lambda_floor
+        preds, batch.y, labels, batch.e, params.physics, mcfg.lambda_floor
     )
     lg = obj.loss_gradients(
         preds,
         batch.y,
         labels,
-        e_res,
+        batch.e,
         params.physics,
         use_eda=use_eda,
         use_emotion=use_emotion,
@@ -169,7 +171,7 @@ def batch_gradients(
         lambda_floor=mcfg.lambda_floor,
         lambda_frozen=mcfg.lambda_frozen,
     )
-    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_p)
+    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
     grads["physics.alpha0"] = np.array([lg.d_alpha0])
     grads["physics.beta"] = lg.d_beta
     grads["physics.gamma"] = np.array([lg.d_gamma])
@@ -185,7 +187,6 @@ def train_epoch(
     cfg: TrainRunConfig,
     rng: Pcg32,
     epoch: int = 0,
-    raw_e: np.ndarray | None = None,
 ) -> tuple[ModelParams, AdamState, EpochTrace]:
     """One pass: seeded shuffle, contiguous batches (short final batch kept)."""
     n = len(data)
@@ -196,14 +197,11 @@ def train_epoch(
     for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         batch = data.subset(idx)
-        raw_e_batch = raw_e[idx] if raw_e is not None else None
         # non-finites are detected explicitly (per-layer and on the loss), so
         # numpy's overflow chatter on an already-diverged step is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                breakdown, grads, preds = batch_gradients(
-                    params, batch, cfg, dropout_rng, raw_e=raw_e_batch
-                )
+                breakdown, grads, preds = batch_gradients(params, batch, cfg, dropout_rng)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             if not np.isfinite(breakdown.total):
@@ -257,10 +255,9 @@ def run_fold(
     params = init_model(mcfg, norm)
     opt = init_adam(model_mod.trainable_blocks(params), lr=cfg.lr)
     rng = Pcg32(cfg.seed).derive(f"fold:{fold_index}")
-    raw_e = train.e if model_cfg.residual_on_raw_features else None
     traces = []
     for epoch in range(cfg.epochs):
-        params, opt, trace = train_epoch(params, opt, train_n, cfg, rng, epoch, raw_e)
+        params, opt, trace = train_epoch(params, opt, train_n, cfg, rng, epoch)
         traces.append(trace)
     preds = forward_batch(params, valid_n, "eval")
     reg = regression_metrics(preds.y_eda, valid_n.y)

@@ -5,7 +5,7 @@ import pytest
 
 import edapinn.gradcheck as gradcheck_mod
 from edapinn.data import Dataset
-from edapinn.gradcheck import analytic_gradients, check_gradients
+from edapinn.gradcheck import check_gradients
 from edapinn.errors import ContractError
 from edapinn.model import ModelConfig, init_model
 from edapinn.rng import Pcg32
@@ -36,14 +36,14 @@ def test_seeded_net_passes_at_tolerance():
 
 def test_corrupted_gradient_is_caught(monkeypatch):
     params = init_model(ModelConfig(hidden=[8, 8], seed=13))
-    real = analytic_gradients
+    real = gradcheck_mod.batch_gradients
 
-    def corrupted(p, batch, masks):
-        grads = real(p, batch, masks)
+    def corrupted(*args):
+        breakdown, grads, preds = real(*args)
         grads["layer1.w"] = grads["layer1.w"] + 0.1
-        return grads
+        return breakdown, grads, preds
 
-    monkeypatch.setattr(gradcheck_mod, "analytic_gradients", corrupted)
+    monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
     report = check_gradients(params, make_batch(16, 13), step=1e-5, tol=1e-6)
     assert not report.passed
     assert report.worst_block == "layer1.w"
@@ -66,7 +66,7 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
         preds, batch.y, batch.label.astype(float), batch.e, params.physics,
         use_emotion=False, use_physics=False,
     )
-    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_p)
+    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
     for name, g in grads.items():
         assert not np.any(g), name
 

@@ -1,5 +1,7 @@
 """Model behavior: init, forward semantics, head sharing, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -108,15 +110,6 @@ def test_eval_forward_is_pure():
     assert np.array_equal(a.p_emotion, b.p_emotion)
 
 
-def test_tangent_seeding_is_input_specific():
-    params = init_model(ModelConfig(hidden=[8, 8], seed=11, dropout=0.0))
-    t, e = random_inputs(10, 12)
-    default = forward(params, t, e, "eval")
-    rewired = forward(params, t, e, "eval", emotion_tangent=1.0)
-    assert np.array_equal(default.y_eda, rewired.y_eda)  # values untouched
-    assert not np.array_equal(default.dydt, rewired.dydt)
-
-
 def test_train_mode_dropout_needs_rng():
     params = init_model(ModelConfig(seed=13))
     t, e = random_inputs(8, 14)
@@ -186,6 +179,12 @@ def test_checkpoint_version_and_schema_errors(tmp_path):
     params = init_model(ModelConfig(seed=25))
     path = tmp_path / "m.ckpt.json"
     save_checkpoint(params, path)
+    # older version-1 files carry the retired residual_on_raw_features key;
+    # the loader ignores keys it does not read
+    old = json.loads(path.read_text())
+    old["config"]["residual_on_raw_features"] = False
+    path.write_text(json.dumps(old))
+    assert load_checkpoint(path).config == params.config
     doc = path.read_text().replace('"format_version": "1"', '"format_version": "0"')
     path.write_text(doc)
     with pytest.raises(CheckpointVersionError):

@@ -22,10 +22,11 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 class FakePreds:
-    def __init__(self, y_eda, dydt, p_emotion):
+    def __init__(self, y_eda, dydt, z_emotion):
         self.y_eda = np.asarray(y_eda, dtype=float)
         self.dydt = np.asarray(dydt, dtype=float)
-        self.p_emotion = np.asarray(p_emotion, dtype=float)
+        self.z_emotion = np.asarray(z_emotion, dtype=float)
+        self.p_emotion = 1.0 / (1.0 + np.exp(-self.z_emotion))
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +50,13 @@ def test_mse_sign_flip_invariance(vals):
 
 
 def test_bce_point_values():
-    half = np.full(4, 0.5)
+    # bce takes logits: z = 0 is p = 1/2, z = log(9) is p = 0.9
     labels = np.array([0.0, 1.0, 0.0, 1.0])
-    assert bce(half, labels) == pytest.approx(np.log(2.0), rel=1e-12)
-    assert bce(np.array([0.9]), np.array([1.0])) == pytest.approx(0.10536051565782628, rel=1e-12)
-    # perfect predictions only pay the clamp floor
-    perfect = bce(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert 0.0 < perfect <= 1.1e-7
+    assert bce(np.zeros(4), labels) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert bce(np.array([np.log(9.0)]), np.array([1.0])) == pytest.approx(0.10536051565782628, rel=1e-12)
+    # confident predictions cost next to nothing when right, |z| when wrong
+    assert 0.0 <= bce(np.array([-40.0, 40.0]), np.array([0.0, 1.0])) <= 1e-17
+    assert bce(np.array([40.0]), np.array([0.0])) == pytest.approx(40.0, rel=1e-15)
 
 
 def test_bce_rejects_bad_labels():
@@ -132,7 +133,7 @@ def test_physics_loss_values():
 def test_breakdown_identity_on_random_inputs():
     rngv = np.random.default_rng(11)
     n = 50
-    preds = FakePreds(rngv.normal(size=n), rngv.normal(size=n), rngv.uniform(0.01, 0.99, n))
+    preds = FakePreds(rngv.normal(size=n), rngv.normal(size=n), rngv.uniform(-4.6, 4.6, n))
     y = rngv.normal(size=n)
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
@@ -148,7 +149,7 @@ def test_breakdown_identity_on_random_inputs():
 def test_perfect_predictions_on_residual_free_data():
     spec = SynthSpec(n=200, noise=0.0, seed=13)
     data, dydt = synth_generate(spec)
-    preds = FakePreds(data.y, dydt, data.label.astype(float))
+    preds = FakePreds(data.y, dydt, np.where(data.label == 1, 40.0, -40.0))
     bd = total_loss(preds, data.y, data.label.astype(float), data.e, spec.physics(), 0.0)
     assert bd.l_eda <= 1.1e-7
     assert bd.l_emotion <= 1.1e-7
@@ -156,7 +157,7 @@ def test_perfect_predictions_on_residual_free_data():
 
 
 def test_lambda_floor_and_frozen_zero():
-    preds = FakePreds([0.5], [0.1], [0.6])
+    preds = FakePreds([0.5], [0.1], [np.log(1.5)])  # p = 0.6
     y, labels, e = np.array([0.4]), np.array([1.0]), np.ones((1, 3))
     low_rho = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0, rho=-20.0)
     bd = total_loss(preds, y, labels, e, low_rho, lambda_floor=1e-3)
@@ -168,14 +169,14 @@ def test_lambda_floor_and_frozen_zero():
 def test_loss_gradient_variant_switches():
     rngv = np.random.default_rng(17)
     n = 10
-    preds = FakePreds(rngv.normal(size=n), rngv.normal(size=n), rngv.uniform(0.2, 0.8, n))
+    preds = FakePreds(rngv.normal(size=n), rngv.normal(size=n), rngv.uniform(-1.4, 1.4, n))
     y = rngv.normal(size=n)
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
     phys = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0)
     no_eda: LossGrads = loss_gradients(preds, y, labels, e, phys, use_eda=False, use_physics=False)
-    assert not np.any(no_eda.adj_y)  # only the BCE path remains, on p
-    assert np.any(no_eda.adj_p)
+    assert not np.any(no_eda.adj_y)  # only the BCE path remains, on z
+    assert np.any(no_eda.adj_z)
     no_phys = loss_gradients(preds, y, labels, e, phys, use_physics=False)
     assert no_phys.d_alpha0 == 0.0 and no_phys.d_rho == 0.0
     assert not np.any(no_phys.adj_dydt)

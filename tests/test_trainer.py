@@ -6,7 +6,6 @@ from dataclasses import replace
 
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError
-from edapinn.gradcheck import analytic_gradients
 from edapinn.model import ModelConfig, init_model, trainable_blocks
 from edapinn.objective import PhysicsParams, physics_residual
 from edapinn.rng import Pcg32
@@ -169,6 +168,22 @@ def test_variant_containment_regression_head_frozen_under_emotion_only_lambda_ze
     assert not np.array_equal(params2.head_reg.w, before_w)
 
 
+def test_saturated_wrong_classifier_keeps_its_gradient():
+    # a confidently wrong head (logit ~20 on all-negative labels) must still
+    # be pushed back: BCE on logits has gradient sigmoid(z) - label, which
+    # saturates at 1 instead of vanishing, and its loss is not capped
+    data = small_synth(n=64)
+    nd = apply_normalizer(fit_normalizer(data), data)
+    nd.label[:] = 0
+    params = init_model(quick_model(dropout=0.0))
+    params.head_cls.b[:] = 20.0
+    cfg = quick_cfg(variant="emotion_only", emotion_only_no_physics=True)
+    breakdown, grads, preds = batch_gradients(params, nd, cfg, None)
+    assert grads["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
+    assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
+    assert breakdown.l_emotion == pytest.approx(np.mean(np.logaddexp(0.0, preds.z_emotion)), rel=1e-12)
+
+
 def test_single_step_descent_probability():
     # one Adam step on a fixed batch with pinned dropout masks should not
     # increase that batch's own loss for lr <= 1e-3 (>= 99% of seeds)
@@ -185,18 +200,8 @@ def test_single_step_descent_probability():
     for s in range(trials):
         params = init_model(quick_model(seed=1000 + s), norm)
         masks = draw_dropout_masks(params, len(nd), Pcg32(s).derive("mask"))
-        preds = model_mod.forward_batch(params, nd, "train", dropout_masks=masks)
+        before, grads, _ = batch_gradients(params, nd, cfg, None, masks)
         labels = nd.label.astype(float)
-        before = obj.total_loss(preds, nd.y, labels, nd.e, params.physics, params.config.lambda_floor)
-        lg = obj.loss_gradients(
-            preds, nd.y, labels, nd.e, params.physics,
-            lambda_floor=params.config.lambda_floor,
-        )
-        grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_p)
-        grads["physics.alpha0"] = np.array([lg.d_alpha0])
-        grads["physics.beta"] = lg.d_beta
-        grads["physics.gamma"] = np.array([lg.d_gamma])
-        grads["physics.rho"] = np.array([lg.d_rho])
         opt = init_adam(trainable_blocks(params), cfg.lr)
         _, stepped = adam_step(opt, params, grads)
         preds2 = model_mod.forward_batch(stepped, nd, "train", dropout_masks=masks)
