@@ -40,7 +40,6 @@ from .model import (
     forward_batch,
     init_model,
     load_checkpoint,
-    save_checkpoint,
 )
 from .objective import (
     LossBreakdown,

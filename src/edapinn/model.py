@@ -20,13 +20,14 @@ proxy of each sample.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DualBatch, softplus_inv
+from .autodiff import DualBatch
 from .data import Normalizer
 from .errors import (
     CheckpointReadError,
@@ -56,16 +57,17 @@ class ModelConfig:
     lambda_frozen: bool = False
 
     def validate(self) -> None:
+        """Reject out-of-range values; NaN and infinite ones fail every range."""
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ConfigError("hidden widths must be a nonempty list of counts >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout rate must lie in [0, 1)")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("classification threshold must lie in (0, 1)")
-        if self.lambda_floor < 0.0:
-            raise ConfigError("lambda floor must be >= 0")
-        if self.bn_eps <= 0.0:
-            raise ConfigError("batch-norm epsilon must be positive")
+        if not 0.0 <= self.lambda_floor < np.inf:
+            raise ConfigError("lambda floor must be finite and >= 0")
+        if not 0.0 < self.bn_eps < np.inf:
+            raise ConfigError("batch-norm epsilon must be finite and positive")
         if not 0.0 <= self.bn_momentum < 1.0:
             raise ConfigError("batch-norm momentum must lie in [0, 1)")
 
@@ -154,8 +156,7 @@ def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> Mod
     limit = np.sqrt(6.0 / (top + 1))
     head_reg = Head(rng.uniform(-limit, limit, top).reshape(top, 1), np.zeros(1))
     head_cls = Head(rng.uniform(-limit, limit, top).reshape(top, 1), np.zeros(1))
-    physics = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0, softplus_inv(0.1))
-    return ModelParams(layers, head_reg, head_cls, physics, normalizer, config)
+    return ModelParams(layers, head_reg, head_cls, PhysicsParams(), normalizer, config)
 
 
 def draw_dropout_masks(params: ModelParams, n: int, rng: Pcg32) -> list[np.ndarray]:
@@ -326,61 +327,67 @@ def with_blocks(params: ModelParams, blocks: dict[str, np.ndarray]) -> ModelPara
 # ---------------------------------------------------------------------------
 
 
-def _params_to_doc(params: ModelParams) -> dict:
-    cfg = params.config
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "hidden": list(cfg.hidden),
-            "dropout": cfg.dropout,
-            "bn_eps": cfg.bn_eps,
-            "bn_momentum": cfg.bn_momentum,
-            "seed": cfg.seed,
-            "threshold": cfg.threshold,
-            "lambda_floor": cfg.lambda_floor,
-            "lambda_frozen": cfg.lambda_frozen,
-        },
-        "normalizer": None,
-        "physics": {
-            "alpha0": params.physics.alpha0,
-            "beta": params.physics.beta.tolist(),
-            "gamma": params.physics.gamma,
-            "rho": params.physics.rho,
-        },
-        "layers": [
-            {
-                "w": layer.w.flatten().tolist(),
-                "w_shape": list(layer.w.shape),
-                "bn_scale": layer.bn_scale.tolist(),
-                "bn_shift": layer.bn_shift.tolist(),
-                "bn_running_mean": layer.bn_running_mean.tolist(),
-                "bn_running_var": layer.bn_running_var.tolist(),
-            }
-            for layer in params.layers
-        ],
-        "head_reg": {"w": params.head_reg.w.flatten().tolist(), "b": params.head_reg.b.tolist()},
-        "head_cls": {"w": params.head_cls.w.flatten().tolist(), "b": params.head_cls.b.tolist()},
-    }
-    if params.normalizer is not None:
-        doc["normalizer"] = {
-            "input_mean": params.normalizer.input_mean.tolist(),
-            "input_std": params.normalizer.input_std.tolist(),
-            "y_min": params.normalizer.y_min,
-            "y_max": params.normalizer.y_max,
-        }
-    return doc
+def _plain(value):
+    """A dataclass as a JSON-ready dict of its fields, arrays as flat lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value.ravel().tolist() if isinstance(value, np.ndarray) else value
 
 
 def checkpoint_text(params: ModelParams) -> str:
-    """Canonical serialized form; identical models give identical bytes."""
-    return json.dumps(_params_to_doc(params), sort_keys=True, indent=1) + "\n"
+    """Canonical serialized form; identical models give identical bytes.
+
+    It holds every field of ``params``, each layer's ``w_shape`` and the version.
+    """
+    doc = _plain(params)
+    doc["format_version"] = CHECKPOINT_VERSION
+    for entry, layer in zip(doc["layers"], params.layers):
+        entry["w_shape"] = list(layer.w.shape)
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    Path(path).write_text(checkpoint_text(params), encoding="utf-8")
+def _scalar(val, kind: str, where: str):
+    """A stored scalar of annotation ``kind``: float (finite; ints widen), int or bool."""
+    types = {"float": (int, float), "int": int, "bool": bool}[kind]
+    ok = isinstance(val, types) and isinstance(val, bool) == (kind == "bool")
+    if not ok or not math.isfinite(val):
+        raise CheckpointSchemaError(f"field {where!r} must be a finite {kind}")
+    return float(val) if kind == "float" else val
+
+
+def _array(val, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A stored flat list as a finite array of ``shape``, its length checked first."""
+    if not isinstance(val, list) or len(val) != math.prod(shape):
+        raise CheckpointSchemaError(f"field {where!r} must be a list of {math.prod(shape)} numbers")
+    return np.array([_scalar(v, "float", where) for v in val]).reshape(shape)
+
+
+def _read(cls, entry, where: str, vector: int = 0, **shapes):
+    """A ``cls`` from its stored fields, each read by its annotation: an
+    ``np.ndarray`` at ``shapes[name]`` or ``(vector,)``, else ints or a scalar."""
+    if not isinstance(entry, dict):
+        raise CheckpointSchemaError(f"field {where!r} must be an object")
+    values = {}
+    for f in fields(cls):
+        val, name = entry[f.name], f"{where}.{f.name}"
+        if f.type == "np.ndarray":
+            values[f.name] = _array(val, shapes.get(f.name, (vector,)), name)
+        elif f.type == "list[int]":
+            values[f.name] = [_scalar(v, "int", name) for v in val]
+        else:
+            values[f.name] = _scalar(val, f.type, name)
+    return cls(**values)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint, checking every field against the stored config.
+
+    Each array must be finite and hold exactly as many numbers as the shape
+    the config implies (widths ``[4] + hidden``), and the config must pass
+    ``ModelConfig.validate``; any mismatch raises ``CheckpointSchemaError``.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -396,51 +403,22 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"unsupported checkpoint version {doc['format_version']!r}, expected {CHECKPOINT_VERSION!r}"
         )
     try:
-        cfg = ModelConfig(
-            hidden=[int(w) for w in doc["config"]["hidden"]],
-            dropout=float(doc["config"]["dropout"]),
-            bn_eps=float(doc["config"]["bn_eps"]),
-            bn_momentum=float(doc["config"]["bn_momentum"]),
-            seed=int(doc["config"]["seed"]),
-            threshold=float(doc["config"]["threshold"]),
-            lambda_floor=float(doc["config"]["lambda_floor"]),
-            lambda_frozen=bool(doc["config"]["lambda_frozen"]),
-        )
-        norm = None
-        if doc["normalizer"] is not None:
-            norm = Normalizer(
-                np.array(doc["normalizer"]["input_mean"], dtype=np.float64),
-                np.array(doc["normalizer"]["input_std"], dtype=np.float64),
-                float(doc["normalizer"]["y_min"]),
-                float(doc["normalizer"]["y_max"]),
-            )
-        physics = PhysicsParams(
-            float(doc["physics"]["alpha0"]),
-            np.array(doc["physics"]["beta"], dtype=np.float64),
-            float(doc["physics"]["gamma"]),
-            float(doc["physics"]["rho"]),
-        )
+        cfg = _read(ModelConfig, doc["config"], "config")
+        cfg.validate()
+        if len(doc["layers"]) != len(cfg.hidden):
+            raise CheckpointSchemaError(f"config implies {len(cfg.hidden)} hidden layers")
+        widths = [INPUT_WIDTH] + cfg.hidden
         layers = []
-        for entry in doc["layers"]:
-            shape = tuple(entry["w_shape"])
-            layers.append(
-                HiddenLayer(
-                    np.array(entry["w"], dtype=np.float64).reshape(shape),
-                    np.array(entry["bn_scale"], dtype=np.float64),
-                    np.array(entry["bn_shift"], dtype=np.float64),
-                    np.array(entry["bn_running_mean"], dtype=np.float64),
-                    np.array(entry["bn_running_var"], dtype=np.float64),
-                )
-            )
-        top = cfg.hidden[-1]
-        head_reg = Head(
-            np.array(doc["head_reg"]["w"], dtype=np.float64).reshape(top, 1),
-            np.array(doc["head_reg"]["b"], dtype=np.float64),
-        )
-        head_cls = Head(
-            np.array(doc["head_cls"]["w"], dtype=np.float64).reshape(top, 1),
-            np.array(doc["head_cls"]["b"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        for i, (entry, shape) in enumerate(zip(doc["layers"], zip(widths[:-1], widths[1:]))):
+            layers.append(_read(HiddenLayer, entry, f"layers[{i}]", shape[1], w=shape))
+            if entry["w_shape"] != list(shape):
+                raise CheckpointSchemaError(f"field 'layers[{i}].w_shape' must be {list(shape)}")
+        head_reg = _read(Head, doc["head_reg"], "head_reg", 1, w=(widths[-1], 1))
+        head_cls = _read(Head, doc["head_cls"], "head_cls", 1, w=(widths[-1], 1))
+        physics = _read(PhysicsParams, doc["physics"], "physics", 3)
+        norm = doc["normalizer"]
+        if norm is not None:
+            norm = _read(Normalizer, norm, "normalizer", INPUT_WIDTH)
+    except (KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise CheckpointSchemaError(f"malformed checkpoint field: {exc}") from exc
     return ModelParams(layers, head_reg, head_cls, physics, norm, cfg)

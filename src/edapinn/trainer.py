@@ -48,8 +48,8 @@ class TrainRunConfig:
             raise ConfigError("batch size must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:  # also rejects NaN
+            raise ConfigError("learning rate must be finite and positive")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
 

@@ -1,14 +1,20 @@
 """CLI commands, config strictness, output formats and exit codes."""
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edapinn.cli import main
-from edapinn.config import load_config, parse_config
+from edapinn.config import RunConfig, load_config, parse_config
+from edapinn.data import SynthSpec
 from edapinn.errors import ConfigError
+from edapinn.model import ModelConfig
+from edapinn.trainer import TrainRunConfig
 
 
 def write_config(tmp_path: Path, doc: dict) -> Path:
@@ -67,9 +73,62 @@ def test_bad_types_rejected():
         parse_config({"model": {"hidden": [64, "x"]}})
 
 
-def test_negative_lambda_floor_rejected_before_running(tmp_path):
-    cfg_path = write_config(tmp_path, {"model": {"lambda_floor": -1.0}})
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"model": {"lambda_floor": -1.0}}, "lambda floor"),
+        ({"model": {"lambda_floor": float("nan")}}, "model.lambda_floor"),
+        ({"train": {"lr": float("nan")}}, "train.lr"),
+        ({"data": {"synth": {"noise": float("inf")}}}, "data.synth.noise"),
+        ({"data": {"synth": {"beta": [1, float("nan"), 2]}}}, "data.synth.beta"),
+        ({"data": {"synth": None}}, "data.synth"),
+    ],
+    ids=["lambda_floor_negative", "lambda_floor_nan", "lr_nan", "noise_inf", "beta_nan", "synth_null"],
+)
+def test_negative_lambda_floor_rejected_before_running(tmp_path, capsys, doc, named):
+    cfg_path = write_config(tmp_path, doc)
     assert main(["check", "--config", str(cfg_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def _key_paths(prefix, default):
+    for f in fields(default):
+        if f.name != "seed":
+            yield prefix + (f.name,)
+            if is_dataclass(getattr(default, f.name)):
+                yield from _key_paths(prefix + (f.name,), getattr(default, f.name))
+
+
+KEY_PATHS = [
+    ("seed",), ("model",), ("train",), ("data",), ("data", "input"), ("data", "synth"),
+    ("output",), ("output", "dir"), ("ablate",), ("ablate", "variants"),
+    *_key_paths(("model",), ModelConfig()),
+    *_key_paths(("train",), TrainRunConfig()),
+    *_key_paths(("data", "synth"), SynthSpec()),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(st.tuples(st.sampled_from(KEY_PATHS), JSON_VALUES), min_size=1, max_size=3))
+def test_any_json_at_any_key_parses_or_raises_config_error(edits):
+    """Any JSON value at any key path either parses or raises ConfigError."""
+    doc = {}
+    for path, value in edits:
+        section = doc
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = value
+    try:
+        assert isinstance(parse_config(doc), RunConfig)
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------

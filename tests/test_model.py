@@ -1,21 +1,22 @@
 """Model behavior: init, forward semantics, head sharing, checkpoints."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from edapinn.autodiff import softplus
-from edapinn.data import Dataset, fit_normalizer
+from edapinn.data import Dataset, SynthSpec, fit_normalizer, synth_generate
 from edapinn.errors import CheckpointSchemaError, CheckpointVersionError, ConfigError
 from edapinn.model import (
     ModelConfig,
+    checkpoint_text,
     commit_batchnorm,
     forward,
     forward_batch,
     init_model,
     load_checkpoint,
-    save_checkpoint,
     trainable_blocks,
     with_blocks,
 )
@@ -56,6 +57,10 @@ def test_invalid_config_rejected():
         init_model(ModelConfig(threshold=0.0))
     with pytest.raises(ConfigError):
         init_model(ModelConfig(lambda_floor=-0.1))
+    with pytest.raises(ConfigError):
+        init_model(ModelConfig(lambda_floor=float("nan")))
+    with pytest.raises(ConfigError):
+        init_model(ModelConfig(bn_eps=float("nan")))
 
 
 def test_zero_weight_network_outputs():
@@ -143,7 +148,7 @@ def test_checkpoint_roundtrip_fresh_model(tmp_path):
     norm = fit_normalizer(data)
     params = init_model(ModelConfig(hidden=[8, 8], seed=19), norm)
     path = tmp_path / "m.ckpt.json"
-    save_checkpoint(params, path)
+    path.write_text(checkpoint_text(params))
     loaded = load_checkpoint(path)
     for la, lb in zip(params.layers, loaded.layers):
         assert np.array_equal(la.w, lb.w)
@@ -154,13 +159,15 @@ def test_checkpoint_roundtrip_fresh_model(tmp_path):
 
 
 def test_checkpoint_roundtrip_preserves_predictions_bitwise(tmp_path):
-    params = init_model(ModelConfig(hidden=[16, 16], seed=21, dropout=0.0))
+    norm = fit_normalizer(synth_generate(SynthSpec(n=50, seed=20))[0])
+    params = init_model(ModelConfig(hidden=[16, 16], seed=21, dropout=0.0), norm)
     t, e = random_inputs(40, 22)
     warm = forward(params, t, e, "train")
     commit_batchnorm(params, warm.caches)
     path = tmp_path / "m.ckpt.json"
-    save_checkpoint(params, path)
+    path.write_text(checkpoint_text(params))
     loaded = load_checkpoint(path)
+    assert checkpoint_text(loaded) == path.read_text()
     a = forward(params, t, e, "eval")
     b = forward(loaded, t, e, "eval")
     assert np.array_equal(a.y_eda, b.y_eda)
@@ -169,16 +176,21 @@ def test_checkpoint_roundtrip_preserves_predictions_bitwise(tmp_path):
 
 
 def test_checkpoint_byte_determinism(tmp_path):
-    from edapinn.model import checkpoint_text
-
     params = init_model(ModelConfig(seed=23))
     assert checkpoint_text(params) == checkpoint_text(init_model(ModelConfig(seed=23)))
+    # pins the bytes of format "1"
+    small = init_model(ModelConfig(hidden=[8, 8], seed=23))
+    digest = hashlib.sha256(checkpoint_text(small).encode()).hexdigest()
+    assert digest == "ba6b0e3d5a8efb0eba97943ede1b42f7261e22c2b586d0198967cc240996237c"
+    small.normalizer = fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0])
+    digest = hashlib.sha256(checkpoint_text(small).encode()).hexdigest()
+    assert digest == "a2b6291dc4c70be9be03a4321d0fe8b3dd8570d6f817bfc35486ffd32dda4c16"
 
 
 def test_checkpoint_version_and_schema_errors(tmp_path):
     params = init_model(ModelConfig(seed=25))
     path = tmp_path / "m.ckpt.json"
-    save_checkpoint(params, path)
+    path.write_text(checkpoint_text(params))
     # older version-1 files carry the retired residual_on_raw_features key;
     # the loader ignores keys it does not read
     old = json.loads(path.read_text())
@@ -199,6 +211,40 @@ def test_checkpoint_version_and_schema_errors(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CheckpointReadError):
         load_checkpoint(tmp_path / "missing.json")
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["layers"][0]["bn_scale"].pop(),
+        lambda doc: _set(doc, ["physics", "alpha0"], float("nan")),
+        lambda doc: _set(doc, ["head_cls", "b"], []),
+        lambda doc: doc["layers"].pop(),
+        lambda doc: _set(doc, ["physics", "beta"], [0.1, 0.1]),
+        lambda doc: _set(doc, ["config", "dropout"], 2.0),
+        lambda doc: _set(doc, ["config", "lambda_floor"], float("nan")),
+        lambda doc: _set(doc, ["config", "hidden"], [1000000, 1000000]),
+        lambda doc: _set(doc, ["config", "hidden"], [1000000, 8]),
+    ],
+    ids=[
+        "bn_scale_truncated", "alpha0_nan", "head_cls_b_empty", "layer_dropped", "beta_2_vector",
+        "dropout_2", "lambda_floor_nan", "hidden_1e6_1e6", "hidden_1e6_8",
+    ],
+)
+def test_corrupt_checkpoint_raises_schema_error(tmp_path, corrupt):
+    doc = json.loads(checkpoint_text(init_model(ModelConfig(hidden=[8, 8], seed=29))))
+    corrupt(doc)
+    path = tmp_path / "m.ckpt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointSchemaError):
+        load_checkpoint(path)
 
 
 def test_nonfinite_activation_names_layer():

@@ -306,6 +306,8 @@ def test_kfold_rejects_k_above_minority_count():
 def test_invalid_variant_rejected():
     with pytest.raises(ConfigError):
         quick_cfg(variant="bogus").validate()
+    with pytest.raises(ConfigError):
+        quick_cfg(lr=float("nan")).validate()
 
 
 # ---------------------------------------------------------------------------
