@@ -12,7 +12,7 @@ parameter gradients.
 import numpy as np
 
 from edapinn import DualBatch, ModelConfig, check_gradients, forward, init_model
-from edapinn.autodiff import swish, swish_forward
+from edapinn.autodiff import swish_forward
 from edapinn.data import Dataset
 from edapinn.model import commit_batchnorm
 from edapinn.rng import Pcg32
@@ -22,6 +22,12 @@ x_value = np.array([[0.0], [1.0], [-2.0]])
 x_tangent = np.ones((3, 1))  # seed d(x)/dt = 1
 out, _ = swish_forward(DualBatch(x_value, x_tangent))
 h = 1e-6
+
+
+def swish(v):  # the value alone, written independently of the engine
+    return v / (1.0 + np.exp(-v))
+
+
 fd = (swish(x_value + h) - swish(x_value - h)) / (2 * h)
 for i in range(3):
     print(

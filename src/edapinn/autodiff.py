@@ -8,8 +8,11 @@ residual needs d(EDA)/dt), each primitive's backward returns
     adj_input_value   = J^T @ adj_value + (d[J @ xdot]/dx)^T @ adj_tangent
     adj_input_tangent = J^T @ adj_tangent
 
-so nonlinear primitives carry their second derivative. All math is float64;
-matrices are plain 2-D numpy arrays (batch x width, row-major).
+so nonlinear primitives carry their second derivative. Swish evaluates its
+sigmoid once per forward call and caches sigma and s'(x); its backward builds
+s''(x) from the cached sigma. ``sigmoid`` is the package's one logistic
+function. All math is float64; matrices are plain 2-D numpy arrays
+(batch x width, row-major).
 """
 
 from __future__ import annotations
@@ -36,30 +39,10 @@ class DualBatch:
             )
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def swish(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
-
-
-def swish_d1(x: np.ndarray) -> np.ndarray:
-    """s'(x) = sigma(x) * (1 + x * (1 - sigma(x)))."""
-    s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
-def swish_d2(x: np.ndarray) -> np.ndarray:
-    """s''(x) = sigma(x) * (1 - sigma(x)) * (2 + x * (1 - 2 sigma(x)))."""
-    s = sigmoid(x)
-    return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
+def sigmoid(x):
+    """1 / (1 + exp(-x)) of a scalar or an array, as 0.5 * (1 + tanh(x / 2)):
+    no masks, no overflow, exactly 0 and 1 far out in the tails."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softplus(x: float) -> float:
@@ -115,16 +98,22 @@ def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.n
 class SwishCache:
     x_value: np.ndarray
     x_tangent: np.ndarray
+    sigma: np.ndarray
+    d1: np.ndarray  # s'(x) = sigma * (1 + x * (1 - sigma))
 
 
 def swish_forward(x: DualBatch):
-    out = DualBatch(swish(x.value), swish_d1(x.value) * x.tangent)
-    return out, SwishCache(x.value, x.tangent)
+    s = sigmoid(x.value)
+    d1 = s * (1.0 + x.value * (1.0 - s))
+    out = DualBatch(x.value * s, d1 * x.tangent)
+    return out, SwishCache(x.value, x.tangent, s, d1)
 
 
 def swish_backward(cache: SwishCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    d1 = swish_d1(cache.x_value)
-    adj_x_value = d1 * adj_value + swish_d2(cache.x_value) * cache.x_tangent * adj_tangent
+    """Uses s''(x) = sigma * (1 - sigma) * (2 + x * (1 - 2 sigma)) from the cached sigma."""
+    s, d1 = cache.sigma, cache.d1
+    d2 = s * (1.0 - s) * (2.0 + cache.x_value * (1.0 - 2.0 * s))
+    adj_x_value = d1 * adj_value + d2 * cache.x_tangent * adj_tangent
     adj_x_tangent = d1 * adj_tangent
     return adj_x_value, adj_x_tangent, []
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import sigmoid
 from .data import Dataset, apply_normalizer, fit_normalizer
 from .errors import ContractError, NumericError
 from .evaluation import classification_metrics, regression_metrics
@@ -26,8 +27,7 @@ class LinearModel:
         return x @ self.weights + self.intercept
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        z = self.predict(x)
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        return sigmoid(self.predict(x))
 
 
 def ridge_fit(
@@ -75,7 +75,7 @@ def logistic_fit(
     w = np.zeros(d)
     b = 0.0
     for _ in range(steps):
-        p = 1.0 / (1.0 + np.exp(-np.clip(x @ w + b, -500, 500)))
+        p = sigmoid(x @ w + b)
         err = (p - labels) / n
         w = w - lr * (x.T @ err)
         b = b - lr * float(err.sum())

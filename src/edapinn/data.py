@@ -16,6 +16,8 @@ closed form.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +60,21 @@ class Dataset:
 def _fmt(x: float) -> str:
     """Shortest decimal string that round-trips the float64 exactly."""
     return repr(float(x))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write through a temp file and a rename, so ``path`` is never left truncated."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -127,13 +144,13 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             str(int(dataset.label[i])),
         ]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_ddt_csv(dydt: np.ndarray, path: str | Path) -> None:
     lines = [",".join(DDT_HEADER)]
     lines += [f"{i + 1},{_fmt(v)}" for i, v in enumerate(dydt)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def ddt_sibling_path(csv_path: str | Path) -> Path:

@@ -5,12 +5,15 @@ features, passed through hidden blocks of
 affine -> batch-norm -> swish -> dropout. Hidden affines carry no bias: the
 batch-norm shift directly behind them plays that role, and a bias there
 would have an identically-zero training gradient (batch centering removes
-it), which would poison finite-difference gradient validation. Both output
-heads are affine with bias. The regression head is linear. The
-classification head outputs a logit z; the objective takes its BCE on z
-and hands the adjoint d(loss)/dz straight back to the head's affine, so a
-confidently wrong logit still gets its full gradient. The probability
-sigmoid(z) is reported for thresholding and metrics only.
+it), which would poison finite-difference gradient validation. The
+regression head is a dual-channel affine with bias, so it emits y and
+dy/dt. The classification head computes only the value z = x @ w + b, a
+logit: no loss reads dz/dt, so it carries no tangent and keeps no cache of
+its own; its backward reads its input from the regression head's cache.
+The objective takes its BCE on z and hands the adjoint d(loss)/dz straight
+back to that head, so a confidently wrong logit still gets its full
+gradient. The probability sigmoid(z) is reported for thresholding and
+metrics only.
 
 The time column's tangent is seeded to 1 and the emotion columns' to 0, so
 the dual channel carries d(EDA)/dt with respect to the (normalized) time
@@ -127,8 +130,7 @@ class LayerCaches:
 @dataclass
 class ForwardCaches:
     layers: list[LayerCaches]
-    reg_affine: ad.AffineCache
-    cls_affine: ad.AffineCache
+    reg_affine: ad.AffineCache  # also holds the classification head's input
 
 
 @dataclass
@@ -209,12 +211,11 @@ def forward(
             layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, c_do))
 
         y_out, reg_cache = ad.affine_forward(x, params.head_reg.w, params.head_reg.b)
-        z_out, cls_cache = ad.affine_forward(x, params.head_cls.w, params.head_cls.b)
+        z = (x.value @ params.head_cls.w + params.head_cls.b)[:, 0]
         if not np.all(np.isfinite(y_out.value)) or not np.all(np.isfinite(y_out.tangent)):
             raise NumericError("non-finite activations in the regression head")
 
-    z = z_out.value[:, 0]
-    caches = ForwardCaches(layer_caches, reg_cache, cls_cache)
+    caches = ForwardCaches(layer_caches, reg_cache)
     return Predictions(y_out.value[:, 0], y_out.tangent[:, 0], z, ad.sigmoid(z), caches)
 
 
@@ -243,7 +244,6 @@ def backward(
     classification logit. Physics parameters are handled by the objective
     module, not here.
     """
-    n = adj_y_value.shape[0]
     grads: dict[str, np.ndarray] = {}
 
     av, at, (dw_reg, db_reg) = ad.affine_backward(
@@ -252,14 +252,12 @@ def backward(
     grads["head_reg.w"] = dw_reg
     grads["head_reg.b"] = db_reg
 
-    cv, ct, (dw_cls, db_cls) = ad.affine_backward(
-        caches.cls_affine, adj_z_value[:, None], np.zeros((n, 1))
-    )
-    grads["head_cls.w"] = dw_cls
-    grads["head_cls.b"] = db_cls
+    adj_z = adj_z_value[:, None]
+    grads["head_cls.w"] = caches.reg_affine.x_value.T @ adj_z
+    grads["head_cls.b"] = adj_z.sum(axis=0)
 
-    adj_v = av + cv
-    adj_t = at + ct
+    adj_v = av + adj_z @ params.head_cls.w.T
+    adj_t = at
     for i in reversed(range(len(params.layers))):
         c = caches.layers[i]
         adj_v, adj_t, _ = ad.dropout_backward(c.dropout, adj_v, adj_t)
@@ -385,8 +383,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint, checking every field against the stored config.
 
     Each array must be finite and hold exactly as many numbers as the shape
-    the config implies (widths ``[4] + hidden``), and the config must pass
-    ``ModelConfig.validate``; any mismatch raises ``CheckpointSchemaError``.
+    the config implies (widths ``[4] + hidden``), the config must pass
+    ``ModelConfig.validate``, and a stored normalizer must be invertible
+    (every ``input_std`` > 0, ``y_max`` > ``y_min``); any mismatch raises
+    ``CheckpointSchemaError``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -419,6 +419,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         norm = doc["normalizer"]
         if norm is not None:
             norm = _read(Normalizer, norm, "normalizer", INPUT_WIDTH)
+            if not np.all(norm.input_std > 0.0):
+                raise CheckpointSchemaError("field 'normalizer.input_std' must be positive")
+            if not norm.y_max > norm.y_min:
+                raise CheckpointSchemaError("field 'normalizer.y_max' must exceed 'normalizer.y_min'")
     except (KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise CheckpointSchemaError(f"malformed checkpoint field: {exc}") from exc
     return ModelParams(layers, head_reg, head_cls, physics, norm, cfg)

@@ -187,6 +187,6 @@ def loss_gradients(
         d_gamma = lam * 2.0 * float(r @ dydt) / n
         d_beta = -lam * 2.0 * (r @ e) / n
         if not lambda_frozen and softplus(phys.rho) > lambda_floor:
-            d_rho = physics_loss(r) * float(sigmoid(np.array([phys.rho]))[0])
+            d_rho = physics_loss(r) * float(sigmoid(phys.rho))
 
     return LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)

@@ -10,15 +10,13 @@ leave truncated tables behind.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import baseline_rows
-from .data import Dataset, _fmt, stratified_kfold
+from .data import Dataset, _fmt, stratified_kfold, write_text_atomic  # re-exported for cli
 from .errors import ConfigError, ContractError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
@@ -26,20 +24,6 @@ from .trainer import VARIANTS, FoldReport, TrainRunConfig, run_kfold
 
 PINN_VARIANTS = VARIANTS
 BASELINE_IDS = ("ridge", "logistic")
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ primitives' value functions; they never reuse the analytic derivative code
 they validate.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from edapinn.autodiff import (
     batchnorm_forward,
     dropout_backward,
     dropout_forward,
-    swish,
+    sigmoid,
     swish_backward,
     swish_forward,
 )
@@ -35,9 +37,41 @@ def rand(shape, seed):
     return Pcg32(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
+def swish_value(v):
+    return v / (1.0 + np.exp(-v))
+
+
+def masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spec'd point values
 # ---------------------------------------------------------------------------
+
+
+def test_sigmoid_matches_masked_reference():
+    x = np.linspace(-60.0, 60.0, 1_200_001)
+    assert np.max(np.abs(sigmoid(x) - masked_sigmoid(x))) <= 3e-16
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert [sigmoid(-1000.0), sigmoid(0.0), sigmoid(1000.0)] == [0.0, 0.5, 1.0]
+    assert out.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_sigmoid_of_a_float_is_a_scalar():
+    out = sigmoid(0.25)
+    assert np.ndim(out) == 0 and isinstance(out, float)
+    assert out == pytest.approx(1.0 / (1.0 + np.exp(-0.25)), rel=1e-15)
 
 
 def test_swish_at_origin():
@@ -84,7 +118,7 @@ def fd_tangent(f, xv, xt, h=1e-6):
 def test_swish_tangent_exactness(seed):
     xv, xt = rand((8, 5), seed), rand((8, 5), seed + 100)
     out, _ = swish_forward(DualBatch(xv, xt))
-    assert rel_err(out.tangent, fd_tangent(swish, xv, xt)) <= REL_TOL_TANGENT
+    assert rel_err(out.tangent, fd_tangent(swish_value, xv, xt)) <= REL_TOL_TANGENT
 
 
 def test_affine_tangent_exactness():

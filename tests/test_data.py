@@ -1,5 +1,7 @@
 """Dataset I/O, normalization, folding, the synthetic generator and its RK4 oracle."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from edapinn.data import (
     stratified_kfold,
     synth_generate,
     write_csv,
+    write_ddt_csv,
 )
 from edapinn.errors import ConfigError, ContractError, DataFormatError
 from edapinn.objective import PhysicsParams, physics_residual
@@ -91,6 +94,51 @@ def test_write_load_roundtrip_identity(tmp_path):
 
 def test_ddt_sibling_naming(tmp_path):
     assert ddt_sibling_path("runs/data.csv").name == "data.ddt.csv"
+
+
+class _HalfWriter:
+    """A text file whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_failed_synth_write_keeps_previous_files(tmp_path, monkeypatch):
+    data, dydt = synth_generate(SynthSpec(n=40, seed=3))
+    csv_path = tmp_path / "data.csv"
+    ddt_path = ddt_sibling_path(csv_path)
+    write_csv(data, csv_path)
+    write_ddt_csv(dydt, ddt_path)
+    before = csv_path.read_bytes(), ddt_path.read_bytes()
+
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode else fh
+
+    other, other_dydt = synth_generate(SynthSpec(n=40, seed=4))
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(other, csv_path)
+    with pytest.raises(OSError, match="disk full"):
+        write_ddt_csv(other_dydt, ddt_path)
+    monkeypatch.undo()
+    assert (csv_path.read_bytes(), ddt_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.ddt.csv"]
 
 
 # ---------------------------------------------------------------------------

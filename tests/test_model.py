@@ -213,6 +213,9 @@ def test_checkpoint_version_and_schema_errors(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
 
 
+_NORMALIZER = {"input_mean": [0.0] * 4, "input_std": [1.0] * 4, "y_min": 0.2, "y_max": 1.5}
+
+
 def _set(doc, path, value):
     *keys, last = path
     for key in keys:
@@ -232,10 +235,13 @@ def _set(doc, path, value):
         lambda doc: _set(doc, ["config", "lambda_floor"], float("nan")),
         lambda doc: _set(doc, ["config", "hidden"], [1000000, 1000000]),
         lambda doc: _set(doc, ["config", "hidden"], [1000000, 8]),
+        lambda doc: _set(doc, ["normalizer"], dict(_NORMALIZER, input_std=[1.0, 0.0, 1.0, 1.0])),
+        lambda doc: _set(doc, ["normalizer"], dict(_NORMALIZER, y_max=0.2)),
     ],
     ids=[
         "bn_scale_truncated", "alpha0_nan", "head_cls_b_empty", "layer_dropped", "beta_2_vector",
         "dropout_2", "lambda_floor_nan", "hidden_1e6_1e6", "hidden_1e6_8",
+        "normalizer_std_zero", "normalizer_y_flat",
     ],
 )
 def test_corrupt_checkpoint_raises_schema_error(tmp_path, corrupt):

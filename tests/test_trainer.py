@@ -184,6 +184,24 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     assert breakdown.l_emotion == pytest.approx(np.mean(np.logaddexp(0.0, preds.z_emotion)), rel=1e-12)
 
 
+def test_training_step_evaluates_sigmoid_once_per_layer(monkeypatch):
+    from edapinn import autodiff, objective
+
+    real, calls = autodiff.sigmoid, []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(autodiff, "sigmoid", counting)
+    monkeypatch.setattr(objective, "sigmoid", counting)
+    data = small_synth(n=64)
+    params = init_model(quick_model())
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), quick_cfg(), Pcg32(1))
+    # one per swish layer (the backward reuses it), p = sigmoid(z), d lambda / d rho
+    assert calls == [(64, 12), (64, 12), (64,), ()]
+
+
 def test_single_step_descent_probability():
     # one Adam step on a fixed batch with pinned dropout masks should not
     # increase that batch's own loss for lr <= 1e-3 (>= 99% of seeds)
