@@ -152,18 +152,18 @@ def batchnorm_forward(
 ):
     if mode == "train":
         mu = x.value.mean(axis=0)
-        var = x.value.var(axis=0)
+        x_centered = x.value - mu
+        var = (x_centered * x_centered).mean(axis=0)  # what x.value.var(axis=0) computes
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
-        mu = running_mean
+        x_centered = x.value - running_mean
         var = running_var
         new_rm = None
         new_rv = None
     else:
         raise ContractError(f"unknown batch-norm mode {mode!r}")
     istd = 1.0 / np.sqrt(var + eps)
-    x_centered = x.value - mu
     out = DualBatch(
         scale * (x_centered * istd) + shift,
         scale * istd * x.tangent,

@@ -200,10 +200,6 @@ def apply_normalizer(norm: Normalizer, dataset: Dataset) -> Dataset:
     return Dataset(x[:, 0], x[:, 1:], y, dataset.label.copy())
 
 
-def invert_target(norm: Normalizer, y_scaled: np.ndarray) -> np.ndarray:
-    return y_scaled * (norm.y_max - norm.y_min) + norm.y_min
-
-
 # ---------------------------------------------------------------------------
 # stratified k-fold
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ metrics only.
 The time column's tangent is seeded to 1 and the emotion columns' to 0, so
 the dual channel carries d(EDA)/dt with respect to the (normalized) time
 proxy of each sample.
+
+The trainable numbers live in one vector, ``ModelParams.theta``, laid out by
+``block_shapes``; ``blocks`` names the views of it or of a gradient.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class ModelConfig:
             raise ConfigError("batch-norm momentum must lie in [0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HiddenLayer:
     w: np.ndarray
     bn_scale: np.ndarray
@@ -84,7 +87,7 @@ class HiddenLayer:
     bn_running_var: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Head:
     w: np.ndarray
     b: np.ndarray
@@ -92,31 +95,69 @@ class Head:
 
 @dataclass
 class ModelParams:
+    """The network and its physics parameters; construction copies the
+    trainable values into a new ``theta`` and rebuilds the frozen parts on
+    views of it (alpha0, gamma and rho 0-d ones). Write through a view in
+    place: rebinding one raises instead of detaching it from ``theta``."""
+
     layers: list[HiddenLayer]
     head_reg: Head
     head_cls: Head
     physics: PhysicsParams
     normalizer: Normalizer | None
     config: ModelConfig
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [
-                HiddenLayer(
-                    l.w.copy(),
-                    l.bn_scale.copy(),
-                    l.bn_shift.copy(),
-                    l.bn_running_mean.copy(),
-                    l.bn_running_var.copy(),
-                )
-                for l in self.layers
-            ],
-            Head(self.head_reg.w.copy(), self.head_reg.b.copy()),
-            Head(self.head_cls.w.copy(), self.head_cls.b.copy()),
-            self.physics.copy(),
-            self.normalizer,
-            self.config,
-        )
+    def __post_init__(self):
+        self.theta = np.empty(sum(math.prod(s) for s in block_shapes(self.config).values()))
+        views = blocks(self.theta, self.config)
+        self.layers = [_on_views(l, f"layer{i}", views) for i, l in enumerate(self.layers)]
+        self.head_reg = _on_views(self.head_reg, "head_reg", views)
+        self.head_cls = _on_views(self.head_cls, "head_cls", views)
+        self.physics = _on_views(self.physics, "physics", views)
+
+
+def _on_views(part, prefix: str, views: dict[str, np.ndarray]):
+    """A copy of dataclass ``part`` whose trainable fields are the ``views``
+    named ``prefix.field``, filled with its values; other arrays are copied."""
+    values = {}
+    for f in fields(part):
+        view = views.get(f"{prefix}.{f.name}")
+        if view is None:
+            values[f.name] = np.array(getattr(part, f.name), dtype=np.float64)
+        else:
+            view[...] = getattr(part, f.name)
+            values[f.name] = view
+    return type(part)(**values)
+
+
+def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable block, in their order within ``theta``.
+
+    This is the one list of what training updates: each hidden layer's
+    weights and batch-norm scale and shift, both heads' weights and biases,
+    then the physics parameters (alpha0, gamma and rho are scalars).
+    """
+    widths = [INPUT_WIDTH] + list(config.hidden)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"layer{i}.w"] = (fan_in, fan_out)
+        shapes[f"layer{i}.bn_scale"] = shapes[f"layer{i}.bn_shift"] = (fan_out,)
+    for head in ("head_reg", "head_cls"):
+        shapes[f"{head}.w"] = (widths[-1], 1)
+        shapes[f"{head}.b"] = (1,)
+    shapes.update({"physics.alpha0": (), "physics.beta": (3,), "physics.gamma": (), "physics.rho": ()})
+    return shapes
+
+
+def blocks(vector: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Named views of ``vector``, a parameter or gradient vector laid out as ``theta``."""
+    views, start = {}, 0
+    for name, shape in block_shapes(config).items():
+        size = math.prod(shape)
+        views[name] = vector[start : start + size].reshape(shape)
+        start += size
+    return views
 
 
 @dataclass
@@ -236,25 +277,23 @@ def backward(
     adj_y_value: np.ndarray,
     adj_y_tangent: np.ndarray,
     adj_z_value: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss wrt every network block.
+) -> np.ndarray:
+    """Gradient of a scalar loss wrt ``theta``, over the network blocks.
 
     The loss is described by its adjoints on the three model outputs:
     d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(z_emotion), the
-    classification logit. Physics parameters are handled by the objective
-    module, not here.
+    classification logit. The physics slots are left at zero; the
+    objective module differentiates the loss wrt the physics parameters.
     """
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(params.theta)
+    g = blocks(grad, params.config)
 
-    av, at, (dw_reg, db_reg) = ad.affine_backward(
+    av, at, (g["head_reg.w"][...], g["head_reg.b"][...]) = ad.affine_backward(
         caches.reg_affine, adj_y_value[:, None], adj_y_tangent[:, None]
     )
-    grads["head_reg.w"] = dw_reg
-    grads["head_reg.b"] = db_reg
-
     adj_z = adj_z_value[:, None]
-    grads["head_cls.w"] = caches.reg_affine.x_value.T @ adj_z
-    grads["head_cls.b"] = adj_z.sum(axis=0)
+    g["head_cls.w"][...] = caches.reg_affine.x_value.T @ adj_z
+    g["head_cls.b"][...] = adj_z.sum(axis=0)
 
     adj_v = av + adj_z @ params.head_cls.w.T
     adj_t = at
@@ -263,61 +302,17 @@ def backward(
         adj_v, adj_t, _ = ad.dropout_backward(c.dropout, adj_v, adj_t)
         adj_v, adj_t, _ = ad.swish_backward(c.swish, adj_v, adj_t)
         adj_v, adj_t, (d_scale, d_shift) = ad.batchnorm_backward(c.bn, adj_v, adj_t)
-        grads[f"layer{i}.bn_scale"] = d_scale
-        grads[f"layer{i}.bn_shift"] = d_shift
-        adj_v, adj_t, (dw, _db) = ad.affine_backward(c.affine, adj_v, adj_t)
-        grads[f"layer{i}.w"] = dw
-    return grads
+        g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
+        adj_v, adj_t, (g[f"layer{i}.w"][...], _db) = ad.affine_backward(c.affine, adj_v, adj_t)
+    return grad
 
 
 def commit_batchnorm(params: ModelParams, caches: ForwardCaches) -> None:
-    """Adopt the running statistics produced by a train-mode forward."""
+    """Adopt, in place, the running statistics produced by a train-mode forward."""
     for layer, c in zip(params.layers, caches.layers):
         if c.bn.new_running_mean is not None:
-            layer.bn_running_mean = c.bn.new_running_mean
-            layer.bn_running_var = c.bn.new_running_var
-
-
-# ---------------------------------------------------------------------------
-# trainable-block packing (drives Adam and the gradient checker)
-# ---------------------------------------------------------------------------
-
-
-def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
-    blocks: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(params.layers):
-        blocks[f"layer{i}.w"] = layer.w
-        blocks[f"layer{i}.bn_scale"] = layer.bn_scale
-        blocks[f"layer{i}.bn_shift"] = layer.bn_shift
-    blocks["head_reg.w"] = params.head_reg.w
-    blocks["head_reg.b"] = params.head_reg.b
-    blocks["head_cls.w"] = params.head_cls.w
-    blocks["head_cls.b"] = params.head_cls.b
-    blocks["physics.alpha0"] = np.array([params.physics.alpha0])
-    blocks["physics.beta"] = params.physics.beta.copy()
-    blocks["physics.gamma"] = np.array([params.physics.gamma])
-    if not params.config.lambda_frozen:
-        blocks["physics.rho"] = np.array([params.physics.rho])
-    return blocks
-
-
-def with_blocks(params: ModelParams, blocks: dict[str, np.ndarray]) -> ModelParams:
-    """New ModelParams with block values replaced (running stats shared)."""
-    out = params.copy()
-    for i, layer in enumerate(out.layers):
-        layer.w = blocks[f"layer{i}.w"]
-        layer.bn_scale = blocks[f"layer{i}.bn_scale"]
-        layer.bn_shift = blocks[f"layer{i}.bn_shift"]
-    out.head_reg.w = blocks["head_reg.w"]
-    out.head_reg.b = blocks["head_reg.b"]
-    out.head_cls.w = blocks["head_cls.w"]
-    out.head_cls.b = blocks["head_cls.b"]
-    out.physics.alpha0 = float(blocks["physics.alpha0"][0])
-    out.physics.beta = np.asarray(blocks["physics.beta"], dtype=np.float64)
-    out.physics.gamma = float(blocks["physics.gamma"][0])
-    if "physics.rho" in blocks:
-        out.physics.rho = float(blocks["physics.rho"][0])
-    return out
+            layer.bn_running_mean[...] = c.bn.new_running_mean
+            layer.bn_running_var[...] = c.bn.new_running_var
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +321,15 @@ def with_blocks(params: ModelParams, blocks: dict[str, np.ndarray]) -> ModelPara
 
 
 def _plain(value):
-    """A dataclass as a JSON-ready dict of its fields, arrays as flat lists."""
+    """A dataclass as a JSON-ready dict of its constructor fields, arrays as
+    flat lists and 0-d arrays as scalars."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, list):
         return [_plain(v) for v in value]
-    return value.ravel().tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist() if value.ndim else value.item()
+    return value
 
 
 def checkpoint_text(params: ModelParams) -> str:

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with model.py
     from .model import Predictions
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicsParams:
     """Trainable physics quantities of the EDA model.
 
@@ -38,6 +38,7 @@ class PhysicsParams:
     gamma:  time-sensitivity scalar
     rho:    unconstrained parameter; the physics-loss weight is
             max(softplus(rho), lambda_floor)
+    In a ``ModelParams`` the fields are views of ``theta``; ``copy`` gives floats.
     """
 
     alpha0: float = 1.0
@@ -46,7 +47,7 @@ class PhysicsParams:
     rho: float = softplus_inv(0.1)
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=np.float64)
+        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))
         if self.beta.shape != (3,):
             raise ContractError(f"beta must be a 3-vector, got shape {self.beta.shape}")
 
@@ -54,7 +55,7 @@ class PhysicsParams:
         return max(softplus(self.rho), floor)
 
     def copy(self) -> "PhysicsParams":
-        return PhysicsParams(self.alpha0, self.beta.copy(), self.gamma, self.rho)
+        return PhysicsParams(float(self.alpha0), self.beta.copy(), float(self.gamma), float(self.rho))
 
 
 @dataclass

@@ -93,8 +93,8 @@ class FoldReport:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 0.001
     beta1: float = 0.9
@@ -102,37 +102,25 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(blocks: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in blocks.items()},
-        v={k: np.zeros_like(v) for k, v in blocks.items()},
-        lr=lr,
-    )
+def init_adam(params: ModelParams, lr: float = 0.001) -> AdamState:
+    """Zero moments shaped like ``params.theta``."""
+    return AdamState(np.zeros_like(params.theta), np.zeros_like(params.theta), lr=lr)
 
 
-def adam_step(
-    state: AdamState, params: ModelParams, grads: dict[str, np.ndarray]
-) -> tuple[AdamState, ModelParams]:
-    """Standard bias-corrected Adam over every trainable block."""
-    blocks = model_mod.trainable_blocks(params)
-    if set(grads) != set(blocks):
-        raise ContractError(
-            f"gradient blocks {sorted(grads)} do not match trainable blocks {sorted(blocks)}"
-        )
+def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamState:
+    """Bias-corrected Adam on all of ``params.theta`` in place; returns the new state.
+
+    A number whose gradient is always zero (a frozen rho) steps by exactly 0.0.
+    """
+    if grad.shape != params.theta.shape:
+        raise ContractError(f"gradient shape {grad.shape} does not match theta {params.theta.shape}")
     t = state.t + 1
-    new_m, new_v, new_blocks = {}, {}, {}
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for key, g in grads.items():
-        if g.shape != blocks[key].shape:
-            raise ContractError(f"gradient shape mismatch for block {key!r}")
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        step = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        new_m[key], new_v[key] = m, v
-        new_blocks[key] = blocks[key] - step
-    new_state = replace(state, m=new_m, v=new_v, t=t)
-    return new_state, model_mod.with_blocks(params, new_blocks)
+    params.theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return replace(state, m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +134,12 @@ def batch_gradients(
     cfg: TrainRunConfig,
     rng: Pcg32 | None,
     dropout_masks: list[np.ndarray] | None = None,
-) -> tuple[obj.LossBreakdown, dict[str, np.ndarray], model_mod.Predictions]:
+) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
     """Forward + backward for one normalized batch under the variant's objective.
 
-    The only place the network and physics gradients are packed into the
-    block dict that Adam and the gradient checker consume.
+    Returns the gradient laid out as ``params.theta``: the network blocks
+    from ``model.backward`` and the physics slots filled here, the one place
+    the two are assembled for Adam and the gradient checker.
     """
     use_eda, use_emotion, use_physics = cfg.task_weights()
     mcfg = params.config
@@ -171,13 +160,13 @@ def batch_gradients(
         lambda_floor=mcfg.lambda_floor,
         lambda_frozen=mcfg.lambda_frozen,
     )
-    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
-    grads["physics.alpha0"] = np.array([lg.d_alpha0])
-    grads["physics.beta"] = lg.d_beta
-    grads["physics.gamma"] = np.array([lg.d_gamma])
-    if not mcfg.lambda_frozen:
-        grads["physics.rho"] = np.array([lg.d_rho])
-    return breakdown, grads, preds
+    grad = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
+    g = model_mod.blocks(grad, mcfg)
+    g["physics.alpha0"][...] = lg.d_alpha0
+    g["physics.beta"][...] = lg.d_beta
+    g["physics.gamma"][...] = lg.d_gamma
+    g["physics.rho"][...] = lg.d_rho
+    return breakdown, grad, preds
 
 
 def train_epoch(
@@ -188,7 +177,7 @@ def train_epoch(
     rng: Pcg32,
     epoch: int = 0,
 ) -> tuple[ModelParams, AdamState, EpochTrace]:
-    """One pass: seeded shuffle, contiguous batches (short final batch kept)."""
+    """One in-place pass: seeded shuffle, contiguous batches (short final batch kept)."""
     n = len(data)
     order = rng.derive(f"shuffle:{epoch}").permutation(n)
     dropout_rng = rng.derive(f"dropout:{epoch}")
@@ -201,7 +190,7 @@ def train_epoch(
         # numpy's overflow chatter on an already-diverged step is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                breakdown, grads, preds = batch_gradients(params, batch, cfg, dropout_rng)
+                breakdown, grad, preds = batch_gradients(params, batch, cfg, dropout_rng)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             if not np.isfinite(breakdown.total):
@@ -210,7 +199,7 @@ def train_epoch(
                     f"(l_eda={breakdown.l_eda:g}, l_emotion={breakdown.l_emotion:g}, "
                     f"l_physics={breakdown.l_physics:g})"
                 )
-            opt, params = adam_step(opt, params, grads)
+            opt = adam_step(opt, params, grad)
         model_mod.commit_batchnorm(params, preds.caches)
         w = len(idx)
         sums += w * np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
@@ -222,9 +211,9 @@ def train_epoch(
         float(means[1]),
         float(means[2]),
         lambda_eff,
-        params.physics.alpha0,
+        float(params.physics.alpha0),
         params.physics.beta.copy(),
-        params.physics.gamma,
+        float(params.physics.gamma),
     )
     return params, opt, trace
 
@@ -253,7 +242,7 @@ def run_fold(
     valid_n = apply_normalizer(norm, valid)
     mcfg = replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{fold_index}"))
     params = init_model(mcfg, norm)
-    opt = init_adam(model_mod.trainable_blocks(params), lr=cfg.lr)
+    opt = init_adam(params, lr=cfg.lr)
     rng = Pcg32(cfg.seed).derive(f"fold:{fold_index}")
     traces = []
     for epoch in range(cfg.epochs):

@@ -7,7 +7,7 @@ import edapinn.gradcheck as gradcheck_mod
 from edapinn.data import Dataset
 from edapinn.gradcheck import check_gradients
 from edapinn.errors import ContractError
-from edapinn.model import ModelConfig, init_model
+from edapinn.model import ModelConfig, blocks, init_model
 from edapinn.rng import Pcg32
 
 
@@ -38,10 +38,10 @@ def test_corrupted_gradient_is_caught(monkeypatch):
     params = init_model(ModelConfig(hidden=[8, 8], seed=13))
     real = gradcheck_mod.batch_gradients
 
-    def corrupted(*args):
-        breakdown, grads, preds = real(*args)
-        grads["layer1.w"] = grads["layer1.w"] + 0.1
-        return breakdown, grads, preds
+    def corrupted(params, *args):
+        breakdown, grad, preds = real(params, *args)
+        blocks(grad, params.config)["layer1.w"][...] += 0.1
+        return breakdown, grad, preds
 
     monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
     report = check_gradients(params, make_batch(16, 13), step=1e-5, tol=1e-6)
@@ -66,8 +66,8 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
         preds, batch.y, batch.label.astype(float), batch.e, params.physics,
         use_emotion=False, use_physics=False,
     )
-    grads = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
-    for name, g in grads.items():
+    grad = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
+    for name, g in blocks(grad, params.config).items():
         assert not np.any(g), name
 
 
@@ -79,6 +79,8 @@ def test_small_batch_rejected():
 
 def test_frozen_lambda_drops_rho_from_blocks():
     params = init_model(ModelConfig(hidden=[4, 4], seed=19, lambda_frozen=True))
+    before = params.theta.copy()
     report = check_gradients(params, make_batch(8, 19), step=1e-5, tol=1e-6)
     assert report.passed
     assert "physics.rho" not in report.block_errors
+    assert params.theta.tobytes() == before.tobytes()  # every perturbation undone

@@ -1,24 +1,32 @@
 """Model behavior: init, forward semantics, head sharing, checkpoints."""
 
+import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from edapinn.autodiff import softplus
-from edapinn.data import Dataset, SynthSpec, fit_normalizer, synth_generate
+from edapinn.data import Dataset, Normalizer, SynthSpec, fit_normalizer, synth_generate
 from edapinn.errors import CheckpointSchemaError, CheckpointVersionError, ConfigError
 from edapinn.model import (
     ModelConfig,
+    ModelParams,
+    block_shapes,
+    blocks,
     checkpoint_text,
     commit_batchnorm,
     forward,
     forward_batch,
     init_model,
     load_checkpoint,
-    trainable_blocks,
-    with_blocks,
 )
 from edapinn.rng import Pcg32
 
@@ -89,16 +97,16 @@ def test_dual_channel_matches_finite_difference_in_t():
 
 
 def test_head_sharing_isolation():
-    params = init_model(ModelConfig(hidden=[8, 8], seed=7, dropout=0.0))
+    cfg = ModelConfig(hidden=[8, 8], seed=7, dropout=0.0)
     t, e = random_inputs(10, 8)
-    base = forward(params, t, e, "eval")
-    bumped = params.copy()
-    bumped.head_reg.w = bumped.head_reg.w + 0.37
+    base = forward(init_model(cfg), t, e, "eval")
+    bumped = init_model(cfg)
+    bumped.head_reg.w[...] += 0.37
     after = forward(bumped, t, e, "eval")
     assert np.array_equal(after.p_emotion, base.p_emotion)
     assert not np.array_equal(after.y_eda, base.y_eda)
-    bumped2 = params.copy()
-    bumped2.head_cls.w = bumped2.head_cls.w + 0.37
+    bumped2 = init_model(cfg)
+    bumped2.head_cls.w[...] += 0.37
     after2 = forward(bumped2, t, e, "eval")
     assert np.array_equal(after2.y_eda, base.y_eda)
     assert np.array_equal(after2.dydt, base.dydt)
@@ -126,15 +134,58 @@ def test_train_mode_dropout_needs_rng():
 
 def test_blocks_pack_unpack_roundtrip():
     params = init_model(ModelConfig(hidden=[8, 4], seed=15))
-    blocks = trainable_blocks(params)
-    assert "physics.rho" in blocks
-    rebuilt = with_blocks(params, blocks)
+    views = blocks(params.theta, params.config)
+    assert list(views) == list(block_shapes(params.config))
+    assert [v.shape for v in views.values()] == list(block_shapes(params.config).values())
+    assert params.theta.size == sum(v.size for v in views.values())
+    assert np.shares_memory(views["layer1.bn_shift"], params.layers[1].bn_shift)
+    assert np.shares_memory(views["physics.rho"], params.physics.rho)
+    # constructing from the parts packs the same theta into a new buffer
+    rebuilt = ModelParams(
+        params.layers, params.head_reg, params.head_cls, params.physics, None, params.config
+    )
+    assert np.array_equal(rebuilt.theta, params.theta)
+    assert not np.shares_memory(rebuilt.theta, params.theta)
     t, e = random_inputs(6, 16)
-    a = forward(params, t, e, "eval")
-    b = forward(rebuilt, t, e, "eval")
-    assert np.array_equal(a.y_eda, b.y_eda)
-    frozen = init_model(ModelConfig(hidden=[8, 4], seed=15, lambda_frozen=True))
-    assert "physics.rho" not in trainable_blocks(frozen)
+    assert np.array_equal(forward(params, t, e, "eval").y_eda, forward(rebuilt, t, e, "eval").y_eda)
+    # a frozen lambda keeps rho in theta; only its gradient is zero
+    frozen = ModelConfig(hidden=[8, 4], seed=15, lambda_frozen=True)
+    assert "physics.rho" in block_shapes(frozen)
+
+
+def test_writes_through_views_reach_theta_and_rebinding_raises():
+    params = init_model(ModelConfig(hidden=[8, 4], seed=15))
+    params.head_reg.w[2, 0] = 7.5
+    params.physics.rho[...] = -3.0
+    params.physics.beta[1] = 0.25
+    views = blocks(params.theta, params.config)
+    assert views["head_reg.w"][2, 0] == 7.5
+    assert views["physics.rho"] == -3.0 and params.physics.lambda_eff() == softplus(-3.0)
+    assert views["physics.beta"][1] == 0.25
+    params.theta[:] = 0.5
+    assert np.all(params.layers[0].w == 0.5) and params.physics.alpha0 == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.head_reg.w = np.zeros((4, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.physics.rho = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.layers[0].bn_running_mean = np.zeros(8)
+
+
+def test_bn_momentum_sets_the_committed_running_statistics():
+    for m in (0.0, 0.9):
+        params = init_model(ModelConfig(hidden=[8], seed=3, dropout=0.0, bn_momentum=m))
+        layer = params.layers[0]
+        layer.bn_running_mean[...] = np.linspace(-1.0, 1.0, 8)
+        layer.bn_running_var[...] = np.linspace(0.5, 2.0, 8)
+        old_mean, old_var = layer.bn_running_mean.copy(), layer.bn_running_var.copy()
+        running_mean = layer.bn_running_mean
+        t, e = random_inputs(32, 4)
+        commit_batchnorm(params, forward(params, t, e, "train").caches)
+        x = np.column_stack([t, e]) @ layer.w + np.zeros(8)
+        assert layer.bn_running_mean is running_mean  # committed in place
+        assert np.array_equal(layer.bn_running_mean, m * old_mean + (1.0 - m) * x.mean(axis=0))
+        assert np.array_equal(layer.bn_running_var, m * old_var + (1.0 - m) * x.var(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +224,39 @@ def test_checkpoint_roundtrip_preserves_predictions_bitwise(tmp_path):
     assert np.array_equal(a.y_eda, b.y_eda)
     assert np.array_equal(a.dydt, b.dydt)
     assert np.array_equal(a.p_emotion, b.p_emotion)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def checkpointed_models(draw):
+    cfg = ModelConfig(
+        hidden=draw(st.lists(st.integers(1, 16), min_size=1, max_size=3)),
+        lambda_frozen=draw(st.booleans()),
+    )
+    norm = None
+    if draw(st.booleans()):
+        y_min, y_max = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        std = arrays(np.float64, 4, elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        norm = Normalizer(draw(arrays(np.float64, 4, elements=FINITE)), draw(std), y_min, y_max)
+    params = init_model(cfg, norm)
+    params.theta[:] = draw(arrays(np.float64, params.theta.size, elements=FINITE))
+    for layer in params.layers:
+        layer.bn_running_mean[:] = draw(arrays(np.float64, layer.w.shape[1], elements=FINITE))
+        layer.bn_running_var[:] = draw(arrays(np.float64, layer.w.shape[1], elements=FINITE))
+    return params
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(checkpointed_models())
+def test_any_checkpoint_round_trips_bitwise(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt.json"
+        path.write_text(checkpoint_text(params))
+        loaded = load_checkpoint(path)
+    assert checkpoint_text(loaded) == checkpoint_text(params)
+    assert loaded.theta.tobytes() == params.theta.tobytes()
 
 
 def test_checkpoint_byte_determinism(tmp_path):

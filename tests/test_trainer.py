@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError
-from edapinn.model import ModelConfig, init_model, trainable_blocks
+from edapinn.model import ModelConfig, blocks, init_model
 from edapinn.objective import PhysicsParams, physics_residual
 from edapinn.rng import Pcg32
 from edapinn.trainer import (
@@ -45,24 +45,17 @@ def quick_model(**kw):
 
 def test_adam_zero_gradient_no_move():
     params = init_model(quick_model())
-    blocks = trainable_blocks(params)
-    opt = init_adam(blocks)
-    zero = {k: np.zeros_like(v) for k, v in blocks.items()}
-    _, updated = adam_step(opt, params, zero)
-    for k, v in trainable_blocks(updated).items():
-        assert np.array_equal(v, blocks[k])
+    before = params.theta.copy()
+    opt = adam_step(init_adam(params), params, np.zeros_like(params.theta))
+    assert np.array_equal(params.theta, before)
+    assert opt.t == 1
 
 
 def test_adam_first_step_is_signed_lr():
     params = init_model(quick_model())
-    blocks = trainable_blocks(params)
-    opt = init_adam(blocks, lr=0.001)
-    grads = {k: np.full_like(v, 0.25) for k, v in blocks.items()}
-    _, updated = adam_step(opt, params, grads)
-    new_blocks = trainable_blocks(updated)
-    for k in blocks:
-        step = blocks[k] - new_blocks[k]
-        assert np.allclose(step, 0.001, rtol=1e-6)
+    before = params.theta.copy()
+    adam_step(init_adam(params, lr=0.001), params, np.full_like(params.theta, 0.25))
+    assert np.allclose(before - params.theta, 0.001, rtol=1e-6)
 
 
 def test_adam_reference_recurrence_on_quadratic():
@@ -77,26 +70,27 @@ def test_adam_reference_recurrence_on_quadratic():
     assert abs(w) < 0.05
 
     # the implementation walks the same trajectory (alpha0 plays w; every
-    # other block gets zero gradients and must stay put)
+    # other number gets zero gradients and must stay put)
     params = init_model(quick_model())
-    params.physics.alpha0 = 1.0
-    opt = init_adam(trainable_blocks(params), lr=0.1)
+    params.physics.alpha0[...] = 1.0
+    others = params.theta.copy()
+    opt = init_adam(params, lr=0.1)
     for _ in range(100):
-        grads = {k: np.zeros_like(val) for k, val in trainable_blocks(params).items()}
-        grads["physics.alpha0"] = np.array([2.0 * params.physics.alpha0])
-        opt, params = adam_step(opt, params, grads)
+        grad = np.zeros_like(params.theta)
+        blocks(grad, params.config)["physics.alpha0"][...] = 2.0 * params.physics.alpha0
+        opt = adam_step(opt, params, grad)
     assert params.physics.alpha0 == pytest.approx(w, abs=1e-12)
+    moved = params.theta != others
+    assert moved.sum() == 1 and blocks(moved, params.config)["physics.alpha0"]
 
 
 def test_adam_shape_mismatch_rejected():
     from edapinn.errors import ContractError
 
     params = init_model(quick_model())
-    opt = init_adam(trainable_blocks(params))
-    bad = {k: np.zeros_like(v) for k, v in trainable_blocks(params).items()}
-    bad.pop("head_reg.b")
+    opt = init_adam(params)
     with pytest.raises(ContractError):
-        adam_step(opt, params, bad)
+        adam_step(opt, params, np.zeros(params.theta.size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +104,7 @@ def test_no_physics_variant_records_zero_lambda():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
     cfg = quick_cfg(variant="no_physics")
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(2):
         params, opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
@@ -122,15 +116,12 @@ def test_single_sample_epoch_equals_one_adam_step():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data).subset(np.array([3]))
     cfg = quick_cfg(batch_size=8)
-    params = init_model(quick_model(dropout=0.0), norm)
-    opt = init_adam(trainable_blocks(params), cfg.lr)
-    rng = Pcg32(cfg.seed)
-    stepped, _, _ = train_epoch(params.copy(), opt, nd, cfg, rng, 0)
-    _, grads, _ = batch_gradients(params, nd, cfg, None)
-    opt2 = init_adam(trainable_blocks(params), cfg.lr)
-    _, manual = adam_step(opt2, params, grads)
-    for k, v in trainable_blocks(stepped).items():
-        assert np.allclose(v, trainable_blocks(manual)[k], atol=1e-15)
+    stepped = init_model(quick_model(dropout=0.0), norm)
+    train_epoch(stepped, init_adam(stepped, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    manual = init_model(quick_model(dropout=0.0), norm)
+    _, grad, _ = batch_gradients(manual, nd, cfg, None)
+    adam_step(init_adam(manual, cfg.lr), manual, grad)
+    assert np.allclose(stepped.theta, manual.theta, atol=1e-15)
 
 
 def test_variant_containment_classification_head_frozen_under_eda_only():
@@ -140,7 +131,7 @@ def test_variant_containment_classification_head_frozen_under_eda_only():
     params = init_model(quick_model(), norm)
     before = params.head_cls.w.copy()
     cfg = quick_cfg(variant="eda_only")
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
         params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
@@ -155,7 +146,7 @@ def test_variant_containment_regression_head_frozen_under_emotion_only_lambda_ze
     params = init_model(quick_model(), norm)
     before_w = params.head_reg.w.copy()
     cfg = quick_cfg(variant="emotion_only", emotion_only_no_physics=True)
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
         params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
@@ -163,7 +154,7 @@ def test_variant_containment_regression_head_frozen_under_emotion_only_lambda_ze
     # with physics retained, the regression head does move
     params2 = init_model(quick_model(), norm)
     cfg2 = quick_cfg(variant="emotion_only")
-    opt2 = init_adam(trainable_blocks(params2), cfg2.lr)
+    opt2 = init_adam(params2, cfg2.lr)
     params2, _, _ = train_epoch(params2, opt2, nd, cfg2, Pcg32(cfg2.seed), 0)
     assert not np.array_equal(params2.head_reg.w, before_w)
 
@@ -178,8 +169,8 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     params = init_model(quick_model(dropout=0.0))
     params.head_cls.b[:] = 20.0
     cfg = quick_cfg(variant="emotion_only", emotion_only_no_physics=True)
-    breakdown, grads, preds = batch_gradients(params, nd, cfg, None)
-    assert grads["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
+    breakdown, grad, preds = batch_gradients(params, nd, cfg, None)
+    assert blocks(grad, params.config)["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
     assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
     assert breakdown.l_emotion == pytest.approx(np.mean(np.logaddexp(0.0, preds.z_emotion)), rel=1e-12)
 
@@ -218,12 +209,11 @@ def test_single_step_descent_probability():
     for s in range(trials):
         params = init_model(quick_model(seed=1000 + s), norm)
         masks = draw_dropout_masks(params, len(nd), Pcg32(s).derive("mask"))
-        before, grads, _ = batch_gradients(params, nd, cfg, None, masks)
+        before, grad, _ = batch_gradients(params, nd, cfg, None, masks)
         labels = nd.label.astype(float)
-        opt = init_adam(trainable_blocks(params), cfg.lr)
-        _, stepped = adam_step(opt, params, grads)
-        preds2 = model_mod.forward_batch(stepped, nd, "train", dropout_masks=masks)
-        after = obj.total_loss(preds2, nd.y, labels, nd.e, stepped.physics, params.config.lambda_floor)
+        adam_step(init_adam(params, cfg.lr), params, grad)
+        preds2 = model_mod.forward_batch(params, nd, "train", dropout_masks=masks)
+        after = obj.total_loss(preds2, nd.y, labels, nd.e, params.physics, params.config.lambda_floor)
         wins += after.total <= before.total
     assert wins >= 99
 
@@ -295,6 +285,23 @@ def test_fixed_seed_reproducible_fold_report():
         assert np.array_equal(ta.beta, tb.beta)
 
 
+def test_fold_report_and_traces_are_detached_snapshots():
+    data = small_synth()
+    report, params = run_fold(data.subset(np.arange(0, 200)), data.subset(np.arange(200, 240)),
+                              quick_cfg(), quick_model())
+    first, last = report.traces[0], report.traces[-1]
+    for trace in (first, last):
+        assert type(trace.alpha0) is float and type(trace.gamma) is float
+    assert first.alpha0 != last.alpha0 and first.gamma != last.gamma
+    phys = report.physics
+    snapshot = (phys.alpha0, phys.beta.copy(), phys.gamma, phys.rho)
+    assert snapshot[0] == last.alpha0 and snapshot[2] == last.gamma
+    params.theta[:] = 123.0
+    assert all(type(x) is float for x in (phys.alpha0, phys.gamma, phys.rho))
+    assert (phys.alpha0, phys.gamma, phys.rho) == (snapshot[0], snapshot[2], snapshot[3])
+    assert np.array_equal(phys.beta, snapshot[1])
+
+
 def test_kfold_shapes_and_aggregate():
     data = small_synth(n=250, seed=11)
     reports, models = run_kfold(data, 5, quick_cfg(), quick_model())
@@ -339,7 +346,7 @@ def test_lambda_monotone_decay_with_zero_floor():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(lambda_floor=0.0), norm)
     cfg = quick_cfg(epochs=10)
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     lams = []
     for epoch in range(10):
@@ -355,9 +362,9 @@ def test_lambda_floor_holds():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(lambda_floor=1e-3), norm)
-    params.physics.rho = -12.0  # softplus(rho) far below the floor
+    params.physics.rho[...] = -12.0  # softplus(rho) far below the floor
     cfg = quick_cfg(epochs=3)
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
         params, opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
@@ -369,9 +376,9 @@ def test_lambda_frozen_excludes_rho():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(lambda_frozen=True), norm)
-    rho_before = params.physics.rho
+    rho_before = float(params.physics.rho)
     cfg = quick_cfg(epochs=2)
-    opt = init_adam(trainable_blocks(params), cfg.lr)
+    opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(2):
         params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
