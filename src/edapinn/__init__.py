@@ -48,7 +48,6 @@ from .objective import (
     mse,
     physics_loss,
     physics_residual,
-    total_loss,
 )
 from .rng import Pcg32, derive_seed
 from .trainer import (

@@ -8,7 +8,11 @@ residual needs d(EDA)/dt), each primitive's backward returns
     adj_input_value   = J^T @ adj_value + (d[J @ xdot]/dx)^T @ adj_tangent
     adj_input_tangent = J^T @ adj_tangent
 
-so nonlinear primitives carry their second derivative. Swish evaluates its
+so nonlinear primitives carry their second derivative. Each backward returns
+a plain tuple of exactly what the model reads: ``(adj_value, adj_tangent)``,
+followed by ``dw`` for the affine map and by ``(d_scale, d_shift)`` for
+batch-norm. The affine map has no bias (the model adds the regression head's
+own), and dropout's cache is the mask it applied. Swish evaluates its
 sigmoid once per forward call and caches sigma and s'(x); its backward builds
 s''(x) from the cached sigma. ``sigmoid`` is the package's one logistic
 function. All math is float64; matrices are plain 2-D numpy arrays
@@ -61,7 +65,7 @@ def softplus_inv(y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# affine: y = x @ W + b
+# affine: y = x @ W
 # ---------------------------------------------------------------------------
 
 
@@ -72,12 +76,12 @@ class AffineCache:
     w: np.ndarray
 
 
-def affine_forward(x: DualBatch, w: np.ndarray, b: np.ndarray):
+def affine_forward(x: DualBatch, w: np.ndarray):
     if x.value.shape[1] != w.shape[0]:
         raise ContractError(
             f"affine fan-in mismatch: input width {x.value.shape[1]}, W rows {w.shape[0]}"
         )
-    out = DualBatch(x.value @ w + b, x.tangent @ w)
+    out = DualBatch(x.value @ w, x.tangent @ w)
     return out, AffineCache(x.value, x.tangent, w)
 
 
@@ -85,8 +89,7 @@ def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.n
     adj_x_value = adj_value @ cache.w.T
     adj_x_tangent = adj_tangent @ cache.w.T
     dw = cache.x_value.T @ adj_value + cache.x_tangent.T @ adj_tangent
-    db = adj_value.sum(axis=0)
-    return adj_x_value, adj_x_tangent, [dw, db]
+    return adj_x_value, adj_x_tangent, dw
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ def swish_backward(cache: SwishCache, adj_value: np.ndarray, adj_tangent: np.nda
     d2 = s * (1.0 - s) * (2.0 + cache.x_value * (1.0 - 2.0 * s))
     adj_x_value = d1 * adj_value + d2 * cache.x_tangent * adj_tangent
     adj_x_tangent = d1 * adj_tangent
-    return adj_x_value, adj_x_tangent, []
+    return adj_x_value, adj_x_tangent
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +129,12 @@ def swish_backward(cache: SwishCache, adj_value: np.ndarray, adj_tangent: np.nda
 # tangent channel treats mu and var as constants so d(EDA)/dt stays a
 # per-sample quantity; the backward pass nevertheless differentiates the
 # *actual computed function*, which includes the tangent output's dependence
-# on var(x), so analytic gradients match finite differences exactly.
+# on var(x), so analytic gradients match finite differences exactly. Only a
+# train-mode forward has a backward: eval mode never trains.
 
 
 @dataclass
 class BatchNormCache:
-    mode: str
     scale: np.ndarray
     x_centered: np.ndarray
     x_tangent: np.ndarray
@@ -168,11 +171,13 @@ def batchnorm_forward(
         scale * (x_centered * istd) + shift,
         scale * istd * x.tangent,
     )
-    cache = BatchNormCache(mode, scale, x_centered, x.tangent, istd, new_rm, new_rv)
+    cache = BatchNormCache(scale, x_centered, x.tangent, istd, new_rm, new_rv)
     return out, cache
 
 
 def batchnorm_backward(cache: BatchNormCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
+    if cache.new_running_mean is None:
+        raise ContractError("batch-norm backward needs the cache of a train-mode forward")
     g, istd = cache.scale, cache.istd
     xc, xt = cache.x_centered, cache.x_tangent
     n = xc.shape[0]
@@ -180,11 +185,6 @@ def batchnorm_backward(cache: BatchNormCache, adj_value: np.ndarray, adj_tangent
 
     adj_scale = (adj_value * x_hat).sum(axis=0) + (adj_tangent * xt * istd).sum(axis=0)
     adj_shift = adj_value.sum(axis=0)
-
-    if cache.mode == "eval":
-        adj_x_value = adj_value * (g * istd)
-        adj_x_tangent = adj_tangent * (g * istd)
-        return adj_x_value, adj_x_tangent, [adj_scale, adj_shift]
 
     # value channel: standard batch-norm gradient through mu and var
     dxhat = adj_value * g
@@ -195,17 +195,12 @@ def batchnorm_backward(cache: BatchNormCache, adj_value: np.ndarray, adj_tangent
     s_t = (adj_tangent * xt).sum(axis=0)
     adj_x_value = adj_x_value - (g * s_t / n) * istd**3 * xc
     adj_x_tangent = adj_tangent * (g * istd)
-    return adj_x_value, adj_x_tangent, [adj_scale, adj_shift]
+    return adj_x_value, adj_x_tangent, adj_scale, adj_shift
 
 
 # ---------------------------------------------------------------------------
 # inverted dropout: one mask per forward call, shared by value and tangent
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DropoutCache:
-    mask: np.ndarray | None
 
 
 def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.ndarray:
@@ -220,16 +215,18 @@ def dropout_forward(
     rng: Pcg32 | None = None,
     mask: np.ndarray | None = None,
 ):
+    """The masked batch and the mask applied, or ``x`` itself and ``None``
+    when dropout is off (eval mode or a zero rate)."""
     if mode == "eval" or rate == 0.0:
-        return DualBatch(x.value, x.tangent), DropoutCache(None)
+        return x, None
     if mask is None:
         if rng is None:
             raise ContractError("train-mode dropout needs an rng or a precomputed mask")
         mask = make_dropout_mask(x.value.shape, rate, rng)
-    return DualBatch(x.value * mask, x.tangent * mask), DropoutCache(mask)
+    return DualBatch(x.value * mask, x.tangent * mask), mask
 
 
-def dropout_backward(cache: DropoutCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    if cache.mask is None:
-        return adj_value, adj_tangent, []
-    return adj_value * cache.mask, adj_tangent * cache.mask, []
+def dropout_backward(mask: np.ndarray | None, adj_value: np.ndarray, adj_tangent: np.ndarray):
+    if mask is None:
+        return adj_value, adj_tangent
+    return adj_value * mask, adj_tangent * mask

@@ -38,13 +38,13 @@ class GradCheckReport:
 
 def _loss_value(params: ModelParams, batch: Dataset, masks) -> float:
     preds = model_mod.forward_batch(params, batch, "train", dropout_masks=masks)
-    breakdown = obj.total_loss(
+    breakdown, _ = obj.loss_gradients(
         preds,
         batch.y,
         batch.label.astype(np.float64),
         batch.e,
         params.physics,
-        params.config.lambda_floor,
+        lambda_floor=params.config.lambda_floor,
     )
     return breakdown.total
 

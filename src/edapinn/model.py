@@ -6,8 +6,10 @@ affine -> batch-norm -> swish -> dropout. Hidden affines carry no bias: the
 batch-norm shift directly behind them plays that role, and a bias there
 would have an identically-zero training gradient (batch centering removes
 it), which would poison finite-difference gradient validation. The
-regression head is a dual-channel affine with bias, so it emits y and
-dy/dt. The classification head computes only the value z = x @ w + b, a
+regression head is the dual-channel affine x @ w plus its own bias, added
+here, so it emits y and dy/dt (the bias has no tangent); ``backward`` takes
+that bias's gradient as the sum of its adjoint. The classification head
+computes only the value z = x @ w + b, a
 logit: no loss reads dz/dt, so it carries no tangent and keeps no cache of
 its own; its backward reads its input from the regression head's cache.
 The objective takes its BCE on z and hands the adjoint d(loss)/dz straight
@@ -165,7 +167,7 @@ class LayerCaches:
     affine: ad.AffineCache
     bn: ad.BatchNormCache
     swish: ad.SwishCache
-    dropout: ad.DropoutCache
+    dropout_mask: np.ndarray | None  # None when dropout was off
 
 
 @dataclass
@@ -233,7 +235,7 @@ def forward(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         layer_caches = []
         for i, layer in enumerate(params.layers):
-            x, c_aff = ad.affine_forward(x, layer.w, np.zeros(layer.w.shape[1]))
+            x, c_aff = ad.affine_forward(x, layer.w)
             x, c_bn = ad.batchnorm_forward(
                 x,
                 layer.bn_scale,
@@ -246,18 +248,20 @@ def forward(
             )
             x, c_sw = ad.swish_forward(x)
             mask = dropout_masks[i] if dropout_masks is not None else None
-            x, c_do = ad.dropout_forward(x, cfg.dropout, mode, rng, mask)
+            x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng, mask)
             if not np.all(np.isfinite(x.value)) or not np.all(np.isfinite(x.tangent)):
                 raise NumericError(f"non-finite activations after hidden layer {i}")
-            layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, c_do))
+            layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
 
-        y_out, reg_cache = ad.affine_forward(x, params.head_reg.w, params.head_reg.b)
+        y_out, reg_cache = ad.affine_forward(x, params.head_reg.w)
+        y = (y_out.value + params.head_reg.b)[:, 0]
+        dydt = y_out.tangent[:, 0]
         z = (x.value @ params.head_cls.w + params.head_cls.b)[:, 0]
-        if not np.all(np.isfinite(y_out.value)) or not np.all(np.isfinite(y_out.tangent)):
+        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(dydt)):
             raise NumericError("non-finite activations in the regression head")
 
     caches = ForwardCaches(layer_caches, reg_cache)
-    return Predictions(y_out.value[:, 0], y_out.tangent[:, 0], z, ad.sigmoid(z), caches)
+    return Predictions(y, dydt, z, ad.sigmoid(z), caches)
 
 
 def forward_batch(
@@ -288,22 +292,24 @@ def backward(
     grad = np.zeros_like(params.theta)
     g = blocks(grad, params.config)
 
-    av, at, (g["head_reg.w"][...], g["head_reg.b"][...]) = ad.affine_backward(
-        caches.reg_affine, adj_y_value[:, None], adj_y_tangent[:, None]
+    adj_y = adj_y_value[:, None]
+    av, adj_t, g["head_reg.w"][...] = ad.affine_backward(
+        caches.reg_affine, adj_y, adj_y_tangent[:, None]
     )
+    g["head_reg.b"][...] = adj_y.sum(axis=0)
     adj_z = adj_z_value[:, None]
     g["head_cls.w"][...] = caches.reg_affine.x_value.T @ adj_z
     g["head_cls.b"][...] = adj_z.sum(axis=0)
 
     adj_v = av + adj_z @ params.head_cls.w.T
-    adj_t = at
     for i in reversed(range(len(params.layers))):
         c = caches.layers[i]
-        adj_v, adj_t, _ = ad.dropout_backward(c.dropout, adj_v, adj_t)
-        adj_v, adj_t, _ = ad.swish_backward(c.swish, adj_v, adj_t)
-        adj_v, adj_t, (d_scale, d_shift) = ad.batchnorm_backward(c.bn, adj_v, adj_t)
-        g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
-        adj_v, adj_t, (g[f"layer{i}.w"][...], _db) = ad.affine_backward(c.affine, adj_v, adj_t)
+        adj_v, adj_t = ad.dropout_backward(c.dropout_mask, adj_v, adj_t)
+        adj_v, adj_t = ad.swish_backward(c.swish, adj_v, adj_t)
+        adj_v, adj_t, g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = (
+            ad.batchnorm_backward(c.bn, adj_v, adj_t)
+        )
+        adj_v, adj_t, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj_v, adj_t)
     return grad
 
 

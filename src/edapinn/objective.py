@@ -13,6 +13,10 @@ clamped below by a configurable floor. Plain gradient flow on that
 multiplier only ever shrinks it (the penalty is non-negative), which is why
 the floor and an optional freeze exist; the trainer records the lambda
 trajectory rather than hiding the collapse.
+
+``loss_gradients`` is the one place the objective is evaluated: one call
+returns the unweighted loss breakdown and the adjoints of the
+variant-weighted objective, from one residual.
 """
 
 from __future__ import annotations
@@ -111,27 +115,6 @@ def physics_loss(residual: np.ndarray) -> float:
     return float(np.mean(residual * residual))
 
 
-def total_loss(
-    preds: "Predictions",
-    y_true: np.ndarray,
-    labels: np.ndarray,
-    e: np.ndarray,
-    phys: PhysicsParams,
-    lambda_floor: float = 0.0,
-) -> LossBreakdown:
-    """Full loss breakdown; every component is always computed.
-
-    Ablation variants reweight components in the trainer's gradient step;
-    the breakdown reported here is the unweighted one so that
-    total == l_eda + l_emotion + lambda_eff * l_physics holds by definition.
-    """
-    l_eda = mse(preds.y_eda, y_true)
-    l_emotion = bce(preds.z_emotion, labels)
-    l_phys = physics_loss(physics_residual(preds.dydt, preds.y_eda, e, phys))
-    lam = phys.lambda_eff(lambda_floor)
-    return LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
-
-
 @dataclass
 class LossGrads:
     """Adjoints of the (variant-weighted) objective wrt model outputs and physics."""
@@ -157,13 +140,27 @@ def loss_gradients(
     use_physics: bool = True,
     lambda_floor: float = 0.0,
     lambda_frozen: bool = False,
-) -> LossGrads:
-    """Exact gradients of  w_eda*L_eda + w_emo*L_emotion + lambda*L_physics."""
+) -> tuple[LossBreakdown, LossGrads]:
+    """The loss breakdown and the exact gradients of
+    w_eda*L_eda + w_emo*L_emotion + lambda*L_physics, from one residual.
+
+    Every component is always computed, and the breakdown is the unweighted
+    one, so total == l_eda + l_emotion + lambda_eff * l_physics holds by
+    definition. Ablation variants switch terms off through the ``use_*``
+    flags, which weight only the gradients.
+    """
     n = y_true.shape[0]
     y = np.asarray(preds.y_eda, dtype=np.float64)
     dydt = np.asarray(preds.dydt, dtype=np.float64)
     p = np.asarray(preds.p_emotion, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
+
+    l_eda = mse(y, y_true)
+    l_emotion = bce(preds.z_emotion, labels)
+    r = physics_residual(dydt, y, e, phys)
+    l_phys = physics_loss(r)
+    lam = phys.lambda_eff(lambda_floor)
+    breakdown = LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
 
     adj_y = np.zeros(n)
     adj_dydt = np.zeros(n)
@@ -180,14 +177,13 @@ def loss_gradients(
         adj_z += (p - labels) / n
 
     if use_physics:
-        r = physics_residual(dydt, y, e, phys)
-        lam = phys.lambda_eff(lambda_floor)
         adj_y += lam * 2.0 * r * phys.alpha0 / n
         adj_dydt += lam * 2.0 * r * phys.gamma / n
         d_alpha0 = lam * 2.0 * float(r @ y) / n
         d_gamma = lam * 2.0 * float(r @ dydt) / n
         d_beta = -lam * 2.0 * (r @ e) / n
         if not lambda_frozen and softplus(phys.rho) > lambda_floor:
-            d_rho = physics_loss(r) * float(sigmoid(phys.rho))
+            d_rho = l_phys * float(sigmoid(phys.rho))
 
-    return LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)
+    grads = LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)
+    return breakdown, grads

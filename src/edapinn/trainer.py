@@ -144,14 +144,10 @@ def batch_gradients(
     use_eda, use_emotion, use_physics = cfg.task_weights()
     mcfg = params.config
     preds = forward_batch(params, batch, "train", rng, dropout_masks)
-    labels = batch.label.astype(np.float64)
-    breakdown = obj.total_loss(
-        preds, batch.y, labels, batch.e, params.physics, mcfg.lambda_floor
-    )
-    lg = obj.loss_gradients(
+    breakdown, lg = obj.loss_gradients(
         preds,
         batch.y,
-        labels,
+        batch.label.astype(np.float64),
         batch.e,
         params.physics,
         use_eda=use_eda,
@@ -176,8 +172,10 @@ def train_epoch(
     cfg: TrainRunConfig,
     rng: Pcg32,
     epoch: int = 0,
-) -> tuple[ModelParams, AdamState, EpochTrace]:
-    """One in-place pass: seeded shuffle, contiguous batches (short final batch kept)."""
+) -> tuple[AdamState, EpochTrace]:
+    """One pass that trains ``params`` in place: seeded shuffle, contiguous
+    batches (short final batch kept). Returns the new optimizer state and
+    the epoch's trace."""
     n = len(data)
     order = rng.derive(f"shuffle:{epoch}").permutation(n)
     dropout_rng = rng.derive(f"dropout:{epoch}")
@@ -215,7 +213,7 @@ def train_epoch(
         params.physics.beta.copy(),
         float(params.physics.gamma),
     )
-    return params, opt, trace
+    return opt, trace
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def run_fold(
     rng = Pcg32(cfg.seed).derive(f"fold:{fold_index}")
     traces = []
     for epoch in range(cfg.epochs):
-        params, opt, trace = train_epoch(params, opt, train_n, cfg, rng, epoch)
+        opt, trace = train_epoch(params, opt, train_n, cfg, rng, epoch)
         traces.append(trace)
     preds = forward_batch(params, valid_n, "eval")
     reg = regression_metrics(preds.y_eda, valid_n.y)

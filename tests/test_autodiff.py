@@ -88,7 +88,7 @@ def test_swish_tangent_at_one_matches_central_difference():
 
 def test_affine_identity_passthrough():
     x = DualBatch(rand((6, 4), 1), rand((6, 4), 2))
-    out, cache = affine_forward(x, np.eye(4), np.zeros(4))
+    out, cache = affine_forward(x, np.eye(4))
     assert np.array_equal(out.value, x.value)
     assert np.array_equal(out.tangent, x.tangent)
     av, at, _ = affine_backward(cache, x.value, x.tangent)
@@ -98,10 +98,9 @@ def test_affine_identity_passthrough():
 
 def test_zero_adjoints_give_zero_everywhere():
     x = DualBatch(rand((5, 3), 3), rand((5, 3), 4))
-    w, b = rand((3, 2), 5), rand((2,), 6)
-    _, cache = affine_forward(x, w, b)
-    av, at, (dw, db) = affine_backward(cache, np.zeros((5, 2)), np.zeros((5, 2)))
-    for arr in (av, at, dw, db):
+    _, cache = affine_forward(x, rand((3, 2), 5))
+    av, at, dw = affine_backward(cache, np.zeros((5, 2)), np.zeros((5, 2)))
+    for arr in (av, at, dw):
         assert not np.any(arr)
 
 
@@ -123,9 +122,9 @@ def test_swish_tangent_exactness(seed):
 
 def test_affine_tangent_exactness():
     xv, xt = rand((8, 4), 10), rand((8, 4), 11)
-    w, b = rand((4, 3), 12), rand((3,), 13)
-    out, _ = affine_forward(DualBatch(xv, xt), w, b)
-    assert rel_err(out.tangent, fd_tangent(lambda v: v @ w + b, xv, xt)) <= REL_TOL_TANGENT
+    w = rand((4, 3), 12)
+    out, _ = affine_forward(DualBatch(xv, xt), w)
+    assert rel_err(out.tangent, fd_tangent(lambda v: v @ w, xv, xt)) <= REL_TOL_TANGENT
 
 
 def test_batchnorm_tangent_frozen_statistics():
@@ -149,11 +148,11 @@ def test_batchnorm_tangent_frozen_statistics():
 
 def chain_loss(xv, xt, w1, w2, g, s, mask):
     x = DualBatch(xv, xt)
-    x, _ = affine_forward(x, w1, np.zeros(w1.shape[1]))
+    x, _ = affine_forward(x, w1)
     x, _ = batchnorm_forward(x, g, s, np.zeros(w1.shape[1]), np.ones(w1.shape[1]), "train")
     x, _ = swish_forward(x)
     x, _ = dropout_forward(x, 0.25, "train", mask=mask)
-    x, _ = affine_forward(x, w2, np.zeros(w2.shape[1]))
+    x, _ = affine_forward(x, w2)
     return x.value.sum() + x.tangent.sum()
 
 
@@ -166,17 +165,17 @@ def test_three_layer_chain_parameter_gradients_match_fd():
 
     # analytic pass
     x = DualBatch(xv, xt)
-    x, c1 = affine_forward(x, w1, np.zeros(h_w))
+    x, c1 = affine_forward(x, w1)
     x, c2 = batchnorm_forward(x, g, s, np.zeros(h_w), np.ones(h_w), "train")
     x, c3 = swish_forward(x)
-    x, c4 = dropout_forward(x, 0.25, "train", mask=mask)
-    x, c5 = affine_forward(x, w2, np.zeros(o))
+    x, applied = dropout_forward(x, 0.25, "train", mask=mask)
+    x, c5 = affine_forward(x, w2)
     av, at = np.ones((n, o)), np.ones((n, o))
-    av, at, (dw2, _) = affine_backward(c5, av, at)
-    av, at, _ = dropout_backward(c4, av, at)
-    av, at, _ = swish_backward(c3, av, at)
-    av, at, (dg, ds) = batchnorm_backward(c2, av, at)
-    av, at, (dw1, _) = affine_backward(c1, av, at)
+    av, at, dw2 = affine_backward(c5, av, at)
+    av, at = dropout_backward(applied, av, at)
+    av, at = swish_backward(c3, av, at)
+    av, at, dg, ds = batchnorm_backward(c2, av, at)
+    av, at, dw1 = affine_backward(c1, av, at)
 
     h = 1e-5
     for arr, ana in [(w1, dw1), (w2, dw2), (g, dg), (s, ds), (xv, av), (xt, at)]:
@@ -199,9 +198,9 @@ def test_backward_additive_in_adjoints():
     _, cache = swish_forward(DualBatch(xv, xt))
     a1, a2 = rand((7, 3), 42), rand((7, 3), 43)
     b1, b2 = rand((7, 3), 44), rand((7, 3), 45)
-    v_sum, t_sum, _ = swish_backward(cache, a1 + a2, b1 + b2)
-    v1, t1, _ = swish_backward(cache, a1, b1)
-    v2, t2, _ = swish_backward(cache, a2, b2)
+    v_sum, t_sum = swish_backward(cache, a1 + a2, b1 + b2)
+    v1, t1 = swish_backward(cache, a1, b1)
+    v2, t2 = swish_backward(cache, a2, b2)
     assert np.allclose(v_sum, v1 + v2, atol=1e-12)
     assert np.allclose(t_sum, t1 + t2, atol=1e-12)
 
@@ -213,14 +212,15 @@ def test_backward_additive_in_adjoints():
 
 def test_dropout_same_mask_on_both_channels():
     x = DualBatch(np.ones((4, 6)), np.full((4, 6), 2.0))
-    out, cache = dropout_forward(x, 0.5, "train", rng=Pcg32(1).derive("d"))
+    out, mask = dropout_forward(x, 0.5, "train", rng=Pcg32(1).derive("d"))
     kept = out.value != 0
+    assert np.array_equal(kept, mask != 0)
     assert np.array_equal(kept, out.tangent != 0)
     assert np.allclose(out.value[kept], 2.0)  # inverted scaling by 1/keep
     assert np.allclose(out.tangent[kept], 4.0)
     # eval mode is the identity and consumes no rng
-    out_eval, _ = dropout_forward(x, 0.5, "eval")
-    assert np.array_equal(out_eval.value, x.value)
+    out_eval, no_mask = dropout_forward(x, 0.5, "eval")
+    assert np.array_equal(out_eval.value, x.value) and no_mask is None
 
 
 def test_batchnorm_eval_uses_running_stats():
@@ -232,11 +232,19 @@ def test_batchnorm_eval_uses_running_stats():
     assert cache.new_running_mean is None
 
 
+def test_batchnorm_backward_rejects_an_eval_mode_cache():
+    # only a train-mode forward is ever differentiated: eval mode never trains
+    x = DualBatch(rand((8, 3), 62), rand((8, 3), 63))
+    _, cache = batchnorm_forward(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval")
+    with pytest.raises(ContractError):
+        batchnorm_backward(cache, np.ones((8, 3)), np.ones((8, 3)))
+
+
 def test_shape_mismatch_raises_contract_error():
     with pytest.raises(ContractError):
         DualBatch(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ContractError):
-        affine_forward(DualBatch(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((4, 2)), np.zeros(2))
+        affine_forward(DualBatch(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((4, 2)))
 
 
 def test_deterministic_forward_same_seed():

@@ -62,7 +62,7 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
     from edapinn import objective as obj
 
     preds = model_mod.forward_batch(params, batch, "train")
-    lg = obj.loss_gradients(
+    _, lg = obj.loss_gradients(
         preds, batch.y, batch.label.astype(float), batch.e, params.physics,
         use_emotion=False, use_physics=False,
     )

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from edapinn.errors import ContractError
 from edapinn.data import SynthSpec, synth_generate
 from edapinn.objective import (
-    LossGrads,
     PhysicsParams,
     bce,
     loss_gradients,
     mse,
     physics_loss,
     physics_residual,
-    total_loss,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -126,7 +124,7 @@ def test_physics_loss_values():
 
 
 # ---------------------------------------------------------------------------
-# total loss breakdown
+# loss breakdown
 # ---------------------------------------------------------------------------
 
 
@@ -138,7 +136,7 @@ def test_breakdown_identity_on_random_inputs():
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
     phys = PhysicsParams(0.8, np.array([0.2, 0.1, -0.3]), 1.2, rho=0.5)
-    bd = total_loss(preds, y, labels, e, phys, lambda_floor=1e-3)
+    bd, _ = loss_gradients(preds, y, labels, e, phys, lambda_floor=1e-3)
     # recompute components independently
     assert bd.l_eda == pytest.approx(np.mean((preds.y_eda - y) ** 2), rel=1e-12)
     r = phys.gamma * preds.dydt + phys.alpha0 * preds.y_eda - e @ phys.beta
@@ -150,7 +148,7 @@ def test_perfect_predictions_on_residual_free_data():
     spec = SynthSpec(n=200, noise=0.0, seed=13)
     data, dydt = synth_generate(spec)
     preds = FakePreds(data.y, dydt, np.where(data.label == 1, 40.0, -40.0))
-    bd = total_loss(preds, data.y, data.label.astype(float), data.e, spec.physics(), 0.0)
+    bd, _ = loss_gradients(preds, data.y, data.label.astype(float), data.e, spec.physics())
     assert bd.l_eda <= 1.1e-7
     assert bd.l_emotion <= 1.1e-7
     assert bd.l_physics <= 1.1e-7
@@ -160,9 +158,9 @@ def test_lambda_floor_and_frozen_zero():
     preds = FakePreds([0.5], [0.1], [np.log(1.5)])  # p = 0.6
     y, labels, e = np.array([0.4]), np.array([1.0]), np.ones((1, 3))
     low_rho = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0, rho=-20.0)
-    bd = total_loss(preds, y, labels, e, low_rho, lambda_floor=1e-3)
+    bd, _ = loss_gradients(preds, y, labels, e, low_rho, lambda_floor=1e-3)
     assert bd.lambda_eff == 1e-3
-    bd0 = total_loss(preds, y, labels, e, low_rho, lambda_floor=0.0)
+    bd0, _ = loss_gradients(preds, y, labels, e, low_rho, lambda_floor=0.0)
     assert bd0.total == pytest.approx(bd0.l_eda + bd0.l_emotion, abs=1e-9)
 
 
@@ -174,12 +172,12 @@ def test_loss_gradient_variant_switches():
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
     phys = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0)
-    no_eda: LossGrads = loss_gradients(preds, y, labels, e, phys, use_eda=False, use_physics=False)
+    _, no_eda = loss_gradients(preds, y, labels, e, phys, use_eda=False, use_physics=False)
     assert not np.any(no_eda.adj_y)  # only the BCE path remains, on z
     assert np.any(no_eda.adj_z)
-    no_phys = loss_gradients(preds, y, labels, e, phys, use_physics=False)
+    _, no_phys = loss_gradients(preds, y, labels, e, phys, use_physics=False)
     assert no_phys.d_alpha0 == 0.0 and no_phys.d_rho == 0.0
     assert not np.any(no_phys.adj_dydt)
-    full = loss_gradients(preds, y, labels, e, phys)
+    _, full = loss_gradients(preds, y, labels, e, phys)
     assert np.any(full.adj_dydt)
     assert full.d_rho >= 0.0  # physics loss can only push lambda down

@@ -107,7 +107,7 @@ def test_no_physics_variant_records_zero_lambda():
     opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(2):
-        params, opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
         assert trace.lambda_eff == 0.0
 
 
@@ -134,7 +134,7 @@ def test_variant_containment_classification_head_frozen_under_eda_only():
     opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
-        params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
     assert np.array_equal(params.head_cls.w, before)
     assert np.array_equal(params.head_cls.b, np.zeros(1))
 
@@ -149,13 +149,13 @@ def test_variant_containment_regression_head_frozen_under_emotion_only_lambda_ze
     opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
-        params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
     assert np.array_equal(params.head_reg.w, before_w)
     # with physics retained, the regression head does move
     params2 = init_model(quick_model(), norm)
     cfg2 = quick_cfg(variant="emotion_only")
     opt2 = init_adam(params2, cfg2.lr)
-    params2, _, _ = train_epoch(params2, opt2, nd, cfg2, Pcg32(cfg2.seed), 0)
+    train_epoch(params2, opt2, nd, cfg2, Pcg32(cfg2.seed), 0)
     assert not np.array_equal(params2.head_reg.w, before_w)
 
 
@@ -193,6 +193,23 @@ def test_training_step_evaluates_sigmoid_once_per_layer(monkeypatch):
     assert calls == [(64, 12), (64, 12), (64,), ()]
 
 
+def test_training_step_evaluates_the_objective_once(monkeypatch):
+    # the loss breakdown and the adjoints come from one residual
+    from edapinn import objective
+
+    real, calls = objective.physics_residual, []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(objective, "physics_residual", counting)
+    data = small_synth(n=64)
+    params = init_model(quick_model())
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), quick_cfg(), Pcg32(1))
+    assert calls == [64]
+
+
 def test_single_step_descent_probability():
     # one Adam step on a fixed batch with pinned dropout masks should not
     # increase that batch's own loss for lr <= 1e-3 (>= 99% of seeds)
@@ -213,7 +230,9 @@ def test_single_step_descent_probability():
         labels = nd.label.astype(float)
         adam_step(init_adam(params, cfg.lr), params, grad)
         preds2 = model_mod.forward_batch(params, nd, "train", dropout_masks=masks)
-        after = obj.total_loss(preds2, nd.y, labels, nd.e, params.physics, params.config.lambda_floor)
+        after, _ = obj.loss_gradients(
+            preds2, nd.y, labels, nd.e, params.physics, lambda_floor=params.config.lambda_floor
+        )
         wins += after.total <= before.total
     assert wins >= 99
 
@@ -350,7 +369,7 @@ def test_lambda_monotone_decay_with_zero_floor():
     rng = Pcg32(cfg.seed)
     lams = []
     for epoch in range(10):
-        params, opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
         if trace.l_physics > 0:
             lams.append(trace.lambda_eff)
     assert all(a >= b for a, b in zip(lams, lams[1:]))
@@ -367,7 +386,7 @@ def test_lambda_floor_holds():
     opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(3):
-        params, opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
         assert trace.lambda_eff >= 1e-3
 
 
@@ -381,7 +400,7 @@ def test_lambda_frozen_excludes_rho():
     opt = init_adam(params, cfg.lr)
     rng = Pcg32(cfg.seed)
     for epoch in range(2):
-        params, opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
+        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
     assert params.physics.rho == rho_before
 
 
