@@ -21,7 +21,6 @@ from .evaluation import classification_metrics, regression_metrics
 class LinearModel:
     weights: np.ndarray  # (n_features,)
     intercept: float
-    ridge_lambda: float = 0.0
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights + self.intercept
@@ -60,7 +59,7 @@ def ridge_fit(
             )
     w = np.linalg.solve(gram, xc.T @ yc)
     intercept = y_mean - float(x_mean @ w) if fit_intercept else 0.0
-    return LinearModel(w, intercept, ridge_lambda)
+    return LinearModel(w, intercept)
 
 
 def logistic_fit(

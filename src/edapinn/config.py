@@ -130,7 +130,7 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> Ru
         return parse_config({}, seed_override)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)

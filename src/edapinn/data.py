@@ -81,7 +81,7 @@ def load_csv(path: str | Path) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     try:
@@ -211,17 +211,18 @@ def stratified_kfold(data: Dataset, k: int, seed: int) -> list[tuple[np.ndarray,
     Each class is shuffled and dealt into k contiguous chunks whose sizes
     differ by at most one; the fold receiving each class's larger chunks is
     rotated by a seeded offset so no fold systematically collects the
-    remainders. Returns (train_indices, valid_indices) per fold.
+    remainders. Returns (train_indices, valid_indices) per fold. This is the
+    one place that requires labels 0 and 1 to hold at least k rows each.
     """
     if k < 2:
         raise ConfigError("k must be >= 2")
+    counts = np.bincount(data.label, minlength=2)
+    if counts.min() < k:
+        raise ConfigError(f"k={k} exceeds the minority class count {counts.min()}")
     rng = Pcg32(seed).derive("stratified_kfold")
-    classes = np.unique(data.label)
     fold_members: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in classes:
+    for cls in range(counts.size):
         idx = np.flatnonzero(data.label == cls)
-        if idx.size < k:
-            raise ConfigError(f"class {int(cls)} has {idx.size} samples, fewer than k={k}")
         idx = idx[rng.permutation(idx.size)]
         base, extra = divmod(idx.size, k)
         offset = int(rng.next_u32()) % k

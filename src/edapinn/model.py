@@ -306,9 +306,8 @@ def backward(
         c = caches.layers[i]
         adj_v, adj_t = ad.dropout_backward(c.dropout_mask, adj_v, adj_t)
         adj_v, adj_t = ad.swish_backward(c.swish, adj_v, adj_t)
-        adj_v, adj_t, g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = (
-            ad.batchnorm_backward(c.bn, adj_v, adj_t)
-        )
+        adj_v, adj_t, d_scale, d_shift = ad.batchnorm_backward(c.bn, adj_v, adj_t)
+        g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
         adj_v, adj_t, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj_v, adj_t)
     return grad
 
@@ -394,7 +393,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointReadError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -185,5 +185,4 @@ def loss_gradients(
         if not lambda_frozen and softplus(phys.rho) > lambda_floor:
             d_rho = l_phys * float(sigmoid(phys.rho))
 
-    grads = LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)
-    return breakdown, grads
+    return breakdown, LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)

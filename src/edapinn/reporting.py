@@ -184,8 +184,8 @@ def render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def render_csv_file(path: str | Path, max_sig: int = 4) -> str:
-    """Re-render an emitted CSV as an aligned text table with short numbers."""
+def render_csv_file(path: str | Path) -> str:
+    """Re-render an emitted CSV as an aligned text table, numbers to 4 significant digits."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header = text[0].split(",")
     rows = []
@@ -193,7 +193,7 @@ def render_csv_file(path: str | Path, max_sig: int = 4) -> str:
         cells = []
         for cell in line.split(","):
             try:
-                cells.append(f"{float(cell):.{max_sig}g}")
+                cells.append(f"{float(cell):.4g}")
             except ValueError:
                 cells.append(cell)
         rows.append(cells)

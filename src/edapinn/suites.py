@@ -64,9 +64,10 @@ def suite_gradient_check(seed: int = 1) -> SuiteResult:
     )
 
 
-def suite_tangent_check(seed: int = 1, n: int = 100, tol: float = 1e-5) -> SuiteResult:
+def suite_tangent_check(seed: int = 1) -> SuiteResult:
     """Dual-channel d(EDA)/dt vs central finite differences in t, eval mode."""
     t0 = time.perf_counter()
+    n, tol = 100, 1e-5
     params = init_model(ModelConfig(hidden=[16, 16], seed=seed))
     rng = Pcg32(seed).derive("tangent")
     t = rng.normal(n)
@@ -91,7 +92,7 @@ def suite_tangent_check(seed: int = 1, n: int = 100, tol: float = 1e-5) -> Suite
     )
 
 
-def suite_ode_oracle(seed: int = 1, draws: int = 20) -> SuiteResult:
+def suite_ode_oracle(seed: int = 1) -> SuiteResult:
     """Closed form vs RK4, plus the fourth-order halving check.
 
     A draw with decay rate k = alpha0 / gamma takes max(1000, ceil(k / 0.01))
@@ -101,7 +102,7 @@ def suite_ode_oracle(seed: int = 1, draws: int = 20) -> SuiteResult:
     rng = Pcg32(seed).derive("ode")
     e_mix = np.array([0.5, 0.3, 0.2])
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(20):
         phys = PhysicsParams(
             rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0, 3), rng.uniform(0.1, 10.0)
         )
@@ -122,21 +123,21 @@ def suite_ode_oracle(seed: int = 1, draws: int = 20) -> SuiteResult:
     return SuiteResult(
         "ode-oracle",
         ok,
-        f"max abs error {worst:.3e} over {draws} draws (tol 1e-8); halving ratio {ratio:.1f}x (need >= 12)",
+        f"max abs error {worst:.3e} over 20 draws (tol 1e-8); halving ratio {ratio:.1f}x (need >= 12)",
         time.perf_counter() - t0,
     )
 
 
-def suite_residual_free(seed: int = 1, n: int = 10000) -> SuiteResult:
+def suite_residual_free(seed: int = 1) -> SuiteResult:
     t0 = time.perf_counter()
-    spec = SynthSpec(n=n, noise=0.0, seed=seed)
+    spec = SynthSpec(n=10000, noise=0.0, seed=seed)
     data, dydt = synth_generate(spec)
     r = physics_residual(dydt, data.y, data.e, spec.physics())
     worst = float(np.max(np.abs(r)))
     return SuiteResult(
         "residual-free-synthesis",
         worst <= 1e-10,
-        f"max |residual| {worst:.3e} over {n} noise-free samples (tol 1e-10)",
+        f"max |residual| {worst:.3e} over 10000 noise-free samples (tol 1e-10)",
         time.perf_counter() - t0,
     )
 
@@ -158,13 +159,13 @@ def suite_recovery(seed: int = 1) -> SuiteResult:
     )
 
 
-def suite_metric_oracles(seed: int = 1, instances: int = 200) -> SuiteResult:
+def suite_metric_oracles(seed: int = 1) -> SuiteResult:
     """Metrics vs brute-force recounts; rmse^2 vs the objective's mse."""
     t0 = time.perf_counter()
     rng = Pcg32(seed).derive("metrics")
     ok = True
     detail = "all brute-force recounts matched"
-    for i in range(instances):
+    for i in range(200):
         n = 2 + int(rng.next_u32() % 40)
         prob = rng.random(n)
         label = (rng.random(n) < 0.5).astype(np.int64)
@@ -197,15 +198,15 @@ def suite_metric_oracles(seed: int = 1, instances: int = 200) -> SuiteResult:
             ok, detail = False, f"regression mismatch on instance {i}"
             break
     return SuiteResult(
-        "metric-oracles", ok, f"{detail} ({instances} instances)", time.perf_counter() - t0
+        "metric-oracles", ok, f"{detail} (200 instances)", time.perf_counter() - t0
     )
 
 
-def suite_stratification(seed: int = 1, datasets: int = 50) -> SuiteResult:
+def suite_stratification(seed: int = 1) -> SuiteResult:
     t0 = time.perf_counter()
     rng = Pcg32(seed).derive("strat")
     worst = 0.0
-    for i in range(datasets):
+    for _ in range(50):
         n = 60 + int(rng.next_u32() % 500)
         frac = 0.2 + 0.6 * rng.random()
         label = (rng.random(n) < frac).astype(np.int64)

@@ -7,7 +7,7 @@ folds use independently derived RNG streams and may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .objective import PhysicsParams
 from .rng import Pcg32, derive_seed
 
 VARIANTS = ("full", "no_physics", "eda_only", "emotion_only")
+# a final batch of fewer rows joins the one before it: batch-norm statistics
+# over 1-3 rows blow the physics loss and its gradient up (after 5 epochs, 1 row
+# gave 2.4e7 and 6.1e7, 8 rows 0.75 and 5.9), poisoning Adam's second moments
+MIN_FINAL_BATCH = 8
 
 
 @dataclass
@@ -174,15 +178,19 @@ def train_epoch(
     epoch: int = 0,
 ) -> tuple[AdamState, EpochTrace]:
     """One pass that trains ``params`` in place: seeded shuffle, contiguous
-    batches (short final batch kept). Returns the new optimizer state and
-    the epoch's trace."""
+    batches, with a final batch of fewer than ``MIN_FINAL_BATCH`` rows joined
+    to the one before it. Returns the new optimizer state and the epoch's
+    trace."""
     n = len(data)
     order = rng.derive(f"shuffle:{epoch}").permutation(n)
     dropout_rng = rng.derive(f"dropout:{epoch}")
     sums = np.zeros(3)
     use_physics = cfg.task_weights()[2]
-    for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-        idx = order[start : start + cfg.batch_size]
+    bounds = list(range(0, n, cfg.batch_size)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < MIN_FINAL_BATCH:
+        del bounds[-2]
+    for batch_no, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        idx = order[start:stop]
         batch = data.subset(idx)
         # non-finites are detected explicitly (per-layer and on the loss), so
         # numpy's overflow chatter on an already-diverged step is suppressed
@@ -265,9 +273,6 @@ def run_kfold(
     streams and results are collected in fold order, so the output is
     identical to the sequential run.
     """
-    counts = np.bincount(data.label, minlength=2)
-    if counts.min() < k:
-        raise ConfigError(f"k={k} exceeds the minority class count {counts.min()}")
     splits = stratified_kfold(data, k, cfg.seed)
     jobs = [
         (fold, data.subset(tr_idx), data.subset(va_idx))
@@ -298,9 +303,7 @@ class RecoveryResult:
     oracle: PhysicsParams
     final_loss: float
     oracle_loss: float
-    steps: int
     converged: bool
-    loss_history: list[float] = field(repr=False, default_factory=list)
 
 
 def physics_least_squares(
@@ -326,7 +329,6 @@ def recover_physics(
     init_perturbation: float = 0.5,
     steps: int = 5000,
     lr: float | None = None,
-    rel_tol: float = 0.01,
 ) -> RecoveryResult:
     """Plain gradient descent on the physics loss over (alpha0, beta) alone.
 
@@ -335,7 +337,8 @@ def recover_physics(
     and the default step size comes from the preconditioned quadratic's
     spectrum, so the true parameters are an exact fixed point and descent is
     monotone. The result reports the normal-equations oracle alongside;
-    non-convergence after the step budget is flagged, not silenced.
+    non-convergence after the step budget (some component more than 1% off
+    the oracle) is flagged, not silenced.
     """
     oracle = physics_least_squares(dydt, y, e, gamma)
     if init is None:
@@ -355,13 +358,10 @@ def recover_physics(
         eigs = np.linalg.eigvalsh(2.0 * (a_s.T @ a_s) / n)
         lr = 2.0 / (eigs[-1] + max(eigs[0], 0.0))
     theta_s = theta * scale
-    history = []
-    for t in range(1, steps + 1):
+    for _ in range(steps):
         r = a_s @ theta_s + forcing
         grad = 2.0 * (a_s.T @ r) / n
         theta_s = theta_s - lr * grad
-        if t % 100 == 0 or t == steps:
-            history.append(float(np.mean(r * r)))
     theta = theta_s / scale
     recovered = PhysicsParams(float(theta[0]), theta[1:4].copy(), gamma)
     final_loss = float(np.mean((a @ theta + forcing) ** 2))
@@ -369,13 +369,11 @@ def recover_physics(
     rel = np.abs(theta - oracle_vec) / np.maximum(np.abs(oracle_vec), 1e-12)
     # non-convergence is reported, never silenced: the flag plus the oracle
     # comparison make the diagnosis explicit for the caller
-    converged = bool(np.all(rel <= rel_tol))
+    converged = bool(np.all(rel <= 0.01))
     return RecoveryResult(
         recovered,
         oracle,
         final_loss,
         float(np.mean((a @ oracle_vec + forcing) ** 2)),
-        steps,
         converged,
-        history,
     )

@@ -247,6 +247,41 @@ def test_kfold_missing_input_exits_2(tmp_path):
     assert main(["kfold", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+CSV_HEAD = "t,panas_mean,sam_valence,sam_arousal,eda_mean,label\n"
+
+
+def csv_rows(labels) -> str:
+    return "".join(
+        f"{i / 20},{2 + i % 3},{5 + i % 4},{3 + i % 5},{0.1 * i},{lab}\n" for i, lab in enumerate(labels)
+    )
+
+
+UNUSABLE_CSV = {
+    "header_only": CSV_HEAD.encode(),
+    "one_class": (CSV_HEAD + csv_rows([0] * 20)).encode(),
+    "non_utf8": (CSV_HEAD + csv_rows([0, 1] * 10)).encode() + b"0.5,2,5,3,\xff,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_CSV))
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate"])
+def test_unusable_csv_exits_2(tmp_path, capsys, command, case):
+    """No rows, a missing class and undecodable bytes are data errors under
+    every training command, never a traceback or a silent one-class fit."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(UNUSABLE_CSV[case])
+    cfg_path = write_config(tmp_path, {"data": {"input": str(csv_path)}, "train": SMALL_TRAIN})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b'{"seed": 3, "output": {"dir": "\xff"}}')
+    assert main(["check", "--config", str(cfg_path)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / ablate / report / check
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edapinn.data import (
+    CSV_HEADER,
     ClusterSpec,
     Dataset,
     SynthSpec,
@@ -78,6 +79,39 @@ def test_row_addressed_errors(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_csv(p)
     assert "row 1" in str(exc.value) and "label" in str(exc.value)
+
+
+def test_non_utf8_file_raises_data_format_error(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"t,panas_mean,sam_valence,sam_arousal,eda_mean,label\n0.1,2,6,3,0.5,\xff\n")
+    with pytest.raises(DataFormatError):
+        load_csv(p)
+
+
+_CELL = st.one_of(st.text(max_size=6), st.floats().map(repr), st.integers(-2, 2).map(str))
+_ROWS = st.lists(st.lists(_CELL, max_size=8), max_size=6)
+_CSV_TEXT = st.tuples(st.booleans(), _ROWS).map(
+    lambda doc: "\n".join(
+        ([",".join(CSV_HEADER)] if doc[0] else []) + [",".join(row) for row in doc[1]]
+    ).encode("utf-8")
+)
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(st.binary(max_size=120), _CSV_TEXT))
+def test_any_bytes_load_as_a_dataset_or_raise_data_format_error(tmp_path, raw):
+    """Arbitrary bytes, and rows of arbitrary cell text under an optional
+    header, either load or raise DataFormatError: never a raw exception."""
+    p = tmp_path / "fuzz.csv"
+    p.write_bytes(raw)
+    try:
+        data = load_csv(p)
+    except DataFormatError:
+        return
+    assert isinstance(data, Dataset)
 
 
 def test_write_load_roundtrip_identity(tmp_path):

@@ -297,6 +297,15 @@ def test_checkpoint_version_and_schema_errors(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
 
 
+def test_non_utf8_checkpoint_raises_read_error(tmp_path):
+    from edapinn.errors import CheckpointReadError
+
+    path = tmp_path / "m.ckpt.json"
+    path.write_bytes(checkpoint_text(init_model(ModelConfig(hidden=[4], seed=26))).encode() + b"\xff")
+    with pytest.raises(CheckpointReadError):
+        load_checkpoint(path)
+
+
 _NORMALIZER = {"input_mean": [0.0] * 4, "input_std": [1.0] * 4, "y_min": 0.2, "y_max": 1.5}
 
 

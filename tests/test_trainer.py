@@ -124,6 +124,25 @@ def test_single_sample_epoch_equals_one_adam_step():
     assert np.allclose(stepped.theta, manual.theta, atol=1e-15)
 
 
+@pytest.mark.parametrize("rows, sizes", [(129, [129]), (136, [128, 8]), (260, [128, 132])])
+def test_small_final_batch_joins_the_previous_one(monkeypatch, rows, sizes):
+    import edapinn.trainer as trainer_mod
+
+    real, seen = trainer_mod.batch_gradients, []
+
+    def recording(params, batch, *args):
+        seen.append(len(batch))
+        return real(params, batch, *args)
+
+    monkeypatch.setattr(trainer_mod, "batch_gradients", recording)
+    data = small_synth(n=rows)
+    nd = apply_normalizer(fit_normalizer(data), data)
+    params = init_model(quick_model())
+    cfg = quick_cfg(batch_size=128)
+    train_epoch(params, init_adam(params, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    assert seen == sizes
+
+
 def test_variant_containment_classification_head_frozen_under_eda_only():
     data = small_synth()
     norm = fit_normalizer(data)
