@@ -11,12 +11,13 @@ residual needs d(EDA)/dt), each primitive's backward returns
 so nonlinear primitives carry their second derivative. Each backward returns
 a plain tuple of exactly what the model reads: ``(adj_value, adj_tangent)``,
 followed by ``dw`` for the affine map and by ``(d_scale, d_shift)`` for
-batch-norm. The affine map has no bias (the model adds the regression head's
-own), and dropout's cache is the mask it applied. Swish evaluates its
-sigmoid once per forward call and caches sigma and s'(x); its backward builds
-s''(x) from the cached sigma. ``sigmoid`` is the package's one logistic
-function. All math is float64; matrices are plain 2-D numpy arrays
-(batch x width, row-major).
+batch-norm. ``affine_weight_grad`` gives ``dw`` alone, for the first layer,
+whose input needs no adjoint. The affine map has no bias (the model adds the
+regression head's own), and dropout's cache is the mask it applied. Swish
+evaluates its sigmoid once per forward call and caches sigma and s'(x); its
+backward builds s''(x) from the cached sigma. ``sigmoid`` is the package's
+one logistic function. All math is float64; matrices are plain 2-D numpy
+arrays (batch x width, row-major).
 """
 
 from __future__ import annotations
@@ -85,11 +86,15 @@ def affine_forward(x: DualBatch, w: np.ndarray):
     return out, AffineCache(x.value, x.tangent, w)
 
 
+def affine_weight_grad(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
+    """The weight gradient alone, for a layer whose input needs no adjoint."""
+    return cache.x_value.T @ adj_value + cache.x_tangent.T @ adj_tangent
+
+
 def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
     adj_x_value = adj_value @ cache.w.T
     adj_x_tangent = adj_tangent @ cache.w.T
-    dw = cache.x_value.T @ adj_value + cache.x_tangent.T @ adj_tangent
-    return adj_x_value, adj_x_tangent, dw
+    return adj_x_value, adj_x_tangent, affine_weight_grad(cache, adj_value, adj_tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +209,11 @@ def batchnorm_backward(cache: BatchNormCache, adj_value: np.ndarray, adj_tangent
 
 
 def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.ndarray:
-    u = rng.random(shape[0] * shape[1]).reshape(shape)
-    return (u >= rate).astype(np.float64) / (1.0 - rate)
+    """Inverted-dropout mask: keep where a uniform draw is ``>= rate``, scaled
+    by ``1 / (1 - rate)``; ``Pcg32.random_ge`` decides the comparison without
+    forming the uniforms, with the same result and draw count as ``random``."""
+    keep = rng.random_ge(shape[0] * shape[1], rate).reshape(shape)
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def dropout_forward(

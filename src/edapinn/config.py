@@ -129,7 +129,7 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> Ru
     if path is None:
         return parse_config({}, seed_override)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:

@@ -80,7 +80,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def load_csv(path: str | Path) -> Dataset:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())

@@ -308,7 +308,10 @@ def backward(
         adj_v, adj_t = ad.swish_backward(c.swish, adj_v, adj_t)
         adj_v, adj_t, d_scale, d_shift = ad.batchnorm_backward(c.bn, adj_v, adj_t)
         g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
-        adj_v, adj_t, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj_v, adj_t)
+        if i:
+            adj_v, adj_t, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj_v, adj_t)
+        else:  # the network input needs no adjoint
+            g["layer0.w"][...] = ad.affine_weight_grad(c.affine, adj_v, adj_t)
     return grad
 
 

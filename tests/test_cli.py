@@ -1,7 +1,7 @@
 """CLI commands, config strictness, output formats and exit codes."""
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +280,17 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg_path.write_bytes(b'{"seed": 3, "output": {"dir": "\xff"}}')
     assert main(["check", "--config", str(cfg_path)]) == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_byte_order_mark_config_loads_the_same_config(tmp_path):
+    text = json.dumps({"seed": 3, "train": {"epochs": 4}, "data": {"synth": {"n": 500}}})
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = load_config(plain), load_config(bom)
+    assert (a.seed, a.train.epochs, a.synth.n) == (3, 4, 500)
+    np.testing.assert_equal(asdict(a), asdict(b))
 
 
 # ---------------------------------------------------------------------------

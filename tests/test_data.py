@@ -88,6 +88,21 @@ def test_non_utf8_file_raises_data_format_error(tmp_path):
         load_csv(p)
 
 
+def test_byte_order_mark_loads_the_same_dataset(tmp_path):
+    text = (
+        "t,panas_mean,sam_valence,sam_arousal,eda_mean,label\n"
+        "0.1,2.0,6.0,3.0,0.5,0\n"
+        "0.2,3.0,5.0,5.0,0.7,1\n"
+    )
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = load_csv(plain), load_csv(bom)
+    for name in ("t", "e", "y", "label"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 _CELL = st.one_of(st.text(max_size=6), st.floats().map(repr), st.integers(-2, 2).map(str))
 _ROWS = st.lists(st.lists(_CELL, max_size=8), max_size=6)
 _CSV_TEXT = st.tuples(st.booleans(), _ROWS).map(

@@ -1,8 +1,11 @@
 """The PCG32 generator: reference vectors, vectorization, stream independence."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edapinn.rng import Pcg32, derive_seed
+from edapinn.rng import Pcg32, _jump_tables, derive_seed
 
 # O'Neill's pcg32-demo output for seed=42, stream=54
 PCG_REFERENCE = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
@@ -19,6 +22,49 @@ def test_vectorized_equals_sequential():
     vec = b.u32_array(513)
     assert seq == list(vec)
     # the scalar state advanced identically
+    assert a.next_u32() == b.next_u32()
+
+
+def test_cached_tables_stay_exact_across_lengths_and_reject_writes():
+    a, b = Pcg32(77, 4), Pcg32(77, 4)
+    for n in (1, 513, 2, 40, 513, 7, 40, 1):
+        seq = [a.next_u32() for _ in range(n)]
+        assert seq == b.u32_array(n).tolist()
+        assert a.next_u32() == b.next_u32()
+    powers, sums, _, _ = _jump_tables(513)
+    for table in (powers, sums):
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
+def _near_draw(seed: int, stream: int, n: int, i: int, d: int) -> float:
+    """``random(n)[i] + d * 2^-53``: for small d the threshold shares draw
+    i's high word, so the low word decides."""
+    words = Pcg32(seed, stream).u32_array(2 * n)
+    k = (int(words[2 * i]) << 21 | int(words[2 * i + 1]) >> 11) + d
+    return min(max(k, 0), 2**53 - 1) * 2.0**-53
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 200),
+    st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(allow_nan=True),
+        st.tuples(st.integers(0, 199), st.integers(-(2**21), 2**21)),
+    ),
+)
+def test_random_ge_is_random_compared_bit_for_bit(seed, stream, n, x):
+    if isinstance(x, tuple):
+        if n == 0:
+            return
+        x = _near_draw(seed, stream, n, x[0] % n, x[1])
+    a, b = Pcg32(seed, stream), Pcg32(seed, stream)
+    got = b.random_ge(n, x)
+    assert got.dtype == bool
+    assert np.array_equal(got, a.random(n) >= x)
     assert a.next_u32() == b.next_u32()
 
 
@@ -39,6 +85,20 @@ def test_normal_moments():
 def test_permutation_is_a_permutation():
     perm = Pcg32(3).permutation(257)
     assert sorted(perm) == list(range(257))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1600])
+def test_permutation_is_fisher_yates_on_next_u32(n):
+    ref = Pcg32(3, 8)
+    expected = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = (ref.next_u32() * (i + 1)) >> 32
+        expected[i], expected[j] = expected[j], expected[i]
+    rng = Pcg32(3, 8)
+    perm = rng.permutation(n)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == expected
+    assert rng.next_u32() == ref.next_u32()
 
 
 def test_derived_streams_differ_and_are_stable():
