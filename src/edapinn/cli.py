@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="parallel folds (default 1)")
+            p.add_argument("--threads", type=int, default=1, help="worker processes for the folds (default 1)")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     common(p)

@@ -26,6 +26,8 @@ from .model import ModelParams
 from .rng import Pcg32
 from .trainer import TrainRunConfig, batch_gradients
 
+EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass
 class GradCheckReport:
@@ -56,9 +58,15 @@ def check_gradients(
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Relative error per coordinate is |a - f| / max(|a|, |f|, 1e-8); the
-    report carries the per-block maximum. Never raises on mismatch - the
-    pass flag carries the verdict. ``params`` is left as it was passed in.
+    Each coordinate's FD value f carries an error of its own, estimated as
+    e = |f - f2| / 3 (truncation: the Richardson difference against f2, the
+    FD at twice ``step``) + eps * |loss| / ``step`` (round-off). The error
+    of a coordinate is |a - f| / (max(|a|, |f|, 1e-8) + e / tol), so it
+    passes when |a - f| <= tol * max(|a|, |f|, 1e-8) + e: a difference FD
+    cannot resolve fails no coordinate, and any larger one is held to the
+    relative ``tol``. The report carries the per-block maximum. Never raises
+    on mismatch - the pass flag carries the verdict. ``params`` is left as
+    it was passed in.
     """
     if len(batch) < 2:
         raise ContractError("gradient check needs a batch of size >= 2")
@@ -79,13 +87,16 @@ def check_gradients(
         a_flat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            lp = _loss_value(params, batch, masks)
-            flat[i] = orig - step
-            lm = _loss_value(params, batch, masks)
+            losses = []
+            for h in (step, -step, 2.0 * step, -2.0 * step):
+                flat[i] = orig + h
+                losses.append(_loss_value(params, batch, masks))
             flat[i] = orig
+            lp, lm, lp2, lm2 = losses
             fd = (lp - lm) / (2.0 * step)
-            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-8)
+            fd2 = (lp2 - lm2) / (4.0 * step)
+            fd_error = abs(fd - fd2) / 3.0 + EPS * max(abs(lp), abs(lm)) / step
+            rel = abs(a_flat[i] - fd) / (max(abs(a_flat[i]), abs(fd), 1e-8) + fd_error / tol)
             worst = max(worst, rel)
         block_errors[name] = worst
     worst_block = max(block_errors, key=block_errors.get)

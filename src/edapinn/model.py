@@ -118,6 +118,13 @@ class ModelParams:
         self.head_cls = _on_views(self.head_cls, "head_cls", views)
         self.physics = _on_views(self.physics, "physics", views)
 
+    def __reduce__(self):
+        # a pickle rebuilds through the constructor, so the parts are views of
+        # the new theta; by default they would unpickle as detached copies
+        return ModelParams, (
+            self.layers, self.head_reg, self.head_cls, self.physics, self.normalizer, self.config
+        )
+
 
 def _on_views(part, prefix: str, views: dict[str, np.ndarray]):
     """A copy of dataclass ``part`` whose trainable fields are the ``views``

@@ -1,8 +1,10 @@
 """Adam optimization, the per-batch training loop, folds and recovery.
 
-One fold trains single-threaded so accumulation order is deterministic;
+One fold trains in one process so accumulation order is deterministic;
 (seed, data, config) fully determine every recorded trace value. Distinct
-folds use independently derived RNG streams and may run concurrently.
+folds use independently derived RNG streams, so a list of (variant, fold)
+jobs may run on worker processes (``threads`` of them) with results
+identical, byte for byte, to the sequential run.
 """
 
 from __future__ import annotations
@@ -260,6 +262,91 @@ def run_fold(
     return FoldReport(fold_index, reg, cls, params.physics.copy(), traces), params
 
 
+FoldJob = tuple[Dataset, Dataset, TrainRunConfig, ModelConfig, int]
+
+
+def fold_jobs(
+    data: Dataset,
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    cfgs: list[TrainRunConfig],
+    model_cfg: ModelConfig,
+) -> list[FoldJob]:
+    """The ``run_fold`` arguments of every (config, split) pair, config-major,
+    folds numbered from 1. The configs share one copy of each split's rows."""
+    parts = [(data.subset(tr_idx), data.subset(va_idx)) for tr_idx, va_idx in splits]
+    return [
+        (train, valid, cfg, model_cfg, fold)
+        for cfg in cfgs
+        for fold, (train, valid) in enumerate(parts, start=1)
+    ]
+
+
+def _run_job(job: FoldJob) -> tuple[FoldReport, ModelParams]:
+    return run_fold(*job)
+
+
+# the thread-count setter of OpenBLAS, under each name its builds export
+BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: pin every OpenBLAS loaded in this worker to one thread.
+
+    The workers already fill the cores, and BLAS threads of their own spin
+    against each other (on 2 cores, unpinned workers made criterion 7 at
+    threads=2 twice as slow as one process). A forked worker never rereads
+    ``OPENBLAS_NUM_THREADS``, so the setter is called through ctypes.
+    Without ``/proc`` or an OpenBLAS, nothing changes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return
+    for path in {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list[tuple[FoldReport, ModelParams]]:
+    """``run_fold`` over every job, results in job order.
+
+    ``threads`` is the number of worker processes, capped at the number of
+    jobs; with one, the jobs run in this process, in order. Each worker
+    runs OpenBLAS on one thread. The pool lives inside this call: every
+    worker has exited when it returns or raises, and a job's exception
+    reaches the caller with its type and message.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [_run_job(job) for job in jobs]
+    # imported here: the pool's modules add about 30 ms to every cold start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker inherits the loaded package instead of importing it, and
+    # the method starts no resource tracker or forkserver that outlives the pool
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
+        return list(pool.map(_run_job, jobs))
+
+
 def run_kfold(
     data: Dataset,
     k: int,
@@ -269,27 +356,13 @@ def run_kfold(
 ) -> tuple[list[FoldReport], list[ModelParams]]:
     """Stratified k-fold driver; fold indices are 1-based as reported.
 
-    With threads > 1, folds train concurrently; every fold owns derived RNG
-    streams and results are collected in fold order, so the output is
-    identical to the sequential run.
+    With threads > 1, folds train on that many worker processes (see
+    ``run_fold_jobs``); every fold owns derived RNG streams and results are
+    collected in fold order, so the output is identical to the sequential run.
     """
     splits = stratified_kfold(data, k, cfg.seed)
-    jobs = [
-        (fold, data.subset(tr_idx), data.subset(va_idx))
-        for fold, (tr_idx, va_idx) in enumerate(splits, start=1)
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda job: run_fold(job[1], job[2], cfg, model_cfg, job[0]), jobs)
-            )
-    else:
-        results = [run_fold(tr, va, cfg, model_cfg, fold) for fold, tr, va in jobs]
-    reports = [r for r, _ in results]
-    models = [m for _, m in results]
-    return reports, models
+    results = run_fold_jobs(fold_jobs(data, splits, [cfg], model_cfg), threads)
+    return [r for r, _ in results], [m for _, m in results]
 
 
 # ---------------------------------------------------------------------------

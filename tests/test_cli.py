@@ -365,3 +365,24 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     )
     assert main(["kfold", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kfold", "ablate"])
+def test_numeric_failure_in_a_worker_process_exits_3(tmp_path, capsys, command):
+    cfg_path = write_config(
+        tmp_path,
+        {"data": {"synth": {"n": 200}}, "train": {"epochs": 2, "batch_size": 64, "k": 3, "lr": 1e120}},
+    )
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]
+    assert main(argv) == 3
+    assert "numeric failure: epoch 0, batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kfold", "ablate"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
+    cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", threads]
+    assert main(argv) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

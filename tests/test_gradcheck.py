@@ -9,6 +9,7 @@ from edapinn.gradcheck import check_gradients
 from edapinn.errors import ContractError
 from edapinn.model import ModelConfig, blocks, init_model
 from edapinn.rng import Pcg32
+from edapinn.suites import suite_gradient_check
 
 
 def make_batch(n, seed):
@@ -47,6 +48,23 @@ def test_corrupted_gradient_is_caught(monkeypatch):
     report = check_gradients(params, make_batch(16, 13), step=1e-5, tol=1e-6)
     assert not report.passed
     assert report.worst_block == "layer1.w"
+
+
+def test_gradient_below_fd_resolution_passes_and_a_small_error_is_still_caught(monkeypatch):
+    # seed 40's layer0.bn_shift[5] gradient is -1.13e-5; analytic and FD
+    # differ by 1.2e-11, below FD's round-off floor eps * |loss| / step
+    assert suite_gradient_check(40).passed
+    real = gradcheck_mod.batch_gradients
+
+    def scaled(params, *args):
+        breakdown, grad, preds = real(params, *args)
+        blocks(grad, params.config)["layer0.bn_shift"][...] *= 1.0 + 1e-5
+        return breakdown, grad, preds
+
+    monkeypatch.setattr(gradcheck_mod, "batch_gradients", scaled)
+    result = suite_gradient_check(40)
+    assert not result.passed
+    assert "layer0.bn_shift" in result.detail
 
 
 def test_zero_network_zero_targets_regression_gradients_vanish():

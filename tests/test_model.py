@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -170,6 +171,18 @@ def test_writes_through_views_reach_theta_and_rebinding_raises():
         params.physics.rho = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.layers[0].bn_running_mean = np.zeros(8)
+
+
+def test_unpickled_model_keeps_its_parts_on_theta():
+    params = init_model(ModelConfig(hidden=[8, 4], seed=15))
+    params.normalizer = fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0])
+    copy = pickle.loads(pickle.dumps(params))
+    assert checkpoint_text(copy) == checkpoint_text(params)
+    copy.layers[0].w[0, 0] = 7.5
+    copy.physics.rho[...] = -3.0
+    assert copy.theta[0] == 7.5
+    assert blocks(copy.theta, copy.config)["physics.rho"] == -3.0
+    assert params.theta[0] != 7.5  # the copy owns a new theta
 
 
 def test_bn_momentum_sets_the_committed_running_statistics():

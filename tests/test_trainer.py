@@ -1,13 +1,21 @@
 """Adam, the epoch loop, fold protocol, lambda dynamics and recovery."""
 
+import concurrent.futures
+import ctypes
+import glob
+import multiprocessing
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
+import edapinn.trainer as trainer_mod
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
-from edapinn.errors import ConfigError
-from edapinn.model import ModelConfig, blocks, init_model
+from edapinn.errors import ConfigError, DataFormatError, NumericError
+from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model
 from edapinn.objective import PhysicsParams, physics_residual
+from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
 from edapinn.trainer import (
     TrainRunConfig,
@@ -126,8 +134,6 @@ def test_single_sample_epoch_equals_one_adam_step():
 
 @pytest.mark.parametrize("rows, sizes", [(129, [129]), (136, [128, 8]), (260, [128, 132])])
 def test_small_final_batch_joins_the_previous_one(monkeypatch, rows, sizes):
-    import edapinn.trainer as trainer_mod
-
     real, seen = trainer_mod.batch_gradients, []
 
     def recording(params, batch, *args):
@@ -349,13 +355,128 @@ def test_kfold_shapes_and_aggregate():
         assert len(r.traces) == 3
 
 
-def test_kfold_threads_match_sequential():
+def child_pids() -> set[str]:
+    """Live children of this process, read from every thread's children list."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            pids.update(Path(path).read_text().split())
+        except FileNotFoundError:  # the thread ended after the glob
+            pass
+    return pids
+
+
+def assert_no_children():
+    assert multiprocessing.active_children() == []
+    assert child_pids() == set()
+
+
+def fold_outputs(reports, models) -> list[str]:
+    return [metrics_csv(reports), curves_csv(reports), params_csv(reports)] + [
+        checkpoint_text(m) for m in models
+    ]
+
+
+def test_kfold_worker_processes_match_sequential_byte_for_byte():
     data = small_synth(n=200, seed=13)
-    seq, _ = run_kfold(data, 4, quick_cfg(epochs=2), quick_model())
-    par, _ = run_kfold(data, 4, quick_cfg(epochs=2), quick_model(), threads=4)
-    for a, b in zip(seq, par):
-        assert a.regression == b.regression
-        assert a.classification == b.classification
+    seq = fold_outputs(*run_kfold(data, 4, quick_cfg(epochs=2), quick_model()))
+    par = fold_outputs(*run_kfold(data, 4, quick_cfg(epochs=2), quick_model(), threads=2))
+    assert_no_children()
+    assert len(par) == 3 + 4
+    assert par == seq
+
+
+def test_ablation_worker_processes_match_sequential_byte_for_byte():
+    data = small_synth(n=200, seed=13)
+    variants = ["full", "no_physics", "eda_only", "emotion_only", "ridge"]
+    outputs = {}
+    for threads in (1, 2):
+        rows, reports = ablation_table(data, variants, quick_model(), quick_cfg(epochs=2, k=3), threads)
+        assert_no_children()
+        outputs[threads] = [ablation_csv(rows)] + [
+            table(reports[v]) for v in variants[:4] for table in (metrics_csv, curves_csv, params_csv)
+        ]
+    assert outputs[2] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [NumericError("loss went non-finite"), ConfigError("bad knob"), DataFormatError("bad cell", row=3)],
+    ids=["numeric", "config", "data"],
+)
+@pytest.mark.parametrize("entry", ["run_kfold", "ablation_table"])
+def test_worker_failure_keeps_its_type_and_leaves_no_process(monkeypatch, error, entry):
+    real = trainer_mod.run_fold
+
+    def failing(train, valid, cfg, model_cfg, fold_index=1):
+        if fold_index == 2:
+            raise error
+        return real(train, valid, cfg, model_cfg, fold_index)
+
+    monkeypatch.setattr(trainer_mod, "run_fold", failing)  # forked workers inherit the patch
+    data = small_synth(n=200, seed=13)
+    with pytest.raises(type(error)) as caught:
+        if entry == "run_kfold":
+            run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=2)
+        else:
+            ablation_table(data, ["full", "eda_only"], quick_model(), quick_cfg(epochs=1, k=3), 2)
+    assert type(caught.value) is type(error)
+    assert str(caught.value) == str(error)
+    assert getattr(caught.value, "row", None) == getattr(error, "row", None)
+    assert_no_children()
+
+
+def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs jobs in-process."""
+
+        def __init__(self, max_workers, mp_context, initializer):
+            assert mp_context.get_start_method() == "fork"
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    data = small_synth(n=200, seed=13)
+    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=64)
+    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=2)
+    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=1)  # in-process, no pool
+    ablation_table(data, ["full", "eda_only", "ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)
+    ablation_table(data, ["ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)  # no jobs, no pool
+    assert sizes == [3, 2, 6]
+
+
+def blas_threads() -> list[int]:
+    """The thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    counts = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}):
+        lib = ctypes.CDLL(path)
+        for name in trainer_mod.BLAS_THREAD_SETTERS:
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if getter is not None:
+                counts.append(getter())
+    return counts
+
+
+def test_workers_run_blas_on_one_thread(monkeypatch):
+    before = blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    monkeypatch.setattr(trainer_mod, "run_fold", lambda *job: (blas_threads(), None))
+    seen, _ = run_kfold(small_synth(n=200, seed=13), 3, quick_cfg(), quick_model(), threads=2)
+    assert seen == [[1] * len(before)] * 3
+    assert blas_threads() == before  # this process keeps its own setting
 
 
 def test_kfold_rejects_k_above_minority_count():
@@ -481,8 +602,6 @@ def test_residual_free_data_supports_recovery_premise():
 
 
 def test_divergent_run_aborts_with_batch_index():
-    from edapinn.errors import NumericError
-
     data = small_synth(n=200, seed=3)
     with pytest.raises(NumericError) as exc:
         run_fold(
