@@ -11,14 +11,16 @@ protocol (2000 samples, 50 epochs) lives behind `edapinn kfold` and
 import numpy as np
 
 from edapinn import ModelConfig, SynthSpec, TrainRunConfig, run_kfold, synth_generate
+from edapinn.baselines import BASELINES
 from edapinn.reporting import ablation_table, aggregate_folds, render_table
+from edapinn.trainer import VARIANTS
 
 data, _ = synth_generate(SynthSpec(n=800, seed=21))
 cfg = TrainRunConfig(epochs=20, batch_size=128, seed=21, k=5)
 model_cfg = ModelConfig(seed=21)
 
 print("=== 5-fold cross-validation, full variant ===")
-reports, _ = run_kfold(data, 5, cfg, model_cfg)
+reports, _ = run_kfold(data, cfg, model_cfg)
 rows = aggregate_folds(reports)
 header = ["fold", "eda_rmse", "eda_mae", "eda_r", "accuracy", "precision", "recall", "f1"]
 print(render_table(header, [[r.fold] + [f"{v:.4f}" for v in r.values] for r in rows]))
@@ -32,9 +34,7 @@ for r in reports:
 
 print()
 print("=== ablation: task variants vs classical baselines ===")
-table, _ = ablation_table(
-    data, ["full", "no_physics", "eda_only", "emotion_only", "ridge", "logistic"], model_cfg, cfg
-)
+table, _ = ablation_table(data, [*VARIANTS, *BASELINES], model_cfg, cfg)
 print(render_table(
     ["variant", "eda_rmse", "emotion_f1", "pearson_r"],
     [[t.variant, f"{t.eda_rmse:.4f}", f"{t.emotion_f1:.4f}", f"{t.pearson_r:.4f}"] for t in table],

@@ -216,21 +216,14 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def dropout_forward(
-    x: DualBatch,
-    rate: float,
-    mode: str,
-    rng: Pcg32 | None = None,
-    mask: np.ndarray | None = None,
-):
-    """The masked batch and the mask applied, or ``x`` itself and ``None``
-    when dropout is off (eval mode or a zero rate)."""
+def dropout_forward(x: DualBatch, rate: float, mode: str, rng: Pcg32 | None = None):
+    """The batch masked by a fresh draw from ``rng`` and the mask applied, or
+    ``x`` itself and ``None`` when dropout is off (eval mode or a zero rate)."""
     if mode == "eval" or rate == 0.0:
         return x, None
-    if mask is None:
-        if rng is None:
-            raise ContractError("train-mode dropout needs an rng or a precomputed mask")
-        mask = make_dropout_mask(x.value.shape, rate, rng)
+    if rng is None:
+        raise ContractError("train-mode dropout needs an rng")
+    mask = make_dropout_mask(x.value.shape, rate, rng)
     return DualBatch(x.value * mask, x.tangent * mask), mask
 
 

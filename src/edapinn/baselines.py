@@ -2,7 +2,10 @@
 
 Both consume the same normalized design block (time column + emotion
 features) and the same fold splits as the network, so ablation rows are
-directly comparable.
+directly comparable. ``BASELINES`` maps each name, in table order, to its
+(eda_rmse, emotion_f1, pearson_r) on one normalized split. A baseline fills
+only its own task's columns; the other task reports 0.0 (no trained
+predictor), the convention of the single-task network variants.
 """
 
 from __future__ import annotations
@@ -29,26 +32,20 @@ class LinearModel:
         return sigmoid(self.predict(x))
 
 
-def ridge_fit(
-    x: np.ndarray, y: np.ndarray, ridge_lambda: float = 0.0, fit_intercept: bool = True
-) -> LinearModel:
-    """Exact solve of (X'X + lambda I) w = X'y; the intercept is unpenalized
-    (handled by centering, which is equivalent for an unpenalized offset)."""
+def ridge_fit(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 0.0) -> LinearModel:
+    """Exact solve of (Xc'Xc + lambda I) w = Xc'yc on the centered Xc, yc;
+    the intercept is unpenalized (centering is equivalent for an
+    unpenalized offset)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ContractError("ridge_fit needs X of shape (n, d) and y of shape (n,)")
     if ridge_lambda < 0:
         raise ContractError("ridge lambda must be >= 0")
-    if fit_intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(x.shape[1])
-        y_mean = 0.0
-        xc, yc = x, y
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    yc = y - y_mean
     gram = xc.T @ xc + ridge_lambda * np.eye(x.shape[1])
     if ridge_lambda == 0.0:
         cond = np.linalg.cond(gram)
@@ -58,8 +55,7 @@ def ridge_fit(
                 "use ridge_lambda > 0"
             )
     w = np.linalg.solve(gram, xc.T @ yc)
-    intercept = y_mean - float(x_mean @ w) if fit_intercept else 0.0
-    return LinearModel(w, intercept)
+    return LinearModel(w, y_mean - float(x_mean @ w))
 
 
 def logistic_fit(
@@ -81,47 +77,34 @@ def logistic_fit(
     return LinearModel(w, b)
 
 
-@dataclass
-class BaselineRow:
-    name: str
-    eda_rmse: float
-    emotion_f1: float
-    pearson_r: float
+RIDGE_LAMBDA = 1e-6  # keeps the normal equations solvable on collinear folds
+
+
+def _ridge_scores(train: Dataset, valid: Dataset) -> tuple[float, float, float]:
+    fitted = ridge_fit(train.inputs, train.y, RIDGE_LAMBDA)
+    m = regression_metrics(fitted.predict(valid.inputs), valid.y)
+    return m.rmse, 0.0, m.pearson_r
+
+
+def _logistic_scores(train: Dataset, valid: Dataset) -> tuple[float, float, float]:
+    fitted = logistic_fit(train.inputs, train.label.astype(np.float64))
+    return 0.0, classification_metrics(fitted.predict_proba(valid.inputs), valid.label).f1, 0.0
+
+
+BASELINES = {"ridge": _ridge_scores, "logistic": _logistic_scores}
 
 
 def baseline_rows(
-    data: Dataset,
-    folds: list[tuple[np.ndarray, np.ndarray]],
-    which: tuple[str, ...] = ("ridge", "logistic"),
-    ridge_lambda: float = 1e-6,
-) -> list[BaselineRow]:
-    """Mean metrics per baseline over the given folds, in ablation-table
-    format. Each baseline fills only its own task's columns; the other task
-    reports 0.0 (no trained predictor), matching the convention used for
-    single-task network variants."""
-    rows = []
-    for name in which:
-        if name not in ("ridge", "logistic"):
-            raise ContractError(f"unknown baseline {name!r}")
-        rmses, rs, f1s = [], [], []
-        for tr_idx, va_idx in folds:
-            train, valid = data.subset(tr_idx), data.subset(va_idx)
-            norm = fit_normalizer(train)
-            train_n = apply_normalizer(norm, train)
-            valid_n = apply_normalizer(norm, valid)
-            if name == "ridge":
-                fitted = ridge_fit(train_n.inputs, train_n.y, ridge_lambda)
-                pred = fitted.predict(valid_n.inputs)
-                m = regression_metrics(pred, valid_n.y)
-                rmses.append(m.rmse)
-                rs.append(m.pearson_r)
-            else:
-                fitted = logistic_fit(train_n.inputs, train_n.label.astype(np.float64))
-                prob = fitted.predict_proba(valid_n.inputs)
-                m = classification_metrics(prob, valid_n.label)
-                f1s.append(m.f1)
-        if name == "ridge":
-            rows.append(BaselineRow("ridge", float(np.mean(rmses)), 0.0, float(np.mean(rs))))
-        else:
-            rows.append(BaselineRow("logistic", 0.0, float(np.mean(f1s)), 0.0))
-    return rows
+    data: Dataset, folds: list[tuple[np.ndarray, np.ndarray]], names: list[str]
+) -> dict[str, tuple[float, float, float]]:
+    """The mean (eda_rmse, emotion_f1, pearson_r) of each named baseline over
+    the given folds, in one pass: every fold is normalized once, on its
+    training part, for all of them."""
+    scores: dict[str, list[tuple[float, float, float]]] = {name: [] for name in names}
+    for tr_idx, va_idx in folds:
+        train, valid = data.subset(tr_idx), data.subset(va_idx)
+        norm = fit_normalizer(train)
+        train_n, valid_n = apply_normalizer(norm, train), apply_normalizer(norm, valid)
+        for name in names:
+            scores[name].append(BASELINES[name](train_n, valid_n))
+    return {name: tuple(float(np.mean(col)) for col in zip(*s)) for name, s in scores.items()}

@@ -106,7 +106,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
     data, _ = _load_dataset(cfg)
-    reports, models = run_kfold(data, cfg.train.k, cfg.train, cfg.model, threads=threads)
+    reports, models = run_kfold(data, cfg.train, cfg.model, threads=threads)
     out.mkdir(parents=True, exist_ok=True)
     _write_fold_tables(out, reports)
     for report, params in zip(reports, models):

@@ -5,8 +5,10 @@ default. The keys of the ``model``, ``train`` and ``data.synth`` sections are
 the fields of ``ModelConfig``, ``TrainRunConfig`` and ``SynthSpec`` (with
 ``ClusterSpec`` objects nested under ``nonstress`` and ``stress``), less their
 derived ``seed``; each value must have the type of its field's default, and
-numbers must be finite. Unknown keys and malformed values are rejected
-before any computation starts, with the full key path in the diagnostic.
+numbers must be finite. ``ablate.variants`` lists the ablation rows: at
+least one, each a network variant or a baseline, none twice. Unknown keys
+and malformed values are rejected before any computation starts, with the
+full key path in the diagnostic.
 The single top-level seed derives every stream seed (init, dropout,
 shuffling, synthesis), so one integer reproduces an entire experiment.
 """
@@ -15,18 +17,17 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .baselines import BASELINES
 from .data import SynthSpec
 from .errors import ConfigError
 from .model import ModelConfig
 from .rng import derive_seed
-from .trainer import TrainRunConfig
-
-DEFAULT_ABLATION_VARIANTS = ["full", "no_physics", "eda_only", "emotion_only", "ridge", "logistic"]
+from .trainer import VARIANTS, TrainRunConfig
 
 
 @dataclass
@@ -37,7 +38,7 @@ class RunConfig:
     input_path: str | None
     synth: SynthSpec
     output_dir: str
-    ablate_variants: list[str] = field(default_factory=lambda: list(DEFAULT_ABLATION_VARIANTS))
+    ablate_variants: list[str]
 
 
 def _value(val, default, where: str):
@@ -118,8 +119,10 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
 
     asec = doc.get("ablate", {})
     _expect_keys(asec, {"variants"}, "ablate")
-    variants = asec.get("variants", DEFAULT_ABLATION_VARIANTS)
-    variants = _value(variants, DEFAULT_ABLATION_VARIANTS, "ablate.variants")
+    known = [*VARIANTS, *BASELINES]
+    variants = _value(asec.get("variants", known), known, "ablate.variants")
+    if not variants or any(v not in known or v in variants[:i] for i, v in enumerate(variants)):
+        raise ConfigError(f"config key 'ablate.variants' must list some of {known}, none twice")
 
     return RunConfig(seed, model, train, input_path, synth, output_dir, variants)
 

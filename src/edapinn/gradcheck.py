@@ -2,14 +2,15 @@
 
 Checks every trainable block of the full objective (EDA MSE + emotion BCE +
 lambda * physics penalty), including the path through d(EDA)/dt. The
-analytic side is the trainer's own ``batch_gradients`` under the ``full``
-variant, so the check covers the code that training runs. Dropout
-masks are materialized once and pinned for every evaluation so the checked
-function is deterministic; batch-norm runs in train mode, so the finite
-differences see the batch statistics' dependence on the perturbed weights,
-exactly as the analytic backward does. Each coordinate is perturbed in
-place through the named views ``model.blocks`` gives of ``params.theta``
-and restored after its two evaluations.
+analytic side is the trainer's own ``batch_gradients`` and every loss value
+its ``batch_loss``, under the ``full`` variant, so the check covers the code
+that training runs. Each evaluation draws its dropout masks from a freshly
+derived ``Pcg32(seed).derive("gradcheck")``, so all apply the same masks and
+the checked function is deterministic; batch-norm runs in train mode, so the
+finite differences see the batch statistics' dependence on the perturbed
+weights, exactly as the analytic backward does. Each coordinate is perturbed
+in place through the named views ``model.blocks`` gives of ``params.theta``
+and restored after its evaluations.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from . import objective as obj
 from .data import Dataset
 from .errors import ContractError
 from .model import ModelParams
 from .rng import Pcg32
-from .trainer import TrainRunConfig, batch_gradients
+from .trainer import TrainRunConfig, batch_gradients, batch_loss
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -35,19 +35,6 @@ class GradCheckReport:
     max_rel_error: float
     worst_block: str
     passed: bool
-
-
-def _loss_value(params: ModelParams, batch: Dataset, masks) -> float:
-    preds = model_mod.forward_batch(params, batch, "train", dropout_masks=masks)
-    breakdown, _ = obj.loss_gradients(
-        preds,
-        batch.y,
-        batch.label.astype(np.float64),
-        batch.e,
-        params.physics,
-        lambda_floor=params.config.lambda_floor,
-    )
-    return breakdown.total
 
 
 def check_gradients(
@@ -70,12 +57,12 @@ def check_gradients(
     """
     if len(batch) < 2:
         raise ContractError("gradient check needs a batch of size >= 2")
-    masks = None
-    if params.config.dropout > 0.0:
-        masks = model_mod.draw_dropout_masks(
-            params, len(batch), Pcg32(params.config.seed).derive("gradcheck")
-        )
-    _, analytic, _ = batch_gradients(params, batch, TrainRunConfig(), None, masks)
+    cfg = TrainRunConfig()
+
+    def mask_stream() -> Pcg32:
+        return Pcg32(params.config.seed).derive("gradcheck")
+
+    _, analytic, _ = batch_gradients(params, batch, cfg, mask_stream())
     grads = model_mod.blocks(analytic, params.config)
     views = model_mod.blocks(params.theta, params.config)
     if params.config.lambda_frozen:  # a frozen lambda is a constant of the objective
@@ -90,7 +77,7 @@ def check_gradients(
             losses = []
             for h in (step, -step, 2.0 * step, -2.0 * step):
                 flat[i] = orig + h
-                losses.append(_loss_value(params, batch, masks))
+                losses.append(batch_loss(params, batch, cfg, mask_stream())[0].total)
             flat[i] = orig
             lp, lm, lp2, lm2 = losses
             fd = (lp - lm) / (2.0 * step)

@@ -211,25 +211,19 @@ def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> Mod
     return ModelParams(layers, head_reg, head_cls, PhysicsParams(), normalizer, config)
 
 
-def draw_dropout_masks(params: ModelParams, n: int, rng: Pcg32) -> list[np.ndarray]:
-    """Materialize one mask per hidden layer, as a train-mode forward would."""
-    rate = params.config.dropout
-    return [ad.make_dropout_mask((n, l.w.shape[1]), rate, rng) for l in params.layers]
-
-
 def forward(
     params: ModelParams,
     t: np.ndarray,
     e: np.ndarray,
     mode: str = "eval",
     rng: Pcg32 | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
 ) -> Predictions:
     """Dual-channel forward pass over a normalized batch.
 
-    Train mode uses batch statistics and fresh dropout masks (from ``rng``
-    unless ``dropout_masks`` pins them); eval mode uses running statistics,
-    disables dropout and never consumes randomness.
+    Train mode uses batch statistics and draws one dropout mask per hidden
+    layer from ``rng``, in layer order, so two streams in the same state
+    give the same masks; eval mode uses running statistics, disables
+    dropout and never consumes randomness.
     """
     t = np.asarray(t, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -254,8 +248,7 @@ def forward(
                 momentum=cfg.bn_momentum,
             )
             x, c_sw = ad.swish_forward(x)
-            mask = dropout_masks[i] if dropout_masks is not None else None
-            x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng, mask)
+            x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
             if not np.all(np.isfinite(x.value)) or not np.all(np.isfinite(x.tangent)):
                 raise NumericError(f"non-finite activations after hidden layer {i}")
             layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
@@ -271,15 +264,9 @@ def forward(
     return Predictions(y, dydt, z, ad.sigmoid(z), caches)
 
 
-def forward_batch(
-    params: ModelParams,
-    batch,
-    mode: str = "eval",
-    rng: Pcg32 | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> Predictions:
+def forward_batch(params: ModelParams, batch, mode: str = "eval", rng: Pcg32 | None = None) -> Predictions:
     """Forward over a (normalized) Dataset."""
-    return forward(params, batch.t, batch.e, mode, rng, dropout_masks)
+    return forward(params, batch.t, batch.e, mode, rng)
 
 
 def backward(

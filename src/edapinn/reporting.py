@@ -15,15 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import baseline_rows
+from .baselines import BASELINES, baseline_rows
 from .data import Dataset, _fmt, stratified_kfold, write_text_atomic  # re-exported for cli
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
-from .trainer import VARIANTS, FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
-
-PINN_VARIANTS = VARIANTS
-BASELINE_IDS = ("ridge", "logistic")
+from .trainer import FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +122,27 @@ def ablation_table(
 ) -> tuple[list[AblationRow], dict[str, list[FoldReport]]]:
     """One row per variant id, each evaluated with the same stratified folds.
 
-    Network variants run the full k-fold protocol; their (variant, fold)
-    trainings form one job list, run on ``threads`` worker processes when
-    threads > 1 (see ``trainer.run_fold_jobs``). The default of 1 trains in
-    this process. The eda_only variant reports F1 = 0.0: its classification
-    head receives no gradient, so there is no trained classifier to score.
-    Returns the table plus the per-variant fold reports so callers can reuse
-    them without retraining.
+    A variant is a baseline of ``baselines.BASELINES`` or else a network
+    variant, which ``TrainRunConfig.validate`` checks. Network variants run
+    the full k-fold protocol; their (variant, fold) trainings form one job
+    list, run on ``threads`` worker processes when threads > 1 (see
+    ``trainer.run_fold_jobs``). The default of 1 trains in this process. The
+    eda_only variant reports F1 = 0.0: its classification head receives no
+    gradient, so there is no trained classifier to score. Returns the table
+    plus the per-variant fold reports so callers can reuse them without
+    retraining.
     """
-    for v in variants:
-        if v not in PINN_VARIANTS and v not in BASELINE_IDS:
-            raise ConfigError(f"unknown ablation variant {v!r}")
     folds = stratified_kfold(data, cfg.k, cfg.seed)
-    networks = list(dict.fromkeys(v for v in variants if v in PINN_VARIANTS))
+    networks = [v for v in variants if v not in BASELINES]
     jobs = fold_jobs(data, folds, [replace(cfg, variant=v) for v in networks], model_cfg)
     results = run_fold_jobs(jobs, threads)
     k = len(folds)
     fold_reports = {v: [r for r, _ in results[i * k : (i + 1) * k]] for i, v in enumerate(networks)}
+    baseline = baseline_rows(data, folds, [v for v in variants if v in BASELINES])
     rows: list[AblationRow] = []
     for v in variants:
-        if v in BASELINE_IDS:
-            row = baseline_rows(data, folds, which=(v,))[0]
-            rows.append(AblationRow(row.name, row.eda_rmse, row.emotion_f1, row.pearson_r))
+        if v in baseline:
+            rows.append(AblationRow(v, *baseline[v]))
             continue
         reports = fold_reports[v]
         rmse = float(np.mean([r.regression.rmse for r in reports]))

@@ -97,15 +97,17 @@ class FoldReport:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: ModelParams, lr: float = 0.001) -> AdamState:
@@ -121,11 +123,11 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
     if grad.shape != params.theta.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match theta {params.theta.shape}")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    params.theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    params.theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return replace(state, m=m, v=v, t=t)
 
 
@@ -134,22 +136,15 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
 # ---------------------------------------------------------------------------
 
 
-def batch_gradients(
-    params: ModelParams,
-    batch: Dataset,
-    cfg: TrainRunConfig,
-    rng: Pcg32 | None,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
-    """Forward + backward for one normalized batch under the variant's objective.
-
-    Returns the gradient laid out as ``params.theta``: the network blocks
-    from ``model.backward`` and the physics slots filled here, the one place
-    the two are assembled for Adam and the gradient checker.
-    """
+def batch_loss(
+    params: ModelParams, batch: Dataset, cfg: TrainRunConfig, rng: Pcg32 | None
+) -> tuple[obj.LossBreakdown, obj.LossGrads, model_mod.Predictions]:
+    """The variant's objective on the train-mode forward of one normalized
+    batch, dropout masks drawn from ``rng`` (None at a zero rate): the loss,
+    its adjoints and the predictions, for training and the gradient checker."""
     use_eda, use_emotion, use_physics = cfg.task_weights()
     mcfg = params.config
-    preds = forward_batch(params, batch, "train", rng, dropout_masks)
+    preds = forward_batch(params, batch, "train", rng)
     breakdown, lg = obj.loss_gradients(
         preds,
         batch.y,
@@ -162,8 +157,21 @@ def batch_gradients(
         lambda_floor=mcfg.lambda_floor,
         lambda_frozen=mcfg.lambda_frozen,
     )
+    return breakdown, lg, preds
+
+
+def batch_gradients(
+    params: ModelParams, batch: Dataset, cfg: TrainRunConfig, rng: Pcg32 | None
+) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
+    """Forward + backward for one normalized batch under the variant's objective.
+
+    Returns the gradient laid out as ``params.theta``: the network blocks
+    from ``model.backward`` and the physics slots filled here, the one place
+    the two are assembled for Adam and the gradient checker.
+    """
+    breakdown, lg, preds = batch_loss(params, batch, cfg, rng)
     grad = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
-    g = model_mod.blocks(grad, mcfg)
+    g = model_mod.blocks(grad, params.config)
     g["physics.alpha0"][...] = lg.d_alpha0
     g["physics.beta"][...] = lg.d_beta
     g["physics.gamma"][...] = lg.d_gamma
@@ -349,18 +357,17 @@ def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list[tuple[FoldRepor
 
 def run_kfold(
     data: Dataset,
-    k: int,
     cfg: TrainRunConfig,
     model_cfg: ModelConfig,
     threads: int = 1,
 ) -> tuple[list[FoldReport], list[ModelParams]]:
-    """Stratified k-fold driver; fold indices are 1-based as reported.
+    """Stratified ``cfg.k``-fold driver; fold indices are 1-based as reported.
 
     With threads > 1, folds train on that many worker processes (see
     ``run_fold_jobs``); every fold owns derived RNG streams and results are
     collected in fold order, so the output is identical to the sequential run.
     """
-    splits = stratified_kfold(data, k, cfg.seed)
+    splits = stratified_kfold(data, cfg.k, cfg.seed)
     results = run_fold_jobs(fold_jobs(data, splits, [cfg], model_cfg), threads)
     return [r for r, _ in results], [m for _, m in results]
 
@@ -398,38 +405,30 @@ def recover_physics(
     y: np.ndarray,
     e: np.ndarray,
     gamma: float,
-    init: PhysicsParams | None = None,
     init_perturbation: float = 0.5,
     steps: int = 5000,
-    lr: float | None = None,
 ) -> RecoveryResult:
-    """Plain gradient descent on the physics loss over (alpha0, beta) alone.
+    """Plain gradient descent on the physics loss over (alpha0, beta) alone,
+    started from the normal-equations oracle scaled by ``1 + init_perturbation``.
 
     gamma is gauge-fixed to break the joint scale invariance of
     (alpha0, beta, gamma). Columns are rms-scaled (a diagonal preconditioner)
-    and the default step size comes from the preconditioned quadratic's
-    spectrum, so the true parameters are an exact fixed point and descent is
-    monotone. The result reports the normal-equations oracle alongside;
-    non-convergence after the step budget (some component more than 1% off
-    the oracle) is flagged, not silenced.
+    and the step size comes from the preconditioned quadratic's spectrum, so
+    the least-squares parameters are an exact fixed point and descent is
+    monotone. The result reports the oracle alongside; non-convergence after
+    the step budget (some component more than 1% off the oracle) is flagged,
+    not silenced.
     """
     oracle = physics_least_squares(dydt, y, e, gamma)
-    if init is None:
-        init = PhysicsParams(
-            oracle.alpha0 * (1.0 + init_perturbation),
-            oracle.beta * (1.0 + init_perturbation),
-            gamma,
-        )
-    theta = np.concatenate([[init.alpha0], init.beta])
+    theta = np.concatenate([[oracle.alpha0], oracle.beta]) * (1.0 + init_perturbation)
     a = np.column_stack([y, -e])
     forcing = gamma * dydt
     n = y.shape[0]
     scale = np.sqrt(np.mean(a * a, axis=0))
     scale[scale == 0.0] = 1.0
     a_s = a / scale
-    if lr is None:
-        eigs = np.linalg.eigvalsh(2.0 * (a_s.T @ a_s) / n)
-        lr = 2.0 / (eigs[-1] + max(eigs[0], 0.0))
+    eigs = np.linalg.eigvalsh(2.0 * (a_s.T @ a_s) / n)
+    lr = 2.0 / (eigs[-1] + max(eigs[0], 0.0))
     theta_s = theta * scale
     for _ in range(steps):
         r = a_s @ theta_s + forcing

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edapinn.baselines import baseline_rows, logistic_fit, ridge_fit
+from edapinn.baselines import BASELINES, baseline_rows, logistic_fit, ridge_fit
 from edapinn.data import SynthSpec, stratified_kfold, synth_generate, Dataset
 from edapinn.errors import NumericError
 from edapinn.objective import bce
@@ -11,18 +11,26 @@ from edapinn.rng import Pcg32
 
 
 def test_ridge_exact_interpolation_no_intercept():
+    # points on a line through the origin: slope 1, fitted intercept 0
     x = np.array([[1.0], [2.0]])
     y = np.array([1.0, 2.0])
-    model = ridge_fit(x, y, 0.0, fit_intercept=False)
+    model = ridge_fit(x, y, 0.0)
     assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
+    assert model.intercept == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ridge_shrinkage_five_sixths():
-    # (X'X + 1)^-1 X'y = 5/6 for X = (1, 2)^T, y = (1, 2)
+    # on the centered data the closed form is (Xc'Xc + lam)^-1 Xc'yc: for
+    # X = (1, 2)^T, y = (1, 2), Xc'Xc = Xc'yc = 1/2, so lam = 1 gives 1/3 and
+    # the unpenalized intercept 3/2 - 3/2 * 1/3 = 1; lam = 1/10 gives 5/6
     x = np.array([[1.0], [2.0]])
     y = np.array([1.0, 2.0])
-    model = ridge_fit(x, y, 1.0, fit_intercept=False)
+    model = ridge_fit(x, y, 1.0)
+    assert model.weights[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert model.intercept == pytest.approx(1.0, abs=1e-12)
+    model = ridge_fit(x, y, 0.1)
     assert model.weights[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert model.intercept == pytest.approx(1.5 - 1.5 * 5.0 / 6.0, abs=1e-12)
 
 
 def test_ridge_zero_targets_zero_weights():
@@ -66,11 +74,11 @@ def test_ridge_perturbation_never_improves_objective():
 
 
 def test_ridge_singular_without_regularization():
-    x = np.ones((5, 2))  # rank 1
+    x = np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)])  # rank 1 once centered
     with pytest.raises(NumericError):
-        ridge_fit(x, np.arange(5.0), 0.0, fit_intercept=False)
+        ridge_fit(x, np.arange(5.0), 0.0)
     # with a ridge term the solve goes through
-    ridge_fit(x, np.arange(5.0), 1e-3, fit_intercept=False)
+    ridge_fit(x, np.arange(5.0), 1e-3)
 
 
 def test_logistic_separable_data_perfect_accuracy():
@@ -122,23 +130,29 @@ def test_logistic_descent_monotone_bce():
 def test_baseline_rows_shapes_and_sanity():
     data, _ = synth_generate(SynthSpec(n=600, seed=11))
     folds = stratified_kfold(data, 3, seed=1)
-    rows = baseline_rows(data, folds)
-    names = [r.name for r in rows]
-    assert names == ["ridge", "logistic"]
-    ridge, logistic = rows
-    assert ridge.eda_rmse > 0 and ridge.emotion_f1 == 0.0
-    assert 0.0 < logistic.emotion_f1 < 1.0
-    assert logistic.eda_rmse == 0.0
+    rows = baseline_rows(data, folds, list(BASELINES))
+    assert list(rows) == ["ridge", "logistic"]
+    (ridge_rmse, ridge_f1, ridge_r), (logistic_rmse, logistic_f1, logistic_r) = rows.values()
+    assert ridge_rmse > 0 and ridge_f1 == 0.0 and 0.0 < ridge_r <= 1.0
+    assert 0.0 < logistic_f1 < 1.0
+    assert logistic_rmse == 0.0 and logistic_r == 0.0
+    # one pass over the folds gives each baseline the row it gets alone
+    assert baseline_rows(data, folds, ["logistic"])["logistic"] == rows["logistic"]
 
 
 def test_ridge_exact_on_affine_truth():
-    # when the target is exactly affine in the inputs the fit is exact
+    # when the target is exactly affine in the inputs the fit is exact, and
+    # the baseline's tiny ridge term keeps it so on the normalized inputs
     rng = Pcg32(13)
     n = 200
     t = rng.uniform(0, 1, n)
     e = rng.normal(3 * n).reshape(n, 3)
     y = 0.3 * t + e @ np.array([0.5, -0.2, 0.1]) + 0.7
+    x = np.column_stack([t, e])
+    exact = ridge_fit(x, y, 0.0)
+    assert np.max(np.abs(exact.predict(x) - y)) <= 1e-12
     data = Dataset(t, e, y, (rng.random(n) < 0.5).astype(np.int64))
     folds = stratified_kfold(data, 3, seed=2)
-    rows = baseline_rows(data, folds, which=("ridge",), ridge_lambda=0.0)
-    assert rows[0].eda_rmse <= 1e-8
+    rmse, _, r = baseline_rows(data, folds, ["ridge"])["ridge"]
+    assert rmse <= 1e-8
+    assert r == pytest.approx(1.0, abs=1e-12)

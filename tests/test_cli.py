@@ -329,11 +329,21 @@ def test_ablate_row_count_and_orderings(tmp_path, capsys):
     assert len(comp) == 4  # header + full, eda_only, emotion_only
 
 
-def test_ablate_unknown_variant_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "variants", [["nope"], ["full", "full", "ridge"], []], ids=["unknown", "duplicate", "empty"]
+)
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate"])
+def test_ablate_unknown_variant_exits_2(tmp_path, capsys, command, variants):
+    """The ablation rows are checked with the rest of the config, under every
+    command: an unknown name, a repeat or an empty list exits 2 before any run."""
     cfg_path = write_config(
-        tmp_path, {"data": {"synth": SMALL_SYNTH}, "ablate": {"variants": ["fulll"]}}
+        tmp_path,
+        {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN, "ablate": {"variants": variants}},
     )
-    assert main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'ablate.variants'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_renders_tables(tmp_path, capsys):

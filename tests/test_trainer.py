@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import edapinn.trainer as trainer_mod
+from edapinn.autodiff import make_dropout_mask
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError, DataFormatError, NumericError
 from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model
@@ -21,6 +22,7 @@ from edapinn.trainer import (
     TrainRunConfig,
     adam_step,
     batch_gradients,
+    batch_loss,
     init_adam,
     physics_least_squares,
     recover_physics,
@@ -235,13 +237,31 @@ def test_training_step_evaluates_the_objective_once(monkeypatch):
     assert calls == [64]
 
 
-def test_single_step_descent_probability():
-    # one Adam step on a fixed batch with pinned dropout masks should not
-    # increase that batch's own loss for lr <= 1e-3 (>= 99% of seeds)
-    from edapinn.model import draw_dropout_masks
-    import edapinn.model as model_mod
-    from edapinn import objective as obj
+def test_batch_loss_on_fresh_streams_repeats_and_masks_in_layer_order():
+    # the gradient checker relies on this: a stream derived afresh for every
+    # evaluation pins the dropout masks, one per hidden layer, in layer order
+    data = small_synth(n=64, seed=21)
+    nd = apply_normalizer(fit_normalizer(data), data)
+    params = init_model(quick_model(hidden=[12, 9, 6], dropout=0.3))
 
+    def stream():
+        return Pcg32(params.config.seed).derive("gradcheck")
+
+    first, _, preds = batch_loss(params, nd, quick_cfg(), stream())
+    second, _, _ = batch_loss(params, nd, quick_cfg(), stream())
+    assert np.float64(first.total).tobytes() == np.float64(second.total).tobytes()
+    rng = stream()
+    for layer, cache in zip(params.layers, preds.caches.layers):
+        expected = make_dropout_mask((len(nd), layer.w.shape[1]), 0.3, rng)
+        assert np.array_equal(cache.dropout_mask, expected)
+    breakdown, _, _ = batch_gradients(params, nd, quick_cfg(), stream())
+    assert np.float64(breakdown.total).tobytes() == np.float64(first.total).tobytes()
+
+
+def test_single_step_descent_probability():
+    # one Adam step on a fixed batch, with the same dropout masks before and
+    # after, should not increase that batch's own loss for lr <= 1e-3
+    # (>= 99% of seeds)
     data = small_synth(n=64, seed=21)
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
@@ -250,14 +270,9 @@ def test_single_step_descent_probability():
     trials = 100
     for s in range(trials):
         params = init_model(quick_model(seed=1000 + s), norm)
-        masks = draw_dropout_masks(params, len(nd), Pcg32(s).derive("mask"))
-        before, grad, _ = batch_gradients(params, nd, cfg, None, masks)
-        labels = nd.label.astype(float)
+        before, grad, _ = batch_gradients(params, nd, cfg, Pcg32(s).derive("mask"))
         adam_step(init_adam(params, cfg.lr), params, grad)
-        preds2 = model_mod.forward_batch(params, nd, "train", dropout_masks=masks)
-        after, _ = obj.loss_gradients(
-            preds2, nd.y, labels, nd.e, params.physics, lambda_floor=params.config.lambda_floor
-        )
+        after, _, _ = batch_loss(params, nd, cfg, Pcg32(s).derive("mask"))
         wins += after.total <= before.total
     assert wins >= 99
 
@@ -348,7 +363,7 @@ def test_fold_report_and_traces_are_detached_snapshots():
 
 def test_kfold_shapes_and_aggregate():
     data = small_synth(n=250, seed=11)
-    reports, models = run_kfold(data, 5, quick_cfg(), quick_model())
+    reports, models = run_kfold(data, quick_cfg(), quick_model())
     assert [r.fold for r in reports] == [1, 2, 3, 4, 5]
     assert len(models) == 5
     for r in reports:
@@ -379,8 +394,8 @@ def fold_outputs(reports, models) -> list[str]:
 
 def test_kfold_worker_processes_match_sequential_byte_for_byte():
     data = small_synth(n=200, seed=13)
-    seq = fold_outputs(*run_kfold(data, 4, quick_cfg(epochs=2), quick_model()))
-    par = fold_outputs(*run_kfold(data, 4, quick_cfg(epochs=2), quick_model(), threads=2))
+    seq = fold_outputs(*run_kfold(data, quick_cfg(epochs=2, k=4), quick_model()))
+    par = fold_outputs(*run_kfold(data, quick_cfg(epochs=2, k=4), quick_model(), threads=2))
     assert_no_children()
     assert len(par) == 3 + 4
     assert par == seq
@@ -417,7 +432,7 @@ def test_worker_failure_keeps_its_type_and_leaves_no_process(monkeypatch, error,
     data = small_synth(n=200, seed=13)
     with pytest.raises(type(error)) as caught:
         if entry == "run_kfold":
-            run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=2)
+            run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=2)
         else:
             ablation_table(data, ["full", "eda_only"], quick_model(), quick_cfg(epochs=1, k=3), 2)
     assert type(caught.value) is type(error)
@@ -447,9 +462,9 @@ def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     data = small_synth(n=200, seed=13)
-    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=64)
-    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=2)
-    run_kfold(data, 3, quick_cfg(epochs=1), quick_model(), threads=1)  # in-process, no pool
+    run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=64)
+    run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=2)
+    run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=1)  # in-process, no pool
     ablation_table(data, ["full", "eda_only", "ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)
     ablation_table(data, ["ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)  # no jobs, no pool
     assert sizes == [3, 2, 6]
@@ -474,7 +489,7 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     if not before:
         pytest.skip("no OpenBLAS loaded")
     monkeypatch.setattr(trainer_mod, "run_fold", lambda *job: (blas_threads(), None))
-    seen, _ = run_kfold(small_synth(n=200, seed=13), 3, quick_cfg(), quick_model(), threads=2)
+    seen, _ = run_kfold(small_synth(n=200, seed=13), quick_cfg(k=3), quick_model(), threads=2)
     assert seen == [[1] * len(before)] * 3
     assert blas_threads() == before  # this process keeps its own setting
 
@@ -484,7 +499,7 @@ def test_kfold_rejects_k_above_minority_count():
     data.label[:] = 0
     data.label[:3] = 1
     with pytest.raises(ConfigError):
-        run_kfold(data, 5, quick_cfg(), quick_model())
+        run_kfold(data, quick_cfg(), quick_model())
 
 
 def test_invalid_variant_rejected():
@@ -556,9 +571,10 @@ def recovery_inputs(seed=29, n=1500):
 
 
 def test_recovery_fixed_point_at_truth():
+    # unperturbed, descent starts at the least-squares solution, which on
+    # noise-free data is the truth
     spec, data, dydt = recovery_inputs()
-    truth = spec.physics()
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init=truth, steps=50)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.0, steps=50)
     assert result.final_loss <= 1e-18
     assert result.params.alpha0 == pytest.approx(spec.alpha0, rel=1e-6)
 
@@ -589,8 +605,7 @@ def test_recovery_gauge_respecting_rescale_leaves_params_unchanged():
 
 def test_recovery_reports_nonconvergence():
     spec, data, dydt = recovery_inputs(seed=37, n=400)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma,
-                             init_perturbation=5.0, steps=3, lr=1e-6)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=5.0, steps=3)
     assert not result.converged
     assert result.final_loss > result.oracle_loss
 
