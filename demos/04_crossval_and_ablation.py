@@ -12,7 +12,7 @@ import numpy as np
 
 from edapinn import ModelConfig, SynthSpec, TrainRunConfig, run_kfold, synth_generate
 from edapinn.baselines import BASELINES
-from edapinn.reporting import ablation_table, aggregate_folds, render_table
+from edapinn.reporting import METRICS_COLUMNS, ablation_table, aggregate_folds, render_table
 from edapinn.trainer import VARIANTS
 
 data, _ = synth_generate(SynthSpec(n=800, seed=21))
@@ -22,8 +22,7 @@ model_cfg = ModelConfig(seed=21)
 print("=== 5-fold cross-validation, full variant ===")
 reports, _ = run_kfold(data, cfg, model_cfg)
 rows = aggregate_folds(reports)
-header = ["fold", "eda_rmse", "eda_mae", "eda_r", "accuracy", "precision", "recall", "f1"]
-print(render_table(header, [[r.fold] + [f"{v:.4f}" for v in r.values] for r in rows]))
+print(render_table(METRICS_COLUMNS, [[r[0]] + [f"{v:.4f}" for v in r[1:]] for r in rows]))
 
 print()
 print("per-fold physics parameters (stability across folds)")

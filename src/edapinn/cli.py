@@ -22,8 +22,9 @@ from .data import (
     synth_generate,
     write_csv,
     write_ddt_csv,
+    write_text_atomic,
 )
-from .errors import CheckpointError, ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .model import checkpoint_text
 from .objective import physics_residual
 from .reporting import (
@@ -35,7 +36,6 @@ from .reporting import (
     metrics_csv,
     params_csv,
     render_csv_file,
-    write_text_atomic,
 )
 from .suites import run_all_suites
 from .trainer import run_fold, run_kfold
@@ -133,7 +133,8 @@ def cmd_check(cfg: RunConfig) -> int:
     failed = 0
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
-        print(f"{r.name.ljust(width)}  {verdict}  [{r.seconds:6.2f}s]  {r.detail}")
+        print(f"{r.name.ljust(width)}  {verdict}  {r.detail}")
+        print(f"{r.name}: {r.seconds:.2f}s", file=sys.stderr)
         failed += 0 if r.passed else 1
     if failed:
         print(f"{failed} suite(s) failed")
@@ -202,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, DataFormatError, CheckpointError) as exc:
+    except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

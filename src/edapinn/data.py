@@ -11,6 +11,10 @@ constant emotion input, the exact trajectory is
 
 and an independent classic RK4 integrator doubles as the oracle for that
 closed form.
+
+``csv_text`` is the one function that turns rows into CSV text, for the
+dataset files here and for every table of ``reporting``; ``write_text_atomic``
+writes any file through a temp file and a rename.
 """
 
 from __future__ import annotations
@@ -57,11 +61,6 @@ class Dataset:
         return np.column_stack([self.t, self.e])
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the float64 exactly."""
-    return repr(float(x))
-
-
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write through a temp file and a rename, so ``path`` is never left truncated."""
     path = Path(path)
@@ -103,11 +102,12 @@ def load_csv(path: str | Path) -> Dataset:
     for rownum, row in enumerate(reader, start=1):
         if len(row) != 6:
             raise DataFormatError(f"expected 6 cells, found {len(row)}", row=rownum)
-        try:
-            vals = [float(c) for c in row[:5]]
-        except ValueError:
-            bad = next(c for c in row[:5] if not _is_number(c))
-            raise DataFormatError(f"non-numeric cell {bad!r}", row=rownum) from None
+        vals = []
+        for cell in row[:5]:
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataFormatError(f"non-numeric cell {cell!r}", row=rownum) from None
         if row[5] not in ("0", "1"):
             raise DataFormatError(f"label must be 0 or 1, got {row[5]!r}", row=rownum)
         if not all(np.isfinite(v) for v in vals):
@@ -124,33 +124,30 @@ def load_csv(path: str | Path) -> Dataset:
     )
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+def csv_text(header: list[str], rows) -> str:
+    """CSV text of a header line plus one line per row, each ending in a newline.
+
+    This is the one place a table cell is written: a string as it is, a
+    Python or numpy integer in decimal, and any other number as its shortest
+    round-trip decimal, ``repr(float(x))``, which ``float()`` reads back bit
+    for bit.
+    """
+
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        return str(x) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    lines = [",".join(CSV_HEADER)]
-    for i in range(len(dataset)):
-        cells = [
-            _fmt(dataset.t[i]),
-            _fmt(dataset.e[i, 0]),
-            _fmt(dataset.e[i, 1]),
-            _fmt(dataset.e[i, 2]),
-            _fmt(dataset.y[i]),
-            str(int(dataset.label[i])),
-        ]
-        lines.append(",".join(cells))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    columns = [dataset.t, *dataset.e.T, dataset.y, dataset.label]
+    write_text_atomic(path, csv_text(CSV_HEADER, zip(*(c.tolist() for c in columns))))
 
 
 def write_ddt_csv(dydt: np.ndarray, path: str | Path) -> None:
-    lines = [",".join(DDT_HEADER)]
-    lines += [f"{i + 1},{_fmt(v)}" for i, v in enumerate(dydt)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, csv_text(DDT_HEADER, enumerate(dydt, start=1)))
 
 
 def ddt_sibling_path(csv_path: str | Path) -> Path:

@@ -1,22 +1,22 @@
-"""Fold aggregation, ablation harness and CSV emission.
+"""Fold aggregation, ablation harness and the CSV tables of a run.
 
-All tables mirror the protocol's layouts: per-fold metrics plus a Mean row,
+All tables mirror the protocol's layouts: per-fold metrics plus a mean row,
 an ablation table of network variants and classical baselines, per-epoch
 loss curves, per-fold physics parameters, and the averaged row-normalized
-confusion matrix. Numbers are written as shortest round-trip decimals and
-files are written atomically (temp file + rename) so interrupted runs never
-leave truncated tables behind.
+confusion matrix. Each ``*_csv`` function builds its rows and hands them to
+``data.csv_text``, which writes every cell; the CLI then writes the text
+with ``data.write_text_atomic``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import BASELINES, baseline_rows
-from .data import Dataset, _fmt, stratified_kfold, write_text_atomic  # re-exported for cli
+from .data import Dataset, csv_text, stratified_kfold
 from .errors import ContractError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
@@ -30,72 +30,39 @@ from .trainer import FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
 METRICS_COLUMNS = ["fold", "eda_rmse", "eda_mae", "eda_r", "accuracy", "precision", "recall", "f1"]
 
 
-@dataclass
-class MetricsRow:
-    fold: str
-    values: list[float]
-
-
-def aggregate_folds(reports: list[FoldReport]) -> list[MetricsRow]:
-    """Rows fold 1..k then the arithmetic Mean row."""
+def aggregate_folds(reports: list[FoldReport]) -> list[list]:
+    """Rows of METRICS_COLUMNS cells: folds 1..k, then the arithmetic "mean" row."""
     if not reports:
         raise ContractError("need at least one fold report")
     rows = []
     for r in reports:
-        rows.append(
-            MetricsRow(
-                str(r.fold),
-                [
-                    r.regression.rmse,
-                    r.regression.mae,
-                    r.regression.pearson_r,
-                    r.classification.accuracy,
-                    r.classification.precision,
-                    r.classification.recall,
-                    r.classification.f1,
-                ],
-            )
-        )
-    mean = np.mean([row.values for row in rows], axis=0)
-    rows.append(MetricsRow("mean", [float(v) for v in mean]))
-    return rows
+        reg, cls = r.regression, r.classification
+        row = [str(r.fold), reg.rmse, reg.mae, reg.pearson_r]
+        rows.append(row + [cls.accuracy, cls.precision, cls.recall, cls.f1])
+    return rows + [["mean", *np.mean([row[1:] for row in rows], axis=0).tolist()]]
 
 
 def metrics_csv(reports: list[FoldReport]) -> str:
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in aggregate_folds(reports):
-        lines.append(",".join([row.fold] + [_fmt(v) for v in row.values]))
-    return "\n".join(lines) + "\n"
+    return csv_text(METRICS_COLUMNS, aggregate_folds(reports))
 
 
 def curves_csv(reports: list[FoldReport]) -> str:
-    lines = ["epoch,fold,l_eda,l_emotion,l_physics,lambda_eff"]
-    for r in reports:
-        for tr in r.traces:
-            lines.append(
-                f"{tr.epoch + 1},{r.fold},{_fmt(tr.l_eda)},{_fmt(tr.l_emotion)},"
-                f"{_fmt(tr.l_physics)},{_fmt(tr.lambda_eff)}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        [tr.epoch + 1, r.fold, tr.l_eda, tr.l_emotion, tr.l_physics, tr.lambda_eff]
+        for r in reports
+        for tr in r.traces
+    ]
+    return csv_text(["epoch", "fold", "l_eda", "l_emotion", "l_physics", "lambda_eff"], rows)
 
 
 def params_csv(reports: list[FoldReport]) -> str:
-    lines = ["fold,alpha0,beta1,beta2,beta3,gamma"]
-    for r in reports:
-        p = r.physics
-        lines.append(
-            f"{r.fold},{_fmt(p.alpha0)},{_fmt(p.beta[0])},{_fmt(p.beta[1])},"
-            f"{_fmt(p.beta[2])},{_fmt(p.gamma)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [[r.fold, r.physics.alpha0, *r.physics.beta, r.physics.gamma] for r in reports]
+    return csv_text(["fold", "alpha0", "beta1", "beta2", "beta3", "gamma"], rows)
 
 
 def confusion_csv(reports: list[FoldReport]) -> str:
     cm = normalized_confusion([r.classification for r in reports])
-    lines = ["true_label,pred_0,pred_1"]
-    lines.append(f"0,{_fmt(cm[0, 0])},{_fmt(cm[0, 1])}")
-    lines.append(f"1,{_fmt(cm[1, 0])},{_fmt(cm[1, 1])}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["true_label", "pred_0", "pred_1"], [[label, *cm[label]] for label in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +122,7 @@ def ablation_table(
 
 
 def ablation_csv(rows: list[AblationRow]) -> str:
-    lines = [",".join(ABLATION_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row.variant},{_fmt(row.eda_rmse)},{_fmt(row.emotion_f1)},{_fmt(row.pearson_r)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(ABLATION_COLUMNS, [astuple(row) for row in rows])
 
 
 def comparison_csv(rows: list[AblationRow]) -> str:

@@ -39,7 +39,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0  # wall time, set by run_all_suites
 
 
 def _random_batch(n: int, seed: int) -> Dataset:
@@ -52,7 +52,6 @@ def _random_batch(n: int, seed: int) -> Dataset:
 
 
 def suite_gradient_check(seed: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
     params = init_model(ModelConfig(hidden=[8, 8], seed=seed))
     batch = _random_batch(16, seed)
     report = check_gradients(params, batch, step=1e-5, tol=1e-6)
@@ -60,13 +59,11 @@ def suite_gradient_check(seed: int = 1) -> SuiteResult:
         "gradient-check",
         report.passed,
         f"max rel error {report.max_rel_error:.3e} (worst block {report.worst_block}, tol 1e-6)",
-        time.perf_counter() - t0,
     )
 
 
 def suite_tangent_check(seed: int = 1) -> SuiteResult:
     """Dual-channel d(EDA)/dt vs central finite differences in t, eval mode."""
-    t0 = time.perf_counter()
     n, tol = 100, 1e-5
     params = init_model(ModelConfig(hidden=[16, 16], seed=seed))
     rng = Pcg32(seed).derive("tangent")
@@ -88,7 +85,6 @@ def suite_tangent_check(seed: int = 1) -> SuiteResult:
         "tangent-check",
         worst <= tol,
         f"max rel error {worst:.3e} over {n} samples (tol {tol:g})",
-        time.perf_counter() - t0,
     )
 
 
@@ -98,7 +94,6 @@ def suite_ode_oracle(seed: int = 1) -> SuiteResult:
     A draw with decay rate k = alpha0 / gamma takes max(1000, ceil(k / 0.01))
     steps: at a fixed step of 1e-3, RK4's own error passes 1e-8 once k is large.
     """
-    t0 = time.perf_counter()
     rng = Pcg32(seed).derive("ode")
     e_mix = np.array([0.5, 0.3, 0.2])
     worst = 0.0
@@ -124,12 +119,10 @@ def suite_ode_oracle(seed: int = 1) -> SuiteResult:
         "ode-oracle",
         ok,
         f"max abs error {worst:.3e} over 20 draws (tol 1e-8); halving ratio {ratio:.1f}x (need >= 12)",
-        time.perf_counter() - t0,
     )
 
 
 def suite_residual_free(seed: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
     spec = SynthSpec(n=10000, noise=0.0, seed=seed)
     data, dydt = synth_generate(spec)
     r = physics_residual(dydt, data.y, data.e, spec.physics())
@@ -138,13 +131,11 @@ def suite_residual_free(seed: int = 1) -> SuiteResult:
         "residual-free-synthesis",
         worst <= 1e-10,
         f"max |residual| {worst:.3e} over 10000 noise-free samples (tol 1e-10)",
-        time.perf_counter() - t0,
     )
 
 
 def suite_recovery(seed: int = 1) -> SuiteResult:
     """+50% perturbed (alpha0, beta) must return to the least-squares oracle."""
-    t0 = time.perf_counter()
     spec = SynthSpec(n=2000, noise=0.0, seed=seed)
     data, dydt = synth_generate(spec)
     result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.5)
@@ -155,13 +146,11 @@ def suite_recovery(seed: int = 1) -> SuiteResult:
         "physics-recovery",
         result.converged and worst <= 0.01,
         f"max component deviation from least-squares oracle {worst:.2%} (tol 1%)",
-        time.perf_counter() - t0,
     )
 
 
 def suite_metric_oracles(seed: int = 1) -> SuiteResult:
     """Metrics vs brute-force recounts; rmse^2 vs the objective's mse."""
-    t0 = time.perf_counter()
     rng = Pcg32(seed).derive("metrics")
     ok = True
     detail = "all brute-force recounts matched"
@@ -197,13 +186,10 @@ def suite_metric_oracles(seed: int = 1) -> SuiteResult:
         if abs(rm.rmse - brute_rmse) > 1e-12 or abs(rm.mae - brute_mae) > 1e-12:
             ok, detail = False, f"regression mismatch on instance {i}"
             break
-    return SuiteResult(
-        "metric-oracles", ok, f"{detail} (200 instances)", time.perf_counter() - t0
-    )
+    return SuiteResult("metric-oracles", ok, f"{detail} (200 instances)")
 
 
 def suite_stratification(seed: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
     rng = Pcg32(seed).derive("strat")
     worst = 0.0
     for _ in range(50):
@@ -223,7 +209,6 @@ def suite_stratification(seed: int = 1) -> SuiteResult:
         "stratification",
         worst <= 1.0,
         f"max deviation from exact proportionality {worst:.2f} samples (tol 1)",
-        time.perf_counter() - t0,
     )
 
 
@@ -239,4 +224,9 @@ ALL_SUITES = (
 
 
 def run_all_suites(seed: int = 1) -> list[SuiteResult]:
-    return [suite(seed) for suite in ALL_SUITES]
+    results = []
+    for suite in ALL_SUITES:
+        t0 = time.perf_counter()
+        results.append(suite(seed))
+        results[-1].seconds = time.perf_counter() - t0
+    return results

@@ -1,6 +1,7 @@
 """CLI commands, config strictness, output formats and exit codes."""
 
 import json
+import re
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edapinn import suites
 from edapinn.cli import main
 from edapinn.config import RunConfig, load_config, parse_config
 from edapinn.data import SynthSpec
@@ -366,6 +368,23 @@ def test_check_command_passes(capsys):
     assert "gradient-check" in out
     assert "max rel error" in out  # numeric value surfaced in the report
     assert "all suites passed" in out
+
+
+def test_check_keeps_suite_seconds_off_stdout(capsys, monkeypatch):
+    """Timing goes to stderr, so the verdict lines on stdout are the same on
+    every run at one seed."""
+    fakes = tuple(
+        (lambda seed=1, name=name: suites.SuiteResult(name, True, f"seed {seed}", 0.0))
+        for name in ("fake-a", "fake-b")
+    )
+    monkeypatch.setattr(suites, "ALL_SUITES", fakes)
+    assert main(["check", "--seed", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "fake-a  PASS  seed 5\nfake-b  PASS  seed 5\nall suites passed\n"
+    assert not re.search(r"[0-9]s\b", captured.out)
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["fake-a", "fake-b"]
+    assert all(re.fullmatch(r"fake-[ab]: [0-9]+\.[0-9]{2}s", line) for line in lines)
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Dataset I/O, normalization, folding, the synthetic generator and its RK4 oracle."""
 
 import io
+import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edapinn.data import (
@@ -13,6 +15,7 @@ from edapinn.data import (
     Dataset,
     SynthSpec,
     apply_normalizer,
+    csv_text,
     ddt_sibling_path,
     fit_normalizer,
     load_csv,
@@ -138,6 +141,38 @@ def test_write_load_roundtrip_identity(tmp_path):
     assert np.array_equal(back.e, data.e)
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.label, data.label)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TYPED_CELL = st.one_of(
+    st.text("abcxyz_", max_size=5),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FINITE,
+    _FINITE.map(np.float64),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.lists(_TYPED_CELL, min_size=1, max_size=6), max_size=8))
+@example([[-0.0, np.float64(-0.0), 5e-324, np.float64(2.2250738585072009e-308), np.int64(-7)]])
+def test_csv_text_writes_each_cell_by_its_type(rows):
+    """Strings as they are, integers as plain digits, and every float cell as
+    a decimal that float() reads back bit for bit, -0.0 and subnormals too."""
+    text = csv_text(["h1", "h2"], rows)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert len(lines) == 1 + len(rows) and lines[0] == "h1,h2"
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, x in zip(cells, row):
+            if isinstance(x, str):
+                assert cell == x
+            elif isinstance(x, (int, np.integer)):
+                assert re.fullmatch(r"-?[0-9]+", cell) and int(cell) == x
+            else:
+                assert struct.pack("<d", float(cell)) == struct.pack("<d", x)
 
 
 def test_ddt_sibling_naming(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edapinn.data import SynthSpec, synth_generate
+from edapinn.data import SynthSpec, synth_generate, write_text_atomic
 from edapinn.errors import ConfigError
 from edapinn.evaluation import ClassificationMetrics, RegressionMetrics
 from edapinn.model import ModelConfig
@@ -16,7 +16,6 @@ from edapinn.reporting import (
     curves_csv,
     metrics_csv,
     render_table,
-    write_text_atomic,
 )
 from edapinn.trainer import EpochTrace, FoldReport, TrainRunConfig
 
@@ -34,20 +33,20 @@ def fake_report(fold, rmse, f1=0.5, r=0.9, epochs=2):
 def test_single_fold_mean_equals_fold():
     rows = aggregate_folds([fake_report(1, rmse=0.04)])
     assert len(rows) == 2
-    assert rows[0].values == rows[1].values
-    assert rows[1].fold == "mean"
+    assert rows[0][1:] == rows[1][1:]
+    assert rows[1][0] == "mean"
 
 
 def test_two_fold_mean_arithmetic():
     rows = aggregate_folds([fake_report(1, rmse=0.02), fake_report(2, rmse=0.04)])
-    assert rows[-1].values[0] == pytest.approx(0.03, abs=1e-15)
+    assert rows[-1][1] == pytest.approx(0.03, abs=1e-15)
 
 
 def test_mean_double_entry_to_1e15():
     reports = [fake_report(i + 1, rmse=0.01 * (i + 1), f1=0.1 * (i + 1), r=0.9 - 0.01 * i) for i in range(5)]
     rows = aggregate_folds(reports)
-    raw = np.array([row.values for row in rows[:-1]])
-    assert np.allclose(rows[-1].values, raw.mean(axis=0), atol=1e-15)
+    raw = np.array([row[1:] for row in rows[:-1]])
+    assert np.allclose(rows[-1][1:], raw.mean(axis=0), atol=1e-15)
 
 
 def test_metrics_csv_layout():
