@@ -2,7 +2,8 @@
 
 Commands: synth, train, kfold, ablate, check, report. Exit codes are a
 stable contract: 0 success, 1 verification/acceptance failure, 2
-configuration or data error, 3 numeric failure.
+configuration or data error (an output that cannot be written and a run
+that does not fit in memory included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ def _load_dataset(cfg: RunConfig):
 
 def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
     data, dydt = synth_generate(cfg.synth)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "data.csv"
     write_csv(data, csv_path)
     write_ddt_csv(dydt, ddt_sibling_path(csv_path))
@@ -96,7 +96,6 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     data, _ = _load_dataset(cfg)
     tr_idx, va_idx = stratified_kfold(data, cfg.train.k, cfg.train.seed)[0]
     report, params = run_fold(data.subset(tr_idx), data.subset(va_idx), cfg.train, cfg.model)
-    out.mkdir(parents=True, exist_ok=True)
     _write_fold_tables(out, [report])
     write_text_atomic(out / "checkpoint.json", checkpoint_text(params))
     print(f"trained 1 holdout split ({len(tr_idx)} train / {len(va_idx)} valid) -> {out}")
@@ -107,7 +106,6 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
     data, _ = _load_dataset(cfg)
     reports, models = run_kfold(data, cfg.train, cfg.model, threads=threads)
-    out.mkdir(parents=True, exist_ok=True)
     _write_fold_tables(out, reports)
     for report, params in zip(reports, models):
         write_text_atomic(out / f"fold_{report.fold}.ckpt.json", checkpoint_text(params))
@@ -119,7 +117,6 @@ def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
 def cmd_ablate(cfg: RunConfig, out: Path, threads: int) -> int:
     data, _ = _load_dataset(cfg)
     rows, _reports = ablation_table(data, cfg.ablate_variants, cfg.model, cfg.train, threads)
-    out.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out / "ablation.csv", ablation_csv(rows))
     write_text_atomic(out / "comparison.csv", comparison_csv(rows))
     print(f"ablation over {len(rows)} variants -> {out}")
@@ -172,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     common(p)
     p.add_argument("--verify", action="store_true", help="check the written file against the dynamics")
-    p = sub.add_parser("train", help="train one stratified 80/20 holdout split")
+    p = sub.add_parser("train", help="train on one split, holding out fold 1 of train.k stratified folds")
     common(p)
     p = sub.add_parser("kfold", help="run stratified k-fold cross-validation")
     common(p, threads=True)
@@ -205,6 +202,15 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # inputs are read through data.read_text, which raises the errors
+        # above, so an OSError comes from writing the outputs
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BASELINES
-from .data import SynthSpec
+from .data import SynthSpec, read_text
 from .errors import ConfigError
 from .model import ModelConfig
 from .rng import derive_seed
@@ -131,10 +131,7 @@ def load_config(path: str | Path | None, seed_override: int | None = None) -> Ru
     """Parse a config file; a missing path means all defaults."""
     if path is None:
         return parse_config({}, seed_override)
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, ConfigError, "config file")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,6 +20,7 @@ writes any file through a temp file and a rename.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -76,13 +77,21 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def load_csv(path: str | Path) -> Dataset:
-    path = Path(path)
+def read_text(path: str | Path, error: type[Exception], what: str = "") -> str:
+    """The UTF-8 text of ``path``, less a leading byte-order mark.
+
+    A file that cannot be read or is not UTF-8 raises ``error`` with the
+    message "cannot read <what> <path>: <reason>".
+    """
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+        name = f"{what} {path}" if what else path
+        raise error(f"cannot read {name}: {exc}") from exc
+
+
+def load_csv(path: str | Path) -> Dataset:
+    reader = csv.reader(read_text(path, DataFormatError).splitlines())
     try:
         header = next(reader)
     except StopIteration:
@@ -110,7 +119,7 @@ def load_csv(path: str | Path) -> Dataset:
                 raise DataFormatError(f"non-numeric cell {cell!r}", row=rownum) from None
         if row[5] not in ("0", "1"):
             raise DataFormatError(f"label must be 0 or 1, got {row[5]!r}", row=rownum)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DataFormatError("non-finite value", row=rownum)
         t.append(vals[0])
         e.append(vals[1:4])
@@ -178,14 +187,23 @@ def fit_normalizer(train: Dataset) -> Normalizer:
     if len(train) == 0:
         raise ContractError("cannot fit a normalizer on an empty dataset")
     x = train.inputs
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)  # population convention
-    constant = (x.max(axis=0) - x.min(axis=0)) == 0.0
+    # a spread near the float64 limit overflows to inf or nan, which the
+    # checks below report by column, so numpy's warnings are redundant
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)  # population convention
+        constant = (x.max(axis=0) - x.min(axis=0)) == 0.0
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if np.any(overflow):
+        col = CSV_HEADER[int(np.argmax(overflow))]
+        raise ConfigError(f"input column {col!r} overflows float64: cannot z-score")
     if np.any(constant) or np.any(std <= 0.0):
         col = CSV_HEADER[int(np.argmax(constant | (std <= 0.0)))]
         raise ConfigError(f"constant input column {col!r}: cannot z-score")
     y_min = float(train.y.min())
     y_max = float(train.y.max())
+    if not math.isfinite(y_max - y_min):
+        raise ConfigError("target column 'eda_mean' overflows float64: cannot min-max scale")
     if y_max <= y_min:
         raise ConfigError("constant target column: cannot min-max scale")
     return Normalizer(mean, std, y_min, y_max)
@@ -321,7 +339,8 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
 
     With noise = 0 every sample satisfies the dynamics exactly at the true
     parameters; with noise > 0 the returned dy/dt is still the derivative of
-    the clean trajectory.
+    the clean trajectory. A spec whose t, e, y or dy/dt overflows float64
+    raises ``ConfigError``.
     """
     rng = Pcg32(spec.seed).derive("synth")
     n = spec.n
@@ -330,17 +349,22 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     mean0 = mid + spec.separation * (spec.nonstress.mean - mid)
     mean1 = mid + spec.separation * (spec.stress.mean - mid)
     z = rng.normal(3 * n).reshape(n, 3)
-    e = np.where(
-        labels[:, None] == 1,
-        mean1 + z * spec.stress.std,
-        mean0 + z * spec.nonstress.std,
-    )
-    t = rng.uniform(spec.t_min, spec.t_max, n)
-    phys = spec.physics()
-    y = ode_solution(phys, e, spec.y0, t)
-    dydt = ode_derivative(phys, e, spec.y0, t)
-    if spec.noise > 0:
-        y = y + spec.noise * rng.normal(n)
+    # overflow is reported by the check below, numpy's warnings on the way are redundant
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.where(
+            labels[:, None] == 1,
+            mean1 + z * spec.stress.std,
+            mean0 + z * spec.nonstress.std,
+        )
+        t = rng.uniform(spec.t_min, spec.t_max, n)
+        phys = spec.physics()
+        y = ode_solution(phys, e, spec.y0, t)
+        dydt = ode_derivative(phys, e, spec.y0, t)
+        if spec.noise > 0:
+            y = y + spec.noise * rng.normal(n)
+    for name, values in (("t", t), ("e", e), ("y", y), ("dy/dt", dydt)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"synthetic {name} is not finite: the data.synth settings overflow float64")
     return Dataset(t, e, y, labels), dydt
 
 

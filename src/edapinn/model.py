@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DualBatch
-from .data import Normalizer
+from .data import Normalizer, read_text
 from .errors import (
     CheckpointReadError,
     CheckpointSchemaError,
@@ -45,7 +45,7 @@ from .errors import (
     ContractError,
     NumericError,
 )
-from .objective import PhysicsParams
+from .objective import LossGrads, PhysicsParams
 from .rng import Pcg32
 
 CHECKPOINT_VERSION = "1"
@@ -269,29 +269,25 @@ def forward_batch(params: ModelParams, batch, mode: str = "eval", rng: Pcg32 | N
     return forward(params, batch.t, batch.e, mode, rng)
 
 
-def backward(
-    params: ModelParams,
-    caches: ForwardCaches,
-    adj_y_value: np.ndarray,
-    adj_y_tangent: np.ndarray,
-    adj_z_value: np.ndarray,
-) -> np.ndarray:
-    """Gradient of a scalar loss wrt ``theta``, over the network blocks.
+def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.ndarray:
+    """Gradient of the objective wrt ``theta``, every block laid out as ``theta``.
 
-    The loss is described by its adjoints on the three model outputs:
-    d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(z_emotion), the
-    classification logit. The physics slots are left at zero; the
-    objective module differentiates the loss wrt the physics parameters.
+    ``lg`` describes the objective by its adjoints on the three model outputs,
+    d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(z_emotion) (the
+    classification logit), which flow back through the network, and by its
+    derivatives wrt the physics parameters, which fill the physics slots.
     """
     grad = np.zeros_like(params.theta)
     g = blocks(grad, params.config)
+    g["physics.alpha0"][...] = lg.d_alpha0
+    g["physics.beta"][...] = lg.d_beta
+    g["physics.gamma"][...] = lg.d_gamma
+    g["physics.rho"][...] = lg.d_rho
 
-    adj_y = adj_y_value[:, None]
-    av, adj_t, g["head_reg.w"][...] = ad.affine_backward(
-        caches.reg_affine, adj_y, adj_y_tangent[:, None]
-    )
+    adj_y = lg.adj_y[:, None]
+    av, adj_t, g["head_reg.w"][...] = ad.affine_backward(caches.reg_affine, adj_y, lg.adj_dydt[:, None])
     g["head_reg.b"][...] = adj_y.sum(axis=0)
-    adj_z = adj_z_value[:, None]
+    adj_z = lg.adj_z[:, None]
     g["head_cls.w"][...] = caches.reg_affine.x_value.T @ adj_z
     g["head_cls.b"][...] = adj_z.sum(axis=0)
 
@@ -388,10 +384,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     (every ``input_std`` > 0, ``y_max`` > ``y_min``); any mismatch raises
     ``CheckpointSchemaError``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointReadError(f"cannot read checkpoint {path}: {exc}") from exc
+    text = read_text(path, CheckpointReadError, "checkpoint")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

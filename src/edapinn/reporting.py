@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BASELINES, baseline_rows
-from .data import Dataset, csv_text, stratified_kfold
-from .errors import ContractError
+from .data import Dataset, csv_text, read_text, stratified_kfold
+from .errors import ContractError, DataFormatError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
-from .trainer import FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
+from .trainer import VARIANTS, FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +93,19 @@ def ablation_table(
     variant, which ``TrainRunConfig.validate`` checks. Network variants run
     the full k-fold protocol; their (variant, fold) trainings form one job
     list, run on ``threads`` worker processes when threads > 1 (see
-    ``trainer.run_fold_jobs``). The default of 1 trains in this process. The
-    eda_only variant reports F1 = 0.0: its classification head receives no
-    gradient, so there is no trained classifier to score. Returns the table
-    plus the per-variant fold reports so callers can reuse them without
-    retraining.
+    ``trainer.run_fold_jobs``). The default of 1 trains in this process. A
+    column whose predictor the variant never trains reports 0.0: F1 when
+    its ``task_weights`` leave out the emotion term (eda_only), both EDA
+    columns when they leave out the EDA and physics terms (emotion_only under
+    ``emotion_only_no_physics``), as the regression head then receives no
+    gradient. Returns the table plus the per-variant fold reports so callers
+    can reuse them without retraining.
     """
     folds = stratified_kfold(data, cfg.k, cfg.seed)
-    networks = [v for v in variants if v not in BASELINES]
-    jobs = fold_jobs(data, folds, [replace(cfg, variant=v) for v in networks], model_cfg)
-    results = run_fold_jobs(jobs, threads)
+    cfgs = {v: replace(cfg, variant=v) for v in variants if v not in BASELINES}
+    results = run_fold_jobs(fold_jobs(data, folds, list(cfgs.values()), model_cfg), threads)
     k = len(folds)
-    fold_reports = {v: [r for r, _ in results[i * k : (i + 1) * k]] for i, v in enumerate(networks)}
+    fold_reports = {v: [r for r, _ in results[i * k : (i + 1) * k]] for i, v in enumerate(cfgs)}
     baseline = baseline_rows(data, folds, [v for v in variants if v in BASELINES])
     rows: list[AblationRow] = []
     for v in variants:
@@ -115,9 +116,10 @@ def ablation_table(
         rmse = float(np.mean([r.regression.rmse for r in reports]))
         r_mean = float(np.mean([r.regression.pearson_r for r in reports]))
         f1 = float(np.mean([r.classification.f1 for r in reports]))
-        if v == "eda_only":
-            f1 = 0.0  # classification head never trained in this variant
-        rows.append(AblationRow(v, rmse, f1, r_mean))
+        use_eda, use_emotion, use_physics = cfgs[v].task_weights()
+        if not (use_eda or use_physics):
+            rmse = r_mean = 0.0
+        rows.append(AblationRow(v, rmse, f1 if use_emotion else 0.0, r_mean))
     return rows, fold_reports
 
 
@@ -126,9 +128,9 @@ def ablation_csv(rows: list[AblationRow]) -> str:
 
 
 def comparison_csv(rows: list[AblationRow]) -> str:
-    """Multi-task vs single-task comparison data: the network task variants."""
-    keep = [r for r in rows if r.variant in ("full", "eda_only", "emotion_only")]
-    return ablation_csv(keep)
+    """Multi-task vs single-task comparison data: the network variants whose
+    ``VARIANTS`` entry keeps the physics term (full, eda_only, emotion_only)."""
+    return ablation_csv([r for r in rows if VARIANTS.get(r.variant, (False,) * 3)[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,22 @@ def render_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def render_csv_file(path: str | Path) -> str:
-    """Re-render an emitted CSV as an aligned text table, numbers to 4 significant digits."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    """Re-render an emitted CSV as an aligned text table, numbers to 4 significant digits.
+
+    An unreadable or empty file, or a row whose cell count differs from the
+    header's, raises ``DataFormatError``.
+    """
+    text = read_text(path, DataFormatError).strip().splitlines()
+    if not text:
+        raise DataFormatError(f"empty file {path}: missing header row")
     header = text[0].split(",")
     rows = []
-    for line in text[1:]:
+    for rownum, line in enumerate(text[1:], start=1):
+        found = line.split(",")
+        if len(found) != len(header):
+            raise DataFormatError(f"expected {len(header)} cells, found {len(found)} in {path}", row=rownum)
         cells = []
-        for cell in line.split(","):
+        for cell in found:
             try:
                 cells.append(f"{float(cell):.4g}")
             except ValueError:

@@ -27,7 +27,13 @@ from .model import ModelConfig, ModelParams, forward_batch, init_model
 from .objective import PhysicsParams
 from .rng import Pcg32, derive_seed
 
-VARIANTS = ("full", "no_physics", "eda_only", "emotion_only")
+# the network variants and the loss terms each trains: (use_eda, use_emotion, use_physics)
+VARIANTS = {
+    "full": (True, True, True),
+    "no_physics": (True, True, False),
+    "eda_only": (True, False, True),
+    "emotion_only": (False, True, True),
+}
 # a final batch of fewer rows joins the one before it: batch-norm statistics
 # over 1-3 rows blow the physics loss and its gradient up (after 5 epochs, 1 row
 # gave 2.4e7 and 6.1e7, 8 rows 0.75 and 5.9), poisoning Adam's second moments
@@ -53,22 +59,18 @@ class TrainRunConfig:
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {tuple(VARIANTS)}")
         if not 0 < self.lr < np.inf:  # also rejects NaN
             raise ConfigError("learning rate must be finite and positive")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
 
     def task_weights(self) -> tuple[bool, bool, bool]:
-        """(use_eda, use_emotion, use_physics) for this variant."""
-        if self.variant == "full":
-            return True, True, True
-        if self.variant == "no_physics":
-            return True, True, False
-        if self.variant == "eda_only":
-            return True, False, True
-        use_phys = not self.emotion_only_no_physics
-        return False, True, use_phys
+        """(use_eda, use_emotion, use_physics): the variant's ``VARIANTS`` entry,
+        less the physics term under ``emotion_only_no_physics``."""
+        use_eda, use_emotion, use_physics = VARIANTS[self.variant]
+        no_physics = self.emotion_only_no_physics and self.variant == "emotion_only"
+        return use_eda, use_emotion, use_physics and not no_physics
 
 
 @dataclass
@@ -132,7 +134,7 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
 
 
 # ---------------------------------------------------------------------------
-# per-batch gradient assembly
+# per-batch loss and gradient
 # ---------------------------------------------------------------------------
 
 
@@ -163,20 +165,11 @@ def batch_loss(
 def batch_gradients(
     params: ModelParams, batch: Dataset, cfg: TrainRunConfig, rng: Pcg32 | None
 ) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
-    """Forward + backward for one normalized batch under the variant's objective.
-
-    Returns the gradient laid out as ``params.theta``: the network blocks
-    from ``model.backward`` and the physics slots filled here, the one place
-    the two are assembled for Adam and the gradient checker.
-    """
+    """Forward, loss and backward for one normalized batch under the
+    variant's objective: the loss, its gradient laid out as ``params.theta``
+    and the predictions, for Adam and the gradient checker."""
     breakdown, lg, preds = batch_loss(params, batch, cfg, rng)
-    grad = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
-    g = model_mod.blocks(grad, params.config)
-    g["physics.alpha0"][...] = lg.d_alpha0
-    g["physics.beta"][...] = lg.d_beta
-    g["physics.gamma"][...] = lg.d_gamma
-    g["physics.rho"][...] = lg.d_rho
-    return breakdown, grad, preds
+    return breakdown, model_mod.backward(params, preds.caches, lg), preds
 
 
 def train_epoch(

@@ -415,3 +415,106 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
     assert main(argv) == 2
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# failures at the door: outputs, memory, overflow, report input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "kfold", "ablate"])
+def test_existing_file_as_out_exits_2(tmp_path, capsys, command):
+    doc = {"data": {"synth": SMALL_SYNTH}, "train": {**SMALL_TRAIN, "epochs": 1}}
+    cfg_path = write_config(tmp_path, {**doc, "ablate": {"variants": ["ridge"]}})
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError(), MemoryError("Unable to allocate 74.5 GiB")], ids=["bare", "numpy"]
+)
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc):
+    import edapinn.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_kfold", exhausted)
+    assert main(["kfold", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert str(exc) in err
+
+
+def alternating_csv(column: str) -> str:
+    """20 rows whose ``column`` alternates between +1e308 and -1e308: finite
+    cells whose spread overflows float64."""
+    at = CSV_HEAD.strip().split(",").index(column)
+    rows = [line.split(",") for line in csv_rows([0, 1] * 10).splitlines()]
+    for i, row in enumerate(rows):
+        row[at] = "1e308" if i % 2 else "-1e308"
+    return CSV_HEAD + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("column", ["t", "eda_mean"])
+@pytest.mark.parametrize("command", ["train", "kfold"])
+def test_overflowing_csv_spread_exits_2_naming_the_column(tmp_path, capsys, command, column):
+    """Caught by fit_normalizer, without a RuntimeWarning (an error under this
+    suite's warning filter) and before any training reaches a non-finite loss."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text(alternating_csv(column))
+    cfg_path = write_config(tmp_path, {"data": {"input": str(csv_path)}, "train": SMALL_TRAIN})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"column {column!r} overflows float64" in err
+
+
+def test_synth_overflowing_time_range_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"data": {"synth": {"n": 20, "t_min": -1e308, "t_max": 1e308}}})
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "synthetic t is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REPORT_INPUTS = {
+    "empty": lambda p: p.write_bytes(b""),
+    "non_utf8": lambda p: p.write_bytes(b"fold,eda_rmse\n1,\xff\n"),
+    "directory": lambda p: p.mkdir(),
+    "long_row": lambda p: p.write_text("fold,eda_rmse\n1,0.5,0.7\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
+def test_report_on_unreadable_metrics_exits_2(tmp_path, capsys, case):
+    REPORT_INPUTS[case](tmp_path / "metrics.csv")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_reads_a_byte_order_mark(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text("fold,eda_rmse\n1,0.123456\n", encoding="utf-8-sig")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("fold  eda_rmse")
+
+
+def test_config_threshold_reaches_metrics_csv(tmp_path):
+    """Near 0 every validation row is called positive (recall 1), near 1 none
+    is (recall 0); the regression columns do not depend on it."""
+    tables = {}
+    for threshold in (1e-9, 1.0 - 1e-9):
+        doc = {"data": {"synth": SMALL_SYNTH}, "train": {**SMALL_TRAIN, "epochs": 1}}
+        cfg_path = write_config(tmp_path, {**doc, "model": {"threshold": threshold}})
+        out = tmp_path / f"t{threshold}"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        tables[threshold] = dict(zip(lines[0].split(","), lines[1].split(",")))
+    low, high = tables.values()
+    assert (float(low["recall"]), float(high["recall"])) == (1.0, 0.0)
+    for column in ("eda_rmse", "eda_mae", "eda_r"):
+        assert low[column] == high[column]

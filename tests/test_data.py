@@ -271,6 +271,19 @@ def test_constant_column_rejected():
         fit_normalizer(const_target)
 
 
+@pytest.mark.parametrize("column", ["t", "panas_mean", "sam_arousal", "eda_mean"])
+def test_overflowing_spread_rejected_by_column(column):
+    """Finite cells alternating between +-1e308 overflow the column's mean,
+    std or range; the normalizer names the column and leaks no RuntimeWarning
+    (an error under this suite's warning filter)."""
+    data = random_dataset(20, seed=13)
+    cols = np.column_stack([data.inputs, data.y])  # the CSV columns but the label
+    cols[:, CSV_HEADER.index(column)] = np.where(np.arange(20) % 2 == 0, 1e308, -1e308)
+    wide = Dataset(cols[:, 0], cols[:, 1:4], cols[:, 4], data.label)
+    with pytest.raises(ConfigError, match=f"column {column!r} overflows float64"):
+        fit_normalizer(wide)
+
+
 # ---------------------------------------------------------------------------
 # stratified k-fold
 # ---------------------------------------------------------------------------
@@ -421,6 +434,20 @@ def test_stress_fraction_sets_the_label_share():
     for fraction in (0.2, 0.5, 0.8):
         data, _ = synth_generate(SynthSpec(n=4000, seed=43, stress_fraction=fraction))
         assert abs(data.label.mean() - fraction) <= 0.03
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        (dict(t_min=-1e308, t_max=1e308), "t"),
+        (dict(stress=ClusterSpec([1e308, 5.0, 5.0], [1e308, 1.0, 1.0])), "e"),
+        (dict(alpha0=1e-308), "y"),
+    ],
+    ids=["t", "e", "y"],
+)
+def test_synth_rejects_non_finite_data(spec, named):
+    with pytest.raises(ConfigError, match=f"synthetic {re.escape(named)} is not finite"):
+        synth_generate(SynthSpec(n=50, seed=5, **spec))
 
 
 def test_time_proxy_lies_in_its_range():

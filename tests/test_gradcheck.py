@@ -84,7 +84,7 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
         preds, batch.y, batch.label.astype(float), batch.e, params.physics,
         use_emotion=False, use_physics=False,
     )
-    grad = model_mod.backward(params, preds.caches, lg.adj_y, lg.adj_dydt, lg.adj_z)
+    grad = model_mod.backward(params, preds.caches, lg)
     for name, g in blocks(grad, params.config).items():
         assert not np.any(g), name
 

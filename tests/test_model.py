@@ -310,6 +310,14 @@ def test_checkpoint_version_and_schema_errors(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
 
 
+def test_byte_order_mark_checkpoint_loads_the_same_model(tmp_path):
+    params = init_model(ModelConfig(hidden=[4], seed=26))
+    path = tmp_path / "m.ckpt.json"
+    path.write_text(checkpoint_text(params), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert checkpoint_text(load_checkpoint(path)) == checkpoint_text(params)
+
+
 def test_non_utf8_checkpoint_raises_read_error(tmp_path):
     from edapinn.errors import CheckpointReadError
 
