@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Walkthrough: the dual-channel autodiff engine.
 
-Every layer carries (value, tangent) pairs where the tangent is d(value)/dt
-with respect to the scalar time input. The network's regression output
-therefore arrives together with its exact time derivative, which is what the
-physics residual consumes. The reverse pass differentiates the whole
-augmented computation, so losses that read the tangent still get exact
-parameter gradients.
+Every layer carries one array of shape (2, n, width): the values at [0] and
+their tangents at [1], where a tangent is d(value)/dt with respect to the
+scalar time input. The network's regression output therefore arrives
+together with its exact time derivative, which is what the physics residual
+consumes. The reverse pass differentiates the whole augmented computation,
+so losses that read the tangent still get exact parameter gradients.
 """
 
 import numpy as np
 
-from edapinn import DualBatch, ModelConfig, check_gradients, forward, init_model
+from edapinn import ModelConfig, check_gradients, forward, init_model
 from edapinn.autodiff import swish_forward
 from edapinn.data import Dataset
 from edapinn.model import commit_batchnorm
@@ -20,7 +20,7 @@ from edapinn.rng import Pcg32
 print("=== 1. Tangents through a single primitive ===")
 x_value = np.array([[0.0], [1.0], [-2.0]])
 x_tangent = np.ones((3, 1))  # seed d(x)/dt = 1
-out, _ = swish_forward(DualBatch(x_value, x_tangent))
+out, _ = swish_forward(np.stack([x_value, x_tangent]))
 h = 1e-6
 
 
@@ -31,8 +31,8 @@ def swish(v):  # the value alone, written independently of the engine
 fd = (swish(x_value + h) - swish(x_value - h)) / (2 * h)
 for i in range(3):
     print(
-        f"  swish({x_value[i,0]:+.1f}): value={out.value[i,0]:+.5f} "
-        f"tangent={out.tangent[i,0]:+.7f} central-diff={fd[i,0]:+.7f}"
+        f"  swish({x_value[i,0]:+.1f}): value={out[0,i,0]:+.5f} "
+        f"tangent={out[1,i,0]:+.7f} central-diff={fd[i,0]:+.7f}"
     )
 
 print()

@@ -9,7 +9,6 @@ stratified k-fold, an ODE-exact synthetic benchmark with an RK4 oracle,
 classical baselines, and CSV reporting.
 """
 
-from .autodiff import DualBatch
 from .data import (
     ClusterSpec,
     Dataset,

@@ -1,23 +1,24 @@
 """Dual-channel dense primitives with exact reverse-mode gradients.
 
-Every primitive propagates a batch of (value, tangent) pairs where the
-tangent is the per-sample derivative of the value with respect to the scalar
-time input. Because the training loss consumes both channels (the physics
-residual needs d(EDA)/dt), each primitive's backward returns
+A dual batch is one float64 array of shape ``(2, n, width)``: the values at
+``[0]`` and, at ``[1]``, their per-sample derivatives with respect to the
+scalar time input (the tangents). Every forward takes one such array and
+returns one; every backward takes the adjoint of its output, an array of the
+same shape, and returns the adjoint of its input,
 
-    adj_input_value   = J^T @ adj_value + (d[J @ xdot]/dx)^T @ adj_tangent
-    adj_input_tangent = J^T @ adj_tangent
+    adj_input[0] = J^T @ adj[0] + (d[J @ xdot]/dx)^T @ adj[1]
+    adj_input[1] = J^T @ adj[1]
 
-so nonlinear primitives carry their second derivative. Each backward returns
-a plain tuple of exactly what the model reads: ``(adj_value, adj_tangent)``,
-followed by ``dw`` for the affine map and by ``(d_scale, d_shift)`` for
-batch-norm. ``affine_weight_grad`` gives ``dw`` alone, for the first layer,
-whose input needs no adjoint. The affine map has no bias (the model adds the
-regression head's own), and dropout's cache is the mask it applied. Swish
-evaluates its sigmoid once per forward call and caches sigma and s'(x); its
-backward builds s''(x) from the cached sigma. ``sigmoid`` is the package's
-one logistic function. All math is float64; matrices are plain 2-D numpy
-arrays (batch x width, row-major).
+so nonlinear primitives carry their second derivative, because the training
+loss reads both channels (the physics residual needs d(EDA)/dt). The affine
+map and dropout are linear and act on both channels in one expression;
+swish and batch-norm treat the channels apart. The affine backward also
+returns ``dw`` and batch-norm's ``(d_scale, d_shift)``; ``affine_weight_grad``
+gives ``dw`` alone, for the first layer, whose input needs no adjoint. The
+affine map has no bias (the model adds the regression head's own), and
+dropout's cache is the mask it applied. Swish evaluates its sigmoid once per
+forward call and caches sigma and s'(x); its backward builds s''(x) from the
+cached sigma. ``sigmoid`` is the package's one logistic function.
 """
 
 from __future__ import annotations
@@ -28,20 +29,6 @@ import numpy as np
 
 from .errors import ContractError
 from .rng import Pcg32
-
-
-@dataclass
-class DualBatch:
-    """Batch of values paired with their derivative along the time input."""
-
-    value: np.ndarray
-    tangent: np.ndarray
-
-    def __post_init__(self):
-        if self.value.shape != self.tangent.shape:
-            raise ContractError(
-                f"value shape {self.value.shape} != tangent shape {self.tangent.shape}"
-            )
 
 
 def sigmoid(x):
@@ -72,29 +59,23 @@ def softplus_inv(y: float) -> float:
 
 @dataclass
 class AffineCache:
-    x_value: np.ndarray
-    x_tangent: np.ndarray
+    x: np.ndarray
     w: np.ndarray
 
 
-def affine_forward(x: DualBatch, w: np.ndarray):
-    if x.value.shape[1] != w.shape[0]:
-        raise ContractError(
-            f"affine fan-in mismatch: input width {x.value.shape[1]}, W rows {w.shape[0]}"
-        )
-    out = DualBatch(x.value @ w, x.tangent @ w)
-    return out, AffineCache(x.value, x.tangent, w)
+def affine_forward(x: np.ndarray, w: np.ndarray):
+    if x.shape[-1] != w.shape[0]:
+        raise ContractError(f"affine fan-in mismatch: input width {x.shape[-1]}, W rows {w.shape[0]}")
+    return x @ w, AffineCache(x, w)
 
 
-def affine_weight_grad(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
+def affine_weight_grad(cache: AffineCache, adj: np.ndarray):
     """The weight gradient alone, for a layer whose input needs no adjoint."""
-    return cache.x_value.T @ adj_value + cache.x_tangent.T @ adj_tangent
+    return (cache.x.swapaxes(-1, -2) @ adj).sum(axis=0)
 
 
-def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    adj_x_value = adj_value @ cache.w.T
-    adj_x_tangent = adj_tangent @ cache.w.T
-    return adj_x_value, adj_x_tangent, affine_weight_grad(cache, adj_value, adj_tangent)
+def affine_backward(cache: AffineCache, adj: np.ndarray):
+    return adj @ cache.w.T, affine_weight_grad(cache, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +85,24 @@ def affine_backward(cache: AffineCache, adj_value: np.ndarray, adj_tangent: np.n
 
 @dataclass
 class SwishCache:
-    x_value: np.ndarray
-    x_tangent: np.ndarray
+    x: np.ndarray
     sigma: np.ndarray
     d1: np.ndarray  # s'(x) = sigma * (1 + x * (1 - sigma))
 
 
-def swish_forward(x: DualBatch):
-    s = sigmoid(x.value)
-    d1 = s * (1.0 + x.value * (1.0 - s))
-    out = DualBatch(x.value * s, d1 * x.tangent)
-    return out, SwishCache(x.value, x.tangent, s, d1)
+def swish_forward(x: np.ndarray):
+    v, t = x
+    s = sigmoid(v)
+    d1 = s * (1.0 + v * (1.0 - s))
+    return np.stack([v * s, d1 * t]), SwishCache(x, s, d1)
 
 
-def swish_backward(cache: SwishCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
+def swish_backward(cache: SwishCache, adj: np.ndarray):
     """Uses s''(x) = sigma * (1 - sigma) * (2 + x * (1 - 2 sigma)) from the cached sigma."""
+    (v, t), (av, at) = cache.x, adj
     s, d1 = cache.sigma, cache.d1
-    d2 = s * (1.0 - s) * (2.0 + cache.x_value * (1.0 - 2.0 * s))
-    adj_x_value = d1 * adj_value + d2 * cache.x_tangent * adj_tangent
-    adj_x_tangent = d1 * adj_tangent
-    return adj_x_value, adj_x_tangent
+    d2 = s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s))
+    return np.stack([d1 * av + d2 * t * at, d1 * at])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +128,7 @@ class BatchNormCache:
 
 
 def batchnorm_forward(
-    x: DualBatch,
+    x: np.ndarray,
     scale: np.ndarray,
     shift: np.ndarray,
     running_mean: np.ndarray,
@@ -158,49 +137,46 @@ def batchnorm_forward(
     eps: float = 1e-5,
     momentum: float = 0.9,
 ):
+    v, t = x
     if mode == "train":
-        mu = x.value.mean(axis=0)
-        x_centered = x.value - mu
-        var = (x_centered * x_centered).mean(axis=0)  # what x.value.var(axis=0) computes
+        mu = v.mean(axis=0)
+        x_centered = v - mu
+        var = (x_centered * x_centered).mean(axis=0)  # what v.var(axis=0) computes
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
-        x_centered = x.value - running_mean
+        x_centered = v - running_mean
         var = running_var
         new_rm = None
         new_rv = None
     else:
         raise ContractError(f"unknown batch-norm mode {mode!r}")
     istd = 1.0 / np.sqrt(var + eps)
-    out = DualBatch(
-        scale * (x_centered * istd) + shift,
-        scale * istd * x.tangent,
-    )
-    cache = BatchNormCache(scale, x_centered, x.tangent, istd, new_rm, new_rv)
-    return out, cache
+    out = np.stack([scale * (x_centered * istd) + shift, scale * istd * t])
+    return out, BatchNormCache(scale, x_centered, t, istd, new_rm, new_rv)
 
 
-def batchnorm_backward(cache: BatchNormCache, adj_value: np.ndarray, adj_tangent: np.ndarray):
+def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
     if cache.new_running_mean is None:
         raise ContractError("batch-norm backward needs the cache of a train-mode forward")
     g, istd = cache.scale, cache.istd
     xc, xt = cache.x_centered, cache.x_tangent
+    av, at = adj
     n = xc.shape[0]
     x_hat = xc * istd
 
-    adj_scale = (adj_value * x_hat).sum(axis=0) + (adj_tangent * xt * istd).sum(axis=0)
-    adj_shift = adj_value.sum(axis=0)
+    adj_scale = (av * x_hat).sum(axis=0) + (at * xt * istd).sum(axis=0)
+    adj_shift = av.sum(axis=0)
 
     # value channel: standard batch-norm gradient through mu and var
-    dxhat = adj_value * g
+    dxhat = av * g
     dvar = (dxhat * xc).sum(axis=0) * (-0.5) * istd**3
     dmu = -(dxhat.sum(axis=0)) * istd
     adj_x_value = dxhat * istd + dvar * (2.0 / n) * xc + dmu / n
     # tangent channel: output g*istd*xt depends on x through var(x)
-    s_t = (adj_tangent * xt).sum(axis=0)
+    s_t = (at * xt).sum(axis=0)
     adj_x_value = adj_x_value - (g * s_t / n) * istd**3 * xc
-    adj_x_tangent = adj_tangent * (g * istd)
-    return adj_x_value, adj_x_tangent, adj_scale, adj_shift
+    return np.stack([adj_x_value, at * (g * istd)]), adj_scale, adj_shift
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +192,16 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def dropout_forward(x: DualBatch, rate: float, mode: str, rng: Pcg32 | None = None):
+def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | None = None):
     """The batch masked by a fresh draw from ``rng`` and the mask applied, or
     ``x`` itself and ``None`` when dropout is off (eval mode or a zero rate)."""
     if mode == "eval" or rate == 0.0:
         return x, None
     if rng is None:
         raise ContractError("train-mode dropout needs an rng")
-    mask = make_dropout_mask(x.value.shape, rate, rng)
-    return DualBatch(x.value * mask, x.tangent * mask), mask
+    mask = make_dropout_mask(x.shape[1:], rate, rng)
+    return x * mask, mask
 
 
-def dropout_backward(mask: np.ndarray | None, adj_value: np.ndarray, adj_tangent: np.ndarray):
-    if mask is None:
-        return adj_value, adj_tangent
-    return adj_value * mask, adj_tangent * mask
+def dropout_backward(mask: np.ndarray | None, adj: np.ndarray):
+    return adj if mask is None else adj * mask

@@ -189,6 +189,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args.out)
         cfg = load_config(args.config, args.seed)
         out = args.out if args.out is not None else Path(cfg.output_dir)
+        if args.command in ("train", "kfold", "ablate"):
+            # before any training: an --out that cannot be made fails at once,
+            # and a bad --threads, checked first, leaves no directory behind
+            if getattr(args, "threads", 1) < 1:
+                raise ConfigError(f"threads must be >= 1, got {args.threads}")
+            out.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(cfg, out, args.verify)
         if args.command == "train":

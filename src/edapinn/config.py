@@ -98,11 +98,9 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     model = _parse_section(
         doc.get("model", {}), ModelConfig(seed=derive_seed(seed, "model")), "model"
     )
-    model.validate()
     train = _parse_section(
         doc.get("train", {}), TrainRunConfig(seed=derive_seed(seed, "train")), "train"
     )
-    train.validate()
 
     dsec = doc.get("data", {})
     _expect_keys(dsec, {"input", "synth"}, "data")

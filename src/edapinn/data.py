@@ -210,8 +210,18 @@ def fit_normalizer(train: Dataset) -> Normalizer:
 
 
 def apply_normalizer(norm: Normalizer, dataset: Dataset) -> Dataset:
-    x = (dataset.inputs - norm.input_mean) / norm.input_std
-    y = (dataset.y - norm.y_min) / (norm.y_max - norm.y_min)
+    """``dataset`` scaled by ``norm``. The losses and metrics sum squares of
+    these values over the rows, so a column whose sum of squares overflows
+    float64 (a cell far outside the rows ``norm`` was fitted on) raises
+    ``ConfigError`` naming that column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (dataset.inputs - norm.input_mean) / norm.input_std
+        y = (dataset.y - norm.y_min) / (norm.y_max - norm.y_min)
+        overflow = ~np.isfinite(np.append((x * x).sum(axis=0), y @ y))
+    if np.any(overflow):
+        col = CSV_HEADER[int(np.argmax(overflow))]
+        kind = "target" if col == "eda_mean" else "input"
+        raise ConfigError(f"{kind} column {col!r} overflows float64 once normalized")
     return Dataset(x[:, 0], x[:, 1:], y, dataset.label.copy())
 
 

@@ -1,9 +1,9 @@
 """Regression and classification metrics.
 
 Conventions (both documented because the source protocol leaves them open):
-a probability exactly at the threshold classifies as positive, and
-precision/recall with a zero denominator report 0 rather than NaN so tables
-always render; such entries carry ``defined`` flags for footnoting.
+a probability exactly at the threshold classifies as positive, and a
+Pearson r, precision or recall with a zero denominator reports 0 rather than
+NaN, so tables always render.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class RegressionMetrics:
     rmse: float
     mae: float
     pearson_r: float
-    pearson_defined: bool = True
 
 
 @dataclass
@@ -33,8 +32,6 @@ class ClassificationMetrics:
     fp: int
     fn: int
     tp: int
-    precision_defined: bool = True
-    recall_defined: bool = True
 
 
 def regression_metrics(pred: np.ndarray, target: np.ndarray) -> RegressionMetrics:
@@ -49,7 +46,7 @@ def regression_metrics(pred: np.ndarray, target: np.ndarray) -> RegressionMetric
     tc = target - target.mean()
     denom = np.sqrt((pc @ pc) * (tc @ tc))
     if denom == 0.0:
-        return RegressionMetrics(rmse, mae, 0.0, pearson_defined=False)
+        return RegressionMetrics(rmse, mae, 0.0)
     return RegressionMetrics(rmse, mae, float((pc @ tc) / denom))
 
 
@@ -70,14 +67,10 @@ def classification_metrics(
     fn = int(np.sum(~pred & pos))
     n = prob.size
     accuracy = (tp + tn) / n
-    precision_defined = (tp + fp) > 0
-    recall_defined = (tp + fn) > 0
-    precision = tp / (tp + fp) if precision_defined else 0.0
-    recall = tp / (tp + fn) if recall_defined else 0.0
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return ClassificationMetrics(
-        accuracy, precision, recall, f1, tn, fp, fn, tp, precision_defined, recall_defined
-    )
+    return ClassificationMetrics(accuracy, precision, recall, f1, tn, fp, fn, tp)
 
 
 def normalized_confusion(cm_list: list[ClassificationMetrics]) -> np.ndarray:

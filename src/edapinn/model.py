@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DualBatch
 from .data import Normalizer, read_text
 from .errors import (
     CheckpointReadError,
@@ -53,7 +52,7 @@ INPUT_WIDTH = 4  # 1 time column + 3 emotion features
 _INPUT_TANGENT = np.array([1.0, 0.0, 0.0, 0.0])  # d(input)/dt per column
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     dropout: float = 0.1
@@ -64,7 +63,7 @@ class ModelConfig:
     lambda_floor: float = 1e-3
     lambda_frozen: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Reject out-of-range values; NaN and infinite ones fail every range."""
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ConfigError("hidden widths must be a nonempty list of counts >= 1")
@@ -194,7 +193,6 @@ class Predictions:
 
 def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> ModelParams:
     """Glorot-uniform weights, unit batch-norm, softplus(rho) = 0.1."""
-    config.validate()
     rng = Pcg32(config.seed).derive("init")
     widths = [INPUT_WIDTH] + list(config.hidden)
     layers = []
@@ -230,7 +228,7 @@ def forward(
     if t.ndim != 1 or t.size == 0 or e.shape != (t.size, 3):
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
     cfg = params.config
-    x = DualBatch(np.column_stack([t, e]), np.tile(_INPUT_TANGENT, (t.size, 1)))
+    x = np.stack([np.column_stack([t, e]), np.tile(_INPUT_TANGENT, (t.size, 1))])
     # divergence is reported through the explicit per-layer checks below;
     # numpy's warnings on the already-poisoned arithmetic are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -249,14 +247,14 @@ def forward(
             )
             x, c_sw = ad.swish_forward(x)
             x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
-            if not np.all(np.isfinite(x.value)) or not np.all(np.isfinite(x.tangent)):
+            if not np.all(np.isfinite(x)):
                 raise NumericError(f"non-finite activations after hidden layer {i}")
             layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
 
         y_out, reg_cache = ad.affine_forward(x, params.head_reg.w)
-        y = (y_out.value + params.head_reg.b)[:, 0]
-        dydt = y_out.tangent[:, 0]
-        z = (x.value @ params.head_cls.w + params.head_cls.b)[:, 0]
+        y = (y_out[0] + params.head_reg.b)[:, 0]
+        dydt = y_out[1, :, 0]
+        z = (x[0] @ params.head_cls.w + params.head_cls.b)[:, 0]
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(dydt)):
             raise NumericError("non-finite activations in the regression head")
 
@@ -284,24 +282,24 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     g["physics.gamma"][...] = lg.d_gamma
     g["physics.rho"][...] = lg.d_rho
 
-    adj_y = lg.adj_y[:, None]
-    av, adj_t, g["head_reg.w"][...] = ad.affine_backward(caches.reg_affine, adj_y, lg.adj_dydt[:, None])
-    g["head_reg.b"][...] = adj_y.sum(axis=0)
+    adj_out = np.stack([lg.adj_y, lg.adj_dydt])[:, :, None]  # (2, n, 1)
+    adj, g["head_reg.w"][...] = ad.affine_backward(caches.reg_affine, adj_out)
+    g["head_reg.b"][...] = adj_out[0].sum(axis=0)
     adj_z = lg.adj_z[:, None]
-    g["head_cls.w"][...] = caches.reg_affine.x_value.T @ adj_z
+    g["head_cls.w"][...] = caches.reg_affine.x[0].T @ adj_z
     g["head_cls.b"][...] = adj_z.sum(axis=0)
 
-    adj_v = av + adj_z @ params.head_cls.w.T
+    adj[0] += adj_z @ params.head_cls.w.T
     for i in reversed(range(len(params.layers))):
         c = caches.layers[i]
-        adj_v, adj_t = ad.dropout_backward(c.dropout_mask, adj_v, adj_t)
-        adj_v, adj_t = ad.swish_backward(c.swish, adj_v, adj_t)
-        adj_v, adj_t, d_scale, d_shift = ad.batchnorm_backward(c.bn, adj_v, adj_t)
+        adj = ad.dropout_backward(c.dropout_mask, adj)
+        adj = ad.swish_backward(c.swish, adj)
+        adj, d_scale, d_shift = ad.batchnorm_backward(c.bn, adj)
         g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
         if i:
-            adj_v, adj_t, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj_v, adj_t)
+            adj, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj)
         else:  # the network input needs no adjoint
-            g["layer0.w"][...] = ad.affine_weight_grad(c.affine, adj_v, adj_t)
+            g["layer0.w"][...] = ad.affine_weight_grad(c.affine, adj)
     return grad
 
 
@@ -379,8 +377,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint, checking every field against the stored config.
 
     Each array must be finite and hold exactly as many numbers as the shape
-    the config implies (widths ``[4] + hidden``), the config must pass
-    ``ModelConfig.validate``, and a stored normalizer must be invertible
+    the config implies (widths ``[4] + hidden``), the config must be a valid
+    ``ModelConfig``, and a stored normalizer must be invertible
     (every ``input_std`` > 0, ``y_max`` > ``y_min``); any mismatch raises
     ``CheckpointSchemaError``.
     """
@@ -397,7 +395,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         )
     try:
         cfg = _read(ModelConfig, doc["config"], "config")
-        cfg.validate()
         if len(doc["layers"]) != len(cfg.hidden):
             raise CheckpointSchemaError(f"config implies {len(cfg.hidden)} hidden layers")
         widths = [INPUT_WIDTH] + cfg.hidden

@@ -40,7 +40,7 @@ VARIANTS = {
 MIN_FINAL_BATCH = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainRunConfig:
     epochs: int = 50
     batch_size: int = 128
@@ -53,7 +53,7 @@ class TrainRunConfig:
     # is dropped); this flag removes the physics term as well.
     emotion_only_no_physics: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -245,7 +245,6 @@ def run_fold(
     through it unchanged (targets may leave [0, 1]). Returns the report and
     the trained model.
     """
-    cfg.validate()
     norm = fit_normalizer(train)
     train_n = apply_normalizer(norm, train)
     valid_n = apply_normalizer(norm, valid)

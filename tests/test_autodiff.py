@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from edapinn.autodiff import (
-    DualBatch,
     affine_backward,
     affine_forward,
+    affine_weight_grad,
     batchnorm_backward,
     batchnorm_forward,
     dropout_backward,
     dropout_forward,
+    make_dropout_mask,
     sigmoid,
     swish_backward,
     swish_forward,
@@ -35,6 +36,15 @@ def rel_err(a, b, floor=1e-8):
 
 def rand(shape, seed):
     return Pcg32(seed).normal(int(np.prod(shape))).reshape(shape)
+
+
+def dual(value, tangent):
+    """A dual batch: the values at [0], their time tangents at [1]."""
+    return np.stack([value, tangent])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def swish_value(v):
@@ -75,32 +85,30 @@ def test_sigmoid_of_a_float_is_a_scalar():
 
 
 def test_swish_at_origin():
-    out, _ = swish_forward(DualBatch(np.zeros((1, 1)), np.ones((1, 1))))
-    assert out.value[0, 0] == 0.0
-    assert out.tangent[0, 0] == 0.5  # s'(0) = sigma(0) = 1/2
+    out, _ = swish_forward(dual(np.zeros((1, 1)), np.ones((1, 1))))
+    assert out[0, 0, 0] == 0.0
+    assert out[1, 0, 0] == 0.5  # s'(0) = sigma(0) = 1/2
 
 
 def test_swish_tangent_at_one_matches_central_difference():
     # frozen from (s(1+h) - s(1-h)) / 2h with h = 1e-6
-    out, _ = swish_forward(DualBatch(np.ones((1, 1)), np.ones((1, 1))))
-    assert out.tangent[0, 0] == pytest.approx(0.9276705118714867, abs=1e-9)
+    out, _ = swish_forward(dual(np.ones((1, 1)), np.ones((1, 1))))
+    assert out[1, 0, 0] == pytest.approx(0.9276705118714867, abs=1e-9)
 
 
 def test_affine_identity_passthrough():
-    x = DualBatch(rand((6, 4), 1), rand((6, 4), 2))
+    x = dual(rand((6, 4), 1), rand((6, 4), 2))
     out, cache = affine_forward(x, np.eye(4))
-    assert np.array_equal(out.value, x.value)
-    assert np.array_equal(out.tangent, x.tangent)
-    av, at, _ = affine_backward(cache, x.value, x.tangent)
-    assert np.array_equal(av, x.value)
-    assert np.array_equal(at, x.tangent)
+    assert np.array_equal(out, x)
+    adj, _ = affine_backward(cache, x)
+    assert np.array_equal(adj, x)
 
 
 def test_zero_adjoints_give_zero_everywhere():
-    x = DualBatch(rand((5, 3), 3), rand((5, 3), 4))
+    x = dual(rand((5, 3), 3), rand((5, 3), 4))
     _, cache = affine_forward(x, rand((3, 2), 5))
-    av, at, dw = affine_backward(cache, np.zeros((5, 2)), np.zeros((5, 2)))
-    for arr in (av, at, dw):
+    adj, dw = affine_backward(cache, np.zeros((2, 5, 2)))
+    for arr in (adj, dw):
         assert not np.any(arr)
 
 
@@ -116,29 +124,29 @@ def fd_tangent(f, xv, xt, h=1e-6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_swish_tangent_exactness(seed):
     xv, xt = rand((8, 5), seed), rand((8, 5), seed + 100)
-    out, _ = swish_forward(DualBatch(xv, xt))
-    assert rel_err(out.tangent, fd_tangent(swish_value, xv, xt)) <= REL_TOL_TANGENT
+    out, _ = swish_forward(dual(xv, xt))
+    assert rel_err(out[1], fd_tangent(swish_value, xv, xt)) <= REL_TOL_TANGENT
 
 
 def test_affine_tangent_exactness():
     xv, xt = rand((8, 4), 10), rand((8, 4), 11)
     w = rand((4, 3), 12)
-    out, _ = affine_forward(DualBatch(xv, xt), w)
-    assert rel_err(out.tangent, fd_tangent(lambda v: v @ w, xv, xt)) <= REL_TOL_TANGENT
+    out, _ = affine_forward(dual(xv, xt), w)
+    assert rel_err(out[1], fd_tangent(lambda v: v @ w, xv, xt)) <= REL_TOL_TANGENT
 
 
 def test_batchnorm_tangent_frozen_statistics():
     # the tangent channel must differentiate with mu, var held constant
     xv, xt = rand((16, 4), 20), rand((16, 4), 21)
     g, s = rand((4,), 22) + 2.0, rand((4,), 23)
-    out, _ = batchnorm_forward(DualBatch(xv, xt), g, s, np.zeros(4), np.ones(4), "train")
+    out, _ = batchnorm_forward(dual(xv, xt), g, s, np.zeros(4), np.ones(4), "train")
     mu = xv.mean(axis=0)
     var = xv.var(axis=0)
 
     def bn_frozen(v):
         return g * (v - mu) / np.sqrt(var + 1e-5) + s
 
-    assert rel_err(out.tangent, fd_tangent(bn_frozen, xv, xt)) <= REL_TOL_TANGENT
+    assert rel_err(out[1], fd_tangent(bn_frozen, xv, xt)) <= REL_TOL_TANGENT
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +156,13 @@ def test_batchnorm_tangent_frozen_statistics():
 
 def chain_loss(xv, xt, w1, w2, g, s):
     # a fresh stream in the same state draws the same dropout mask every call
-    x = DualBatch(xv, xt)
+    x = dual(xv, xt)
     x, _ = affine_forward(x, w1)
     x, _ = batchnorm_forward(x, g, s, np.zeros(w1.shape[1]), np.ones(w1.shape[1]), "train")
     x, _ = swish_forward(x)
     x, _ = dropout_forward(x, 0.25, "train", Pcg32(36))
     x, _ = affine_forward(x, w2)
-    return x.value.sum() + x.tangent.sum()
+    return x[0].sum() + x[1].sum()
 
 
 def test_three_layer_chain_parameter_gradients_match_fd():
@@ -165,19 +173,18 @@ def test_three_layer_chain_parameter_gradients_match_fd():
     mask = (Pcg32(36).random(n * h_w).reshape(n, h_w) >= 0.25) / 0.75
 
     # analytic pass
-    x = DualBatch(xv, xt)
+    x = dual(xv, xt)
     x, c1 = affine_forward(x, w1)
     x, c2 = batchnorm_forward(x, g, s, np.zeros(h_w), np.ones(h_w), "train")
     x, c3 = swish_forward(x)
     x, applied = dropout_forward(x, 0.25, "train", Pcg32(36))
     assert np.array_equal(applied, mask)
     x, c5 = affine_forward(x, w2)
-    av, at = np.ones((n, o)), np.ones((n, o))
-    av, at, dw2 = affine_backward(c5, av, at)
-    av, at = dropout_backward(applied, av, at)
-    av, at = swish_backward(c3, av, at)
-    av, at, dg, ds = batchnorm_backward(c2, av, at)
-    av, at, dw1 = affine_backward(c1, av, at)
+    adj, dw2 = affine_backward(c5, np.ones((2, n, o)))
+    adj = dropout_backward(applied, adj)
+    adj = swish_backward(c3, adj)
+    adj, dg, ds = batchnorm_backward(c2, adj)
+    (av, at), dw1 = affine_backward(c1, adj)
 
     h = 1e-5
     for arr, ana in [(w1, dw1), (w2, dw2), (g, dg), (s, ds), (xv, av), (xt, at)]:
@@ -197,14 +204,10 @@ def test_three_layer_chain_parameter_gradients_match_fd():
 
 def test_backward_additive_in_adjoints():
     xv, xt = rand((7, 3), 40), rand((7, 3), 41)
-    _, cache = swish_forward(DualBatch(xv, xt))
-    a1, a2 = rand((7, 3), 42), rand((7, 3), 43)
-    b1, b2 = rand((7, 3), 44), rand((7, 3), 45)
-    v_sum, t_sum = swish_backward(cache, a1 + a2, b1 + b2)
-    v1, t1 = swish_backward(cache, a1, b1)
-    v2, t2 = swish_backward(cache, a2, b2)
-    assert np.allclose(v_sum, v1 + v2, atol=1e-12)
-    assert np.allclose(t_sum, t1 + t2, atol=1e-12)
+    _, cache = swish_forward(dual(xv, xt))
+    a1, a2 = dual(rand((7, 3), 42), rand((7, 3), 44)), dual(rand((7, 3), 43), rand((7, 3), 45))
+    summed = swish_backward(cache, a1) + swish_backward(cache, a2)
+    assert np.allclose(swish_backward(cache, a1 + a2), summed, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -213,45 +216,72 @@ def test_backward_additive_in_adjoints():
 
 
 def test_dropout_same_mask_on_both_channels():
-    x = DualBatch(np.ones((4, 6)), np.full((4, 6), 2.0))
+    x = dual(np.ones((4, 6)), np.full((4, 6), 2.0))
     out, mask = dropout_forward(x, 0.5, "train", rng=Pcg32(1).derive("d"))
-    kept = out.value != 0
+    kept = out[0] != 0
     assert np.array_equal(kept, mask != 0)
-    assert np.array_equal(kept, out.tangent != 0)
-    assert np.allclose(out.value[kept], 2.0)  # inverted scaling by 1/keep
-    assert np.allclose(out.tangent[kept], 4.0)
+    assert np.array_equal(kept, out[1] != 0)
+    assert np.allclose(out[0][kept], 2.0)  # inverted scaling by 1/keep
+    assert np.allclose(out[1][kept], 4.0)
     # eval mode is the identity and consumes no rng
     out_eval, no_mask = dropout_forward(x, 0.5, "eval")
-    assert np.array_equal(out_eval.value, x.value) and no_mask is None
+    assert out_eval is x and no_mask is None
 
 
 def test_batchnorm_eval_uses_running_stats():
-    x = DualBatch(rand((8, 3), 60), rand((8, 3), 61))
+    x = dual(rand((8, 3), 60), rand((8, 3), 61))
     rm, rv = np.array([1.0, -2.0, 0.5]), np.array([4.0, 9.0, 1.0])
     out, cache = batchnorm_forward(x, np.ones(3), np.zeros(3), rm, rv, "eval")
-    expected = (x.value - rm) / np.sqrt(rv + 1e-5)
-    assert np.allclose(out.value, expected, atol=1e-12)
+    expected = (x[0] - rm) / np.sqrt(rv + 1e-5)
+    assert np.allclose(out[0], expected, atol=1e-12)
     assert cache.new_running_mean is None
 
 
 def test_batchnorm_backward_rejects_an_eval_mode_cache():
     # only a train-mode forward is ever differentiated: eval mode never trains
-    x = DualBatch(rand((8, 3), 62), rand((8, 3), 63))
+    x = dual(rand((8, 3), 62), rand((8, 3), 63))
     _, cache = batchnorm_forward(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval")
     with pytest.raises(ContractError):
-        batchnorm_backward(cache, np.ones((8, 3)), np.ones((8, 3)))
+        batchnorm_backward(cache, np.ones((2, 8, 3)))
 
 
 def test_shape_mismatch_raises_contract_error():
     with pytest.raises(ContractError):
-        DualBatch(np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(ContractError):
-        affine_forward(DualBatch(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((4, 2)))
+        affine_forward(dual(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((4, 2)))
 
 
 def test_deterministic_forward_same_seed():
-    x = DualBatch(rand((4, 4), 80), rand((4, 4), 81))
+    x = dual(rand((4, 4), 80), rand((4, 4), 81))
     o1, _ = dropout_forward(x, 0.3, "train", rng=Pcg32(99).derive("mask"))
     o2, _ = dropout_forward(x, 0.3, "train", rng=Pcg32(99).derive("mask"))
-    assert np.array_equal(o1.value, o2.value)
-    assert np.array_equal(o1.tangent, o2.tangent)
+    assert np.array_equal(o1, o2)
+
+
+# ---------------------------------------------------------------------------
+# stacking both channels into one array changes no number
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, fan_in, fan_out", [(128, 4, 64), (128, 64, 64), (128, 64, 1), (7, 4, 64)])
+def test_stacked_affine_equals_per_channel_matmuls_bit_for_bit(n, fan_in, fan_out):
+    # the training shapes: first hidden layer, later hidden layers, the head;
+    # a numpy or BLAS build on which the stacked matmul rounds differently
+    # would change every output of the package, so it must fail here
+    v, t = rand((n, fan_in), 90), rand((n, fan_in), 91)
+    av, at = rand((n, fan_out), 92), rand((n, fan_out), 93)
+    w = rand((fan_in, fan_out), 94)
+    out, cache = affine_forward(dual(v, t), w)
+    assert same_bits(out[0], v @ w) and same_bits(out[1], t @ w)
+    adj, dw = affine_backward(cache, dual(av, at))
+    assert same_bits(adj[0], av @ w.T) and same_bits(adj[1], at @ w.T)
+    assert same_bits(dw, v.T @ av + t.T @ at)
+    assert same_bits(affine_weight_grad(cache, dual(av, at)), dw)
+
+
+def test_dropout_applies_one_mask_to_both_channels_bit_for_bit():
+    x = dual(rand((128, 64), 95), rand((128, 64), 96))
+    out, mask = dropout_forward(x, 0.1, "train", Pcg32(97))
+    assert same_bits(mask, make_dropout_mask((128, 64), 0.1, Pcg32(97)))
+    assert same_bits(out[0], x[0] * mask) and same_bits(out[1], x[1] * mask)
+    adj = dropout_backward(mask, x)
+    assert same_bits(adj[0], x[0] * mask) and same_bits(adj[1], x[1] * mask)

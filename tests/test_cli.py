@@ -423,7 +423,16 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "kfold", "ablate"])
-def test_existing_file_as_out_exits_2(tmp_path, capsys, command):
+def test_existing_file_as_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    """Before any training: a file in the way of the outputs is found in
+    milliseconds, not after every fold has run."""
+    import edapinn.cli as cli
+
+    def no_training(*args, **kwargs):
+        pytest.fail("trained before checking that --out can be written")
+
+    for name in ("run_kfold", "ablation_table", "run_fold"):
+        monkeypatch.setattr(cli, name, no_training)
     doc = {"data": {"synth": SMALL_SYNTH}, "train": {**SMALL_TRAIN, "epochs": 1}}
     cfg_path = write_config(tmp_path, {**doc, "ablate": {"variants": ["ridge"]}})
     out = tmp_path / "taken"
@@ -471,6 +480,31 @@ def test_overflowing_csv_spread_exits_2_naming_the_column(tmp_path, capsys, comm
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"column {column!r} overflows float64" in err
+
+
+def one_cell_csv(column: str, value: str) -> str:
+    """40 rows, ``column`` of row 0 set to ``value``."""
+    at = CSV_HEAD.strip().split(",").index(column)
+    rows = [line.split(",") for line in csv_rows([0, 1] * 20).splitlines()]
+    rows[0][at] = value
+    return CSV_HEAD + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("column", ["t", "eda_mean"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_validation_cell_overflowing_once_normalized_exits_2(tmp_path, capsys, command, column):
+    """Row 0 lands in fold 1's validation split, so the training rows fit a
+    normalizer under which its 1e308 leaves float64 (t) or squares past it
+    in the metrics (eda_mean): one error line, not exit 3, a RuntimeWarning
+    (an error under this suite's warning filter) or an inf in the tables."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text(one_cell_csv(column, "1e308"))
+    train = {**SMALL_TRAIN, "epochs": 2}
+    cfg_path = write_config(tmp_path, {"data": {"input": str(csv_path)}, "train": train})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"column {column!r} overflows float64 once normalized" in err
 
 
 def test_synth_overflowing_time_range_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -284,6 +284,20 @@ def test_overflowing_spread_rejected_by_column(column):
         fit_normalizer(wide)
 
 
+@pytest.mark.parametrize("column", ["t", "panas_mean", "sam_arousal", "eda_mean"])
+def test_cell_overflowing_once_normalized_rejected_by_column(column):
+    """One 1e308 cell outside the fitted rows: its z-score leaves float64, or
+    its square does (the scaled target is 1e308 over a range near 2); the
+    column is named and no RuntimeWarning leaks."""
+    data = random_dataset(20, seed=13)
+    norm = fit_normalizer(data)
+    cols = np.column_stack([data.inputs, data.y])  # the CSV columns but the label
+    cols[0, CSV_HEADER.index(column)] = 1e308
+    far = Dataset(cols[:, 0], cols[:, 1:4], cols[:, 4], data.label)
+    with pytest.raises(ConfigError, match=f"column {column!r} overflows float64 once normalized"):
+        apply_normalizer(norm, far)
+
+
 # ---------------------------------------------------------------------------
 # stratified k-fold
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ def test_pearson_antisymmetry_under_negation():
 
 def test_constant_target_undefined_marker():
     m = regression_metrics(np.array([1.0, 2.0, 3.0]), np.array([5.0, 5.0, 5.0]))
-    assert not m.pearson_defined
-    assert m.pearson_r == 0.0  # renders as 0, flagged undefined
+    assert m.pearson_r == 0.0  # undefined, renders as 0
 
 
 @given(
@@ -82,8 +81,8 @@ def test_all_negative_predictions_zero_by_convention():
     prob = np.array([0.1, 0.2, 0.3])
     label = np.array([1, 0, 1])
     m = classification_metrics(prob, label, 0.5)
-    assert m.precision == 0.0 and not m.precision_defined
-    assert m.recall == 0.0 and m.recall_defined
+    assert m.precision == 0.0
+    assert m.recall == 0.0
 
 
 def test_tie_at_threshold_goes_positive():

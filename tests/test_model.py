@@ -72,6 +72,13 @@ def test_invalid_config_rejected():
         init_model(ModelConfig(bn_eps=float("nan")))
 
 
+def test_invalid_config_cannot_be_built():
+    with pytest.raises(ConfigError, match="dropout rate"):
+        dataclasses.replace(ModelConfig(), dropout=1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ModelConfig().dropout = 1.5
+
+
 def test_zero_weight_network_outputs():
     params = init_model(ModelConfig(hidden=[8, 8], seed=2, dropout=0.0))
     for layer in params.layers:

@@ -4,7 +4,7 @@ import concurrent.futures
 import ctypes
 import glob
 import multiprocessing
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -504,9 +504,16 @@ def test_kfold_rejects_k_above_minority_count():
 
 def test_invalid_variant_rejected():
     with pytest.raises(ConfigError):
-        quick_cfg(variant="bogus").validate()
+        quick_cfg(variant="bogus")
     with pytest.raises(ConfigError):
-        quick_cfg(lr=float("nan")).validate()
+        quick_cfg(lr=float("nan"))
+
+
+def test_invalid_train_config_cannot_be_built():
+    with pytest.raises(ConfigError, match="epochs"):
+        replace(quick_cfg(), epochs=0)
+    with pytest.raises(FrozenInstanceError):
+        quick_cfg().epochs = 0
 
 
 # ---------------------------------------------------------------------------
