@@ -12,8 +12,8 @@ import numpy as np
 
 from edapinn import ModelConfig, SynthSpec, TrainRunConfig, run_kfold, synth_generate
 from edapinn.baselines import BASELINES
+from edapinn.objective import VARIANTS
 from edapinn.reporting import METRICS_COLUMNS, ablation_table, aggregate_folds, render_table
-from edapinn.trainer import VARIANTS
 
 data, _ = synth_generate(SynthSpec(n=800, seed=21))
 cfg = TrainRunConfig(epochs=20, batch_size=128, seed=21, k=5)

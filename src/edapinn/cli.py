@@ -75,11 +75,19 @@ def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
     print(f"wrote {csv_path} ({len(data)} rows), {ddt_sibling_path(csv_path).name}, manifest.json")
     if verify:
         reloaded = load_csv(csv_path)
-        r = physics_residual(dydt, reloaded.y, reloaded.e, cfg.synth.physics())
+        phys = cfg.synth.physics()
+        r = physics_residual(dydt, reloaded.y, reloaded.e, phys)
         worst = float(np.max(np.abs(r)))
         if cfg.synth.noise == 0.0:
-            ok = worst <= 1e-10
-            print(f"residual-free check: max |r| = {worst:.3e} (tol 1e-10): {'PASS' if ok else 'FAIL'}")
+            # r cancels its three terms, so its rounding error scales with them
+            terms = np.abs(phys.gamma * dydt) + np.abs(phys.alpha0 * reloaded.y)
+            terms += np.abs(reloaded.e @ phys.beta)
+            ratio = float(np.max(np.abs(r) / np.maximum(terms, np.finfo(float).tiny)))
+            ok = ratio <= 1e-12
+            print(
+                f"residual-free check: max |r| = {worst:.3e}, max |r| / terms = {ratio:.3e} "
+                f"(tol 1e-12): {'PASS' if ok else 'FAIL'}"
+            )
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         print(f"residual check (noise sigma={cfg.synth.noise}): max |r| = {worst:.3e}")
     return EXIT_OK

@@ -26,8 +26,9 @@ from .baselines import BASELINES
 from .data import SynthSpec, read_text
 from .errors import ConfigError
 from .model import ModelConfig
+from .objective import VARIANTS
 from .rng import derive_seed
-from .trainer import VARIANTS, TrainRunConfig
+from .trainer import TrainRunConfig
 
 
 @dataclass

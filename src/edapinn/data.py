@@ -46,6 +46,8 @@ class Dataset:
     label: np.ndarray  # (n,) ints in {0, 1}
 
     def __post_init__(self):
+        if self.t.ndim != 1:
+            raise ContractError(f"dataset t must be 1-D, got shape {self.t.shape}")
         n = self.t.shape[0]
         if self.e.shape != (n, 3) or self.y.shape != (n,) or self.label.shape != (n,):
             raise ContractError("dataset arrays must align on the sample dimension")
@@ -388,9 +390,9 @@ def rk4_integrate(
     guarantees are stated for).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    steps = np.diff(t_grid)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ContractError("t_grid must be a nonempty 1-D array")
+    steps = np.diff(t_grid)
     if np.any(steps <= 0):
         raise ContractError("t_grid must be strictly increasing")
     if steps.size and steps.max() > 1e-2 + 1e-12:

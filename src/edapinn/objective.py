@@ -14,9 +14,10 @@ multiplier only ever shrinks it (the penalty is non-negative), which is why
 the floor and an optional freeze exist; the trainer records the lambda
 trajectory rather than hiding the collapse.
 
-``loss_gradients`` is the one place the objective is evaluated: one call
-returns the unweighted loss breakdown and the adjoints of the
-variant-weighted objective, from one residual.
+``VARIANTS`` is the one table of the terms each network variant trains,
+and ``loss_gradients`` the one place the objective is evaluated: one call
+returns the unweighted loss breakdown and the adjoints of the variant's
+terms, from one residual.
 """
 
 from __future__ import annotations
@@ -29,8 +30,17 @@ import numpy as np
 from .autodiff import sigmoid, softplus, softplus_inv
 from .errors import ContractError
 
-if TYPE_CHECKING:  # avoid a runtime import cycle with model.py
-    from .model import Predictions
+if TYPE_CHECKING:  # avoid runtime import cycles with data.py and model.py
+    from .data import Dataset
+    from .model import ModelParams, Predictions
+
+# the network variants and the loss terms each trains: (use_eda, use_emotion, use_physics)
+VARIANTS = {
+    "full": (True, True, True),
+    "no_physics": (True, True, False),
+    "eda_only": (True, False, True),
+    "emotion_only": (False, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -129,37 +139,29 @@ class LossGrads:
 
 
 def loss_gradients(
-    preds: "Predictions",
-    y_true: np.ndarray,
-    labels: np.ndarray,
-    e: np.ndarray,
-    phys: PhysicsParams,
-    *,
-    use_eda: bool = True,
-    use_emotion: bool = True,
-    use_physics: bool = True,
-    lambda_floor: float = 0.0,
-    lambda_frozen: bool = False,
+    preds: "Predictions", batch: "Dataset", params: "ModelParams", variant: str
 ) -> tuple[LossBreakdown, LossGrads]:
-    """The loss breakdown and the exact gradients of
-    w_eda*L_eda + w_emo*L_emotion + lambda*L_physics, from one residual.
+    """The loss breakdown of ``preds`` on one normalized ``batch`` and the
+    exact gradients of the terms of L_eda + L_emotion + lambda*L_physics that
+    the ``VARIANTS`` row of ``variant`` trains, from one residual.
 
-    Every component is always computed, and the breakdown is the unweighted
-    one, so total == l_eda + l_emotion + lambda_eff * l_physics holds by
-    definition. Ablation variants switch terms off through the ``use_*``
-    flags, which weight only the gradients.
+    lambda, its floor and its freeze come from ``params``. Every component is
+    always computed, and the breakdown is the unweighted one, so
+    total == l_eda + l_emotion + lambda_eff * l_physics holds by definition.
     """
-    n = y_true.shape[0]
+    use_eda, use_emotion, use_physics = VARIANTS[variant]
+    phys, floor = params.physics, params.config.lambda_floor
+    n = len(batch)
     y = np.asarray(preds.y_eda, dtype=np.float64)
     dydt = np.asarray(preds.dydt, dtype=np.float64)
     p = np.asarray(preds.p_emotion, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = batch.label.astype(np.float64)
 
-    l_eda = mse(y, y_true)
+    l_eda = mse(y, batch.y)
     l_emotion = bce(preds.z_emotion, labels)
-    r = physics_residual(dydt, y, e, phys)
+    r = physics_residual(dydt, y, batch.e, phys)
     l_phys = physics_loss(r)
-    lam = phys.lambda_eff(lambda_floor)
+    lam = phys.lambda_eff(floor)
     breakdown = LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
 
     adj_y = np.zeros(n)
@@ -171,7 +173,7 @@ def loss_gradients(
     d_rho = 0.0
 
     if use_eda:
-        adj_y += 2.0 * (y - y_true) / n
+        adj_y += 2.0 * (y - batch.y) / n
 
     if use_emotion:
         adj_z += (p - labels) / n
@@ -181,8 +183,8 @@ def loss_gradients(
         adj_dydt += lam * 2.0 * r * phys.gamma / n
         d_alpha0 = lam * 2.0 * float(r @ y) / n
         d_gamma = lam * 2.0 * float(r @ dydt) / n
-        d_beta = -lam * 2.0 * (r @ e) / n
-        if not lambda_frozen and softplus(phys.rho) > lambda_floor:
+        d_beta = -lam * 2.0 * (r @ batch.e) / n
+        if not params.config.lambda_frozen and softplus(phys.rho) > floor:
             d_rho = l_phys * float(sigmoid(phys.rho))
 
     return breakdown, LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)

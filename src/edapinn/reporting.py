@@ -20,7 +20,8 @@ from .data import Dataset, csv_text, read_text, stratified_kfold
 from .errors import ContractError, DataFormatError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
-from .trainer import VARIANTS, FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
+from .objective import VARIANTS
+from .trainer import FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +91,14 @@ def ablation_table(
     """One row per variant id, each evaluated with the same stratified folds.
 
     A variant is a baseline of ``baselines.BASELINES`` or else a network
-    variant, which ``TrainRunConfig.validate`` checks. Network variants run
-    the full k-fold protocol; their (variant, fold) trainings form one job
-    list, run on ``threads`` worker processes when threads > 1 (see
-    ``trainer.run_fold_jobs``). The default of 1 trains in this process. A
-    column whose predictor the variant never trains reports 0.0: F1 when
-    its ``task_weights`` leave out the emotion term (eda_only), both EDA
-    columns when they leave out the EDA and physics terms (emotion_only under
-    ``emotion_only_no_physics``), as the regression head then receives no
-    gradient. Returns the table plus the per-variant fold reports so callers
-    can reuse them without retraining.
+    variant of ``objective.VARIANTS``, which ``TrainRunConfig`` checks.
+    Network variants run the full k-fold protocol; their (variant, fold)
+    trainings form one job list, run on ``threads`` worker processes when
+    threads > 1 (see ``trainer.run_fold_jobs``). The default of 1 trains in
+    this process. The F1 of a variant whose ``VARIANTS`` row leaves out the
+    emotion term (eda_only) reports 0.0, as its classifier is never trained.
+    Returns the table plus the per-variant fold reports so callers can
+    reuse them without retraining.
     """
     folds = stratified_kfold(data, cfg.k, cfg.seed)
     cfgs = {v: replace(cfg, variant=v) for v in variants if v not in BASELINES}
@@ -116,10 +115,7 @@ def ablation_table(
         rmse = float(np.mean([r.regression.rmse for r in reports]))
         r_mean = float(np.mean([r.regression.pearson_r for r in reports]))
         f1 = float(np.mean([r.classification.f1 for r in reports]))
-        use_eda, use_emotion, use_physics = cfgs[v].task_weights()
-        if not (use_eda or use_physics):
-            rmse = r_mean = 0.0
-        rows.append(AblationRow(v, rmse, f1 if use_emotion else 0.0, r_mean))
+        rows.append(AblationRow(v, rmse, f1 if VARIANTS[v][1] else 0.0, r_mean))
     return rows, fold_reports
 
 

@@ -1,5 +1,8 @@
 """Adam optimization, the per-batch training loop, folds and recovery.
 
+A run's variant is a name the trainer hands to the objective, which owns
+the loss terms each variant trains (``objective.VARIANTS``).
+
 One fold trains in one process so accumulation order is deterministic;
 (seed, data, config) fully determine every recorded trace value. Distinct
 folds use independently derived RNG streams, so a list of (variant, fold)
@@ -24,16 +27,9 @@ from .evaluation import (
     regression_metrics,
 )
 from .model import ModelConfig, ModelParams, forward_batch, init_model
-from .objective import PhysicsParams
+from .objective import VARIANTS, PhysicsParams
 from .rng import Pcg32, derive_seed
 
-# the network variants and the loss terms each trains: (use_eda, use_emotion, use_physics)
-VARIANTS = {
-    "full": (True, True, True),
-    "no_physics": (True, True, False),
-    "eda_only": (True, False, True),
-    "emotion_only": (False, True, True),
-}
 # a final batch of fewer rows joins the one before it: batch-norm statistics
 # over 1-3 rows blow the physics loss and its gradient up (after 5 epochs, 1 row
 # gave 2.4e7 and 6.1e7, 8 rows 0.75 and 5.9), poisoning Adam's second moments
@@ -48,10 +44,6 @@ class TrainRunConfig:
     seed: int = 1
     lr: float = 0.001
     k: int = 5
-    # reproduces the protocol's ambiguous "emotion only, no physics" row:
-    # emotion_only normally keeps the physics term (only the EDA supervision
-    # is dropped); this flag removes the physics term as well.
-    emotion_only_no_physics: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -64,13 +56,6 @@ class TrainRunConfig:
             raise ConfigError("learning rate must be finite and positive")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
-
-    def task_weights(self) -> tuple[bool, bool, bool]:
-        """(use_eda, use_emotion, use_physics): the variant's ``VARIANTS`` entry,
-        less the physics term under ``emotion_only_no_physics``."""
-        use_eda, use_emotion, use_physics = VARIANTS[self.variant]
-        no_physics = self.emotion_only_no_physics and self.variant == "emotion_only"
-        return use_eda, use_emotion, use_physics and not no_physics
 
 
 @dataclass
@@ -144,22 +129,8 @@ def batch_loss(
     """The variant's objective on the train-mode forward of one normalized
     batch, dropout masks drawn from ``rng`` (None at a zero rate): the loss,
     its adjoints and the predictions, for training and the gradient checker."""
-    use_eda, use_emotion, use_physics = cfg.task_weights()
-    mcfg = params.config
     preds = forward_batch(params, batch, "train", rng)
-    breakdown, lg = obj.loss_gradients(
-        preds,
-        batch.y,
-        batch.label.astype(np.float64),
-        batch.e,
-        params.physics,
-        use_eda=use_eda,
-        use_emotion=use_emotion,
-        use_physics=use_physics,
-        lambda_floor=mcfg.lambda_floor,
-        lambda_frozen=mcfg.lambda_frozen,
-    )
-    return breakdown, lg, preds
+    return *obj.loss_gradients(preds, batch, params, cfg.variant), preds
 
 
 def batch_gradients(
@@ -188,7 +159,7 @@ def train_epoch(
     order = rng.derive(f"shuffle:{epoch}").permutation(n)
     dropout_rng = rng.derive(f"dropout:{epoch}")
     sums = np.zeros(3)
-    use_physics = cfg.task_weights()[2]
+    use_physics = VARIANTS[cfg.variant][2]
     bounds = list(range(0, n, cfg.batch_size)) + [n]
     if len(bounds) > 2 and n - bounds[-2] < MIN_FINAL_BATCH:
         del bounds[-2]

@@ -167,6 +167,29 @@ def test_synth_verify_flag_residual_free(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("y0", [0.2, 1e6])
+def test_synth_verify_is_relative_to_the_terms_the_residual_cancels(tmp_path, capsys, monkeypatch, y0):
+    """Noise-free data passes at any scale (at y0 = 1e6 the residual rounds
+    to ~5e-10, one ulp of its terms), and one eda_mean cell moved by a
+    relative 1e-9 fails."""
+    import edapinn.cli as cli_mod
+
+    cfg_path = write_config(tmp_path, {"data": {"synth": {"n": 2000, "noise": 0.0, "y0": y0}}})
+    command = ["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--verify"]
+    assert main(command) == 0
+    assert "PASS" in capsys.readouterr().out
+    real = cli_mod.load_csv
+
+    def perturbed(path):
+        data = real(path)
+        data.y[0] *= 1.0 + 1e-9
+        return data
+
+    monkeypatch.setattr(cli_mod, "load_csv", perturbed)
+    assert main(command) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # kfold command
 # ---------------------------------------------------------------------------
@@ -345,6 +368,18 @@ def test_ablate_unknown_variant_exits_2(tmp_path, capsys, command, variants):
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "'ablate.variants'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate"])
+def test_removed_physics_override_key_exits_2(tmp_path, capsys, command):
+    """The flag that dropped physics from emotion_only is gone: which terms
+    a variant trains is its objective.VARIANTS row, and the old key is unknown."""
+    train = {**SMALL_TRAIN, "emotion_only_no_physics": True}
+    cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": train})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'train.emotion_only_no_physics'" in capsys.readouterr().err
     assert not out.exists()
 
 

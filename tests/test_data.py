@@ -132,6 +132,11 @@ def test_any_bytes_load_as_a_dataset_or_raise_data_format_error(tmp_path, raw):
     assert isinstance(data, Dataset)
 
 
+def test_dataset_rejects_0d_time():
+    with pytest.raises(ContractError, match="1-D"):
+        Dataset(np.float64(1.0), np.zeros(3), np.float64(0.0), np.int64(0))
+
+
 def test_write_load_roundtrip_identity(tmp_path):
     data = random_dataset(37, seed=5)
     p = tmp_path / "rt.csv"
@@ -415,6 +420,8 @@ def test_rk4_grid_contracts():
         rk4_integrate(phys, np.ones(3), 0.0, np.array([0.0, 0.5, 0.4]))
     with pytest.raises(ContractError):
         rk4_integrate(phys, np.ones(3), 0.0, np.array([0.0, 0.5]))  # step > 1e-2
+    with pytest.raises(ContractError, match="1-D"):
+        rk4_integrate(phys, np.ones(3), 0.0, np.float64(0.5))
 
 
 def test_synth_residual_free_and_labels():

@@ -80,12 +80,12 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
     from edapinn import objective as obj
 
     preds = model_mod.forward_batch(params, batch, "train")
-    _, lg = obj.loss_gradients(
-        preds, batch.y, batch.label.astype(float), batch.e, params.physics,
-        use_emotion=False, use_physics=False,
-    )
+    _, lg = obj.loss_gradients(preds, batch, params, "no_physics")
     grad = model_mod.backward(params, preds.caches, lg)
-    for name, g in blocks(grad, params.config).items():
+    grads = blocks(grad, params.config)
+    # the classifier's bias alone sees the BCE's own gradient, mean(sigmoid(0) - label)
+    assert grads.pop("head_cls.b")[0] == pytest.approx(np.mean(0.5 - batch.label), abs=1e-15)
+    for name, g in grads.items():
         assert not np.any(g), name
 
 

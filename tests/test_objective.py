@@ -1,13 +1,17 @@
 """Loss components: point values, breakdown identity, algebraic properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edapinn.errors import ContractError
-from edapinn.data import SynthSpec, synth_generate
+from edapinn.data import Dataset, SynthSpec, synth_generate
+from edapinn.model import ModelConfig, init_model
 from edapinn.objective import (
+    VARIANTS,
     PhysicsParams,
     bce,
     loss_gradients,
@@ -25,6 +29,15 @@ class FakePreds:
         self.dydt = np.asarray(dydt, dtype=float)
         self.z_emotion = np.asarray(z_emotion, dtype=float)
         self.p_emotion = 1.0 / (1.0 + np.exp(-self.z_emotion))
+
+
+def objective_on(preds, y, labels, e, phys, variant="full", lambda_floor=0.0):
+    """``loss_gradients`` of ``preds`` against these targets, with ``phys``
+    as the model's physics and ``lambda_floor`` as its floor."""
+    batch = Dataset(np.zeros(len(y)), np.asarray(e, dtype=float), np.asarray(y, dtype=float),
+                    np.asarray(labels).astype(np.int64))
+    params = replace(init_model(ModelConfig(hidden=[1], lambda_floor=lambda_floor)), physics=phys)
+    return loss_gradients(preds, batch, params, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +149,7 @@ def test_breakdown_identity_on_random_inputs():
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
     phys = PhysicsParams(0.8, np.array([0.2, 0.1, -0.3]), 1.2, rho=0.5)
-    bd, _ = loss_gradients(preds, y, labels, e, phys, lambda_floor=1e-3)
+    bd, _ = objective_on(preds, y, labels, e, phys, lambda_floor=1e-3)
     # recompute components independently
     assert bd.l_eda == pytest.approx(np.mean((preds.y_eda - y) ** 2), rel=1e-12)
     r = phys.gamma * preds.dydt + phys.alpha0 * preds.y_eda - e @ phys.beta
@@ -148,7 +161,7 @@ def test_perfect_predictions_on_residual_free_data():
     spec = SynthSpec(n=200, noise=0.0, seed=13)
     data, dydt = synth_generate(spec)
     preds = FakePreds(data.y, dydt, np.where(data.label == 1, 40.0, -40.0))
-    bd, _ = loss_gradients(preds, data.y, data.label.astype(float), data.e, spec.physics())
+    bd, _ = objective_on(preds, data.y, data.label, data.e, spec.physics())
     assert bd.l_eda <= 1.1e-7
     assert bd.l_emotion <= 1.1e-7
     assert bd.l_physics <= 1.1e-7
@@ -158,9 +171,9 @@ def test_lambda_floor_and_frozen_zero():
     preds = FakePreds([0.5], [0.1], [np.log(1.5)])  # p = 0.6
     y, labels, e = np.array([0.4]), np.array([1.0]), np.ones((1, 3))
     low_rho = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0, rho=-20.0)
-    bd, _ = loss_gradients(preds, y, labels, e, low_rho, lambda_floor=1e-3)
+    bd, _ = objective_on(preds, y, labels, e, low_rho, lambda_floor=1e-3)
     assert bd.lambda_eff == 1e-3
-    bd0, _ = loss_gradients(preds, y, labels, e, low_rho, lambda_floor=0.0)
+    bd0, _ = objective_on(preds, y, labels, e, low_rho, lambda_floor=0.0)
     assert bd0.total == pytest.approx(bd0.l_eda + bd0.l_emotion, abs=1e-9)
 
 
@@ -172,12 +185,10 @@ def test_loss_gradient_variant_switches():
     labels = (rngv.uniform(size=n) < 0.5).astype(float)
     e = rngv.normal(size=(n, 3))
     phys = PhysicsParams(1.0, np.array([0.1, 0.1, 0.1]), 1.0)
-    _, no_eda = loss_gradients(preds, y, labels, e, phys, use_eda=False, use_physics=False)
-    assert not np.any(no_eda.adj_y)  # only the BCE path remains, on z
-    assert np.any(no_eda.adj_z)
-    _, no_phys = loss_gradients(preds, y, labels, e, phys, use_physics=False)
-    assert no_phys.d_alpha0 == 0.0 and no_phys.d_rho == 0.0
-    assert not np.any(no_phys.adj_dydt)
-    _, full = loss_gradients(preds, y, labels, e, phys)
-    assert np.any(full.adj_dydt)
-    assert full.d_rho >= 0.0  # physics loss can only push lambda down
+    for variant, (use_eda, use_emotion, use_physics) in VARIANTS.items():
+        _, lg = objective_on(preds, y, labels, e, phys, variant)
+        assert np.any(lg.adj_y) == (use_eda or use_physics), variant
+        assert np.any(lg.adj_z) == use_emotion, variant
+        for trained_by_physics in (lg.adj_dydt, lg.d_alpha0, lg.d_rho):
+            assert np.any(trained_by_physics) == use_physics, variant
+        assert lg.d_rho >= 0.0  # physics loss can only push lambda down

@@ -83,14 +83,11 @@ def test_ablation_single_variant_single_row():
 
 
 def test_ablation_zeroes_the_columns_of_untrained_heads():
-    """emotion_only without physics trains no regression head, eda_only no
-    classifier: their rows report 0.0 there, as the baselines do."""
+    """eda_only trains no classifier: its row reports F1 0.0, as the
+    regression baseline does."""
     data, _ = synth_generate(SynthSpec(n=200, seed=3))
-    cfg = TrainRunConfig(epochs=1, batch_size=64, k=3, seed=1, emotion_only_no_physics=True)
-    rows, _ = ablation_table(data, ["emotion_only", "eda_only"], ModelConfig(hidden=[8, 8], seed=1), cfg)
-    emotion_only, eda_only = rows
-    assert (emotion_only.eda_rmse, emotion_only.pearson_r) == (0.0, 0.0)
-    assert emotion_only.emotion_f1 > 0.0
+    cfg = TrainRunConfig(epochs=1, batch_size=64, k=3, seed=1)
+    (eda_only,), _ = ablation_table(data, ["eda_only"], ModelConfig(hidden=[8, 8], seed=1), cfg)
     assert eda_only.emotion_f1 == 0.0
     assert eda_only.eda_rmse > 0.0 and eda_only.pearson_r != 0.0
 

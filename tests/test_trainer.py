@@ -166,24 +166,17 @@ def test_variant_containment_classification_head_frozen_under_eda_only():
     assert np.array_equal(params.head_cls.b, np.zeros(1))
 
 
-def test_variant_containment_regression_head_frozen_under_emotion_only_lambda_zero():
+def test_emotion_only_moves_the_regression_head_through_physics():
+    # emotion_only drops the EDA supervision but keeps the physics term,
+    # whose residual reaches the regression head
     data = small_synth()
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
     before_w = params.head_reg.w.copy()
-    cfg = quick_cfg(variant="emotion_only", emotion_only_no_physics=True)
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    for epoch in range(3):
-        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
-    assert np.array_equal(params.head_reg.w, before_w)
-    # with physics retained, the regression head does move
-    params2 = init_model(quick_model(), norm)
-    cfg2 = quick_cfg(variant="emotion_only")
-    opt2 = init_adam(params2, cfg2.lr)
-    train_epoch(params2, opt2, nd, cfg2, Pcg32(cfg2.seed), 0)
-    assert not np.array_equal(params2.head_reg.w, before_w)
+    cfg = quick_cfg(variant="emotion_only")
+    train_epoch(params, init_adam(params, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    assert not np.array_equal(params.head_reg.w, before_w)
 
 
 def test_saturated_wrong_classifier_keeps_its_gradient():
@@ -195,7 +188,7 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     nd.label[:] = 0
     params = init_model(quick_model(dropout=0.0))
     params.head_cls.b[:] = 20.0
-    cfg = quick_cfg(variant="emotion_only", emotion_only_no_physics=True)
+    cfg = quick_cfg(variant="emotion_only")
     breakdown, grad, preds = batch_gradients(params, nd, cfg, None)
     assert blocks(grad, params.config)["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
     assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
