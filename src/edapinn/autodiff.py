@@ -1,10 +1,15 @@
 """Dual-channel dense primitives with exact reverse-mode gradients.
 
-A dual batch is one float64 array of shape ``(2, n, width)``: the values at
-``[0]`` and, at ``[1]``, their per-sample derivatives with respect to the
-scalar time input (the tangents). Every forward takes one such array and
-returns one; every backward takes the adjoint of its output, an array of the
-same shape, and returns the adjoint of its input,
+A dual batch is one float64 array of shape ``(..., 2, n, width)``: the
+values at ``[..., 0, :, :]`` and, at ``[..., 1, :, :]``, their per-sample
+derivatives with respect to the scalar time input (the tangents). Leading
+axes index a stack of models that share a batch: every primitive reduces
+over the rows (axis -2), builds its output on axis -3 and broadcasts a
+parameter vector ``p`` over the rows as ``p[..., None, :]``, so one code path
+serves one model, with parameters of shape ``(width,)``, and a stack of M,
+with parameters of shape ``(M, width)``. Every forward takes one such array
+and returns one; every backward takes the adjoint of its output, an array of
+the same shape, and returns the adjoint of its input,
 
     adj_input[0] = J^T @ adj[0] + (d[J @ xdot]/dx)^T @ adj[1]
     adj_input[1] = J^T @ adj[1]
@@ -12,13 +17,17 @@ same shape, and returns the adjoint of its input,
 so nonlinear primitives carry their second derivative, because the training
 loss reads both channels (the physics residual needs d(EDA)/dt). The affine
 map and dropout are linear and act on both channels in one expression;
-swish and batch-norm treat the channels apart. The affine backward also
-returns ``dw`` and batch-norm's ``(d_scale, d_shift)``; ``affine_weight_grad``
-gives ``dw`` alone, for the first layer, whose input needs no adjoint. The
-affine map has no bias (the model adds the regression head's own), and
-dropout's cache is the mask it applied. Swish evaluates its sigmoid once per
-forward call and caches sigma and s'(x); its backward builds s''(x) from the
-cached sigma. ``sigmoid`` is the package's one logistic function.
+swish and batch-norm treat the channels apart and write them straight into
+their output. The affine backward also returns ``dw`` (summed over the
+channel axis, -3) and batch-norm's ``(d_scale, d_shift)``;
+``affine_weight_grad`` gives ``dw`` alone, for the first layer, whose input
+needs no adjoint. The affine map has no bias (the model adds the regression
+head's own), and dropout's cache is the mask it applied, one
+``(n, width)`` draw shared by every model of a stack. Swish evaluates its
+sigmoid once per forward call and caches s'(x) and s''(x) times the input's
+tangent, both built from it; batch-norm caches a copy of its input's tangent
+rather than the input, twice its size. Both keep a stack's step small. ``sigmoid`` is
+the package's one logistic function.
 """
 
 from __future__ import annotations
@@ -64,18 +73,20 @@ class AffineCache:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray):
-    if x.shape[-1] != w.shape[0]:
-        raise ContractError(f"affine fan-in mismatch: input width {x.shape[-1]}, W rows {w.shape[0]}")
+    """``x @ w`` for ``w`` of shape ``(..., fan_in, fan_out)``, one per model."""
+    if x.shape[-1] != w.shape[-2]:
+        raise ContractError(f"affine fan-in mismatch: input width {x.shape[-1]}, W rows {w.shape[-2]}")
+    w = w[..., None, :, :]  # broadcast over the channel axis
     return x @ w, AffineCache(x, w)
 
 
 def affine_weight_grad(cache: AffineCache, adj: np.ndarray):
     """The weight gradient alone, for a layer whose input needs no adjoint."""
-    return (cache.x.swapaxes(-1, -2) @ adj).sum(axis=0)
+    return (cache.x.swapaxes(-1, -2) @ adj).sum(axis=-3)
 
 
 def affine_backward(cache: AffineCache, adj: np.ndarray):
-    return adj @ cache.w.T, affine_weight_grad(cache, adj)
+    return adj @ cache.w.swapaxes(-1, -2), affine_weight_grad(cache, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +96,44 @@ def affine_backward(cache: AffineCache, adj: np.ndarray):
 
 @dataclass
 class SwishCache:
-    x: np.ndarray
-    sigma: np.ndarray
     d1: np.ndarray  # s'(x) = sigma * (1 + x * (1 - sigma))
+    # s''(x) * xdot, the input tangent's weight in the value adjoint, with
+    # s''(x) = sigma * (1 - sigma) * (2 + x * (1 - 2 sigma))
+    d2_tangent: np.ndarray
+
+
+def _channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and tangent channels of a dual batch ``(..., 2, n, width)``."""
+    return x[..., 0, :, :], x[..., 1, :, :]
+
+
+def _empty_dual(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A new dual batch whose channels have ``shape``, and those channels:
+    outputs are written into them, with no stacking copy."""
+    out = np.empty(shape[:-2] + (2,) + shape[-2:])
+    return out, _channels(out)
 
 
 def swish_forward(x: np.ndarray):
-    v, t = x
+    """Caches s'(x) and s''(x) * xdot, both from one sigmoid."""
+    v, t = _channels(x)
     s = sigmoid(v)
     d1 = s * (1.0 + v * (1.0 - s))
-    return np.stack([v * s, d1 * t]), SwishCache(x, s, d1)
+    d2_tangent = s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s)) * t
+    out, (out_v, out_t) = _empty_dual(v.shape)
+    np.multiply(v, s, out=out_v)
+    np.multiply(d1, t, out=out_t)
+    return out, SwishCache(d1, d2_tangent)
 
 
 def swish_backward(cache: SwishCache, adj: np.ndarray):
-    """Uses s''(x) = sigma * (1 - sigma) * (2 + x * (1 - 2 sigma)) from the cached sigma."""
-    (v, t), (av, at) = cache.x, adj
-    s, d1 = cache.sigma, cache.d1
-    d2 = s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s))
-    return np.stack([d1 * av + d2 * t * at, d1 * at])
+    d1, d2_tangent = cache.d1, cache.d2_tangent
+    av, at = _channels(adj)
+    out, (out_v, out_t) = _empty_dual(d1.shape)
+    np.multiply(d1, av, out=out_v)
+    out_v += d2_tangent * at
+    np.multiply(d1, at, out=out_t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +145,8 @@ def swish_backward(cache: SwishCache, adj: np.ndarray):
 # per-sample quantity; the backward pass nevertheless differentiates the
 # *actual computed function*, which includes the tangent output's dependence
 # on var(x), so analytic gradients match finite differences exactly. Only a
-# train-mode forward has a backward: eval mode never trains.
+# train-mode forward has a backward: eval mode never trains. The cache keeps
+# scale and istd with a row axis, shaped (..., 1, width).
 
 
 @dataclass
@@ -137,23 +169,27 @@ def batchnorm_forward(
     eps: float = 1e-5,
     momentum: float = 0.9,
 ):
-    v, t = x
+    v, t = _channels(x)
     if mode == "train":
-        mu = v.mean(axis=0)
-        x_centered = v - mu
-        var = (x_centered * x_centered).mean(axis=0)  # what v.var(axis=0) computes
+        mu = v.mean(axis=-2)
+        x_centered = v - mu[..., None, :]
+        var = (x_centered * x_centered).mean(axis=-2)  # what v.var(axis=-2) computes
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
-        x_centered = v - running_mean
+        x_centered = v - running_mean[..., None, :]
         var = running_var
         new_rm = None
         new_rv = None
     else:
         raise ContractError(f"unknown batch-norm mode {mode!r}")
-    istd = 1.0 / np.sqrt(var + eps)
-    out = np.stack([scale * (x_centered * istd) + shift, scale * istd * t])
-    return out, BatchNormCache(scale, x_centered, t, istd, new_rm, new_rv)
+    scale, shift = scale[..., None, :], shift[..., None, :]
+    istd = 1.0 / np.sqrt(var[..., None, :] + eps)
+    out, (out_v, out_t) = _empty_dual(v.shape)
+    np.add(scale * (x_centered * istd), shift, out=out_v)
+    np.multiply(scale * istd, t, out=out_t)
+    # a copy of the tangent lets the input, twice its size, go
+    return out, BatchNormCache(scale, x_centered, t.copy(), istd, new_rm, new_rv)
 
 
 def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
@@ -161,22 +197,26 @@ def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
         raise ContractError("batch-norm backward needs the cache of a train-mode forward")
     g, istd = cache.scale, cache.istd
     xc, xt = cache.x_centered, cache.x_tangent
-    av, at = adj
-    n = xc.shape[0]
-    x_hat = xc * istd
+    av, at = _channels(adj)
+    n = xc.shape[-2]
 
-    adj_scale = (av * x_hat).sum(axis=0) + (at * xt * istd).sum(axis=0)
-    adj_shift = av.sum(axis=0)
+    adj_scale = (av * (xc * istd)).sum(axis=-2) + (at * xt * istd).sum(axis=-2)
+    adj_shift = av.sum(axis=-2)
 
-    # value channel: standard batch-norm gradient through mu and var
-    dxhat = av * g
-    dvar = (dxhat * xc).sum(axis=0) * (-0.5) * istd**3
-    dmu = -(dxhat.sum(axis=0)) * istd
-    adj_x_value = dxhat * istd + dvar * (2.0 / n) * xc + dmu / n
+    # value channel: standard batch-norm gradient through mu and var, built
+    # in place from dxhat = av * g, term by term, to keep the step's memory small
+    out, (out_v, out_t) = _empty_dual(xc.shape)
+    dxhat = np.multiply(av, g, out=out_v)
+    dvar = (dxhat * xc).sum(axis=-2, keepdims=True) * (-0.5) * istd**3
+    dmu = -(dxhat.sum(axis=-2, keepdims=True)) * istd
+    out_v *= istd
+    out_v += dvar * (2.0 / n) * xc
+    out_v += dmu / n
     # tangent channel: output g*istd*xt depends on x through var(x)
-    s_t = (at * xt).sum(axis=0)
-    adj_x_value = adj_x_value - (g * s_t / n) * istd**3 * xc
-    return np.stack([adj_x_value, at * (g * istd)]), adj_scale, adj_shift
+    s_t = (at * xt).sum(axis=-2, keepdims=True)
+    out_v -= (g * s_t / n) * istd**3 * xc
+    np.multiply(at, g * istd, out=out_t)
+    return out, adj_scale, adj_shift
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +233,14 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | None = None):
-    """The batch masked by a fresh draw from ``rng`` and the mask applied, or
-    ``x`` itself and ``None`` when dropout is off (eval mode or a zero rate)."""
+    """The batch masked by a fresh ``(n, width)`` draw from ``rng``, the same
+    for every model of a stack, and the mask applied, or ``x`` itself and
+    ``None`` when dropout is off (eval mode or a zero rate)."""
     if mode == "eval" or rate == 0.0:
         return x, None
     if rng is None:
         raise ContractError("train-mode dropout needs an rng")
-    mask = make_dropout_mask(x.shape[1:], rate, rng)
+    mask = make_dropout_mask(x.shape[-2:], rate, rng)
     return x * mask, mask
 
 

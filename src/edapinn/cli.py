@@ -2,8 +2,9 @@
 
 Commands: synth, train, kfold, ablate, check, report. Exit codes are a
 stable contract: 0 success, 1 verification/acceptance failure, 2
-configuration or data error (an output that cannot be written and a run
-that does not fit in memory included), 3 numeric failure.
+configuration or data error (an output that cannot be written, a run that
+does not fit in memory and a worker process that dies included), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -172,7 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker processes for the folds (default 1)")
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=1,
+                help="worker processes, one fold at a time each; an ablation job is a fold, "
+                "which trains every network variant as one stack (default 1)",
+            )
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     common(p)
@@ -225,6 +232,15 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RuntimeError as exc:
+        # a pool whose worker dies (killed, say, when memory runs out) raises
+        # BrokenProcessPool; its module loads only with a pool, so it is looked
+        # up here rather than imported at every start
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -10,7 +10,12 @@ class ContractError(EdaPinnError):
 
 
 class NumericError(EdaPinnError):
-    """A numeric-domain failure: non-finite values, singular systems."""
+    """A numeric-domain failure: non-finite values, singular systems. Carries
+    the index of the offending model of a stack when known."""
+
+    def __init__(self, message: str, model: int | None = None):
+        super().__init__(message)
+        self.model = model
 
 
 class ConfigError(EdaPinnError):

@@ -10,7 +10,8 @@ the checked function is deterministic; batch-norm runs in train mode, so the
 finite differences see the batch statistics' dependence on the perturbed
 weights, exactly as the analytic backward does. Each coordinate is perturbed
 in place through the named views ``model.blocks`` gives of ``params.theta``
-and restored after its evaluations.
+and restored after its evaluations. A stack is checked as one function, the
+sum of its members' losses, whose gradient is each member's own.
 """
 
 from __future__ import annotations
@@ -70,20 +71,19 @@ def check_gradients(
     block_errors: dict[str, float] = {}
     for name, view in views.items():
         worst = 0.0
-        flat = view.reshape(-1)
-        a_flat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
+        for i in np.ndindex(view.shape):
+            orig = view[i]
             losses = []
             for h in (step, -step, 2.0 * step, -2.0 * step):
-                flat[i] = orig + h
-                losses.append(batch_loss(params, batch, cfg, mask_stream())[0].total)
-            flat[i] = orig
+                view[i] = orig + h
+                losses.append(np.sum(batch_loss(params, batch, cfg, mask_stream())[0].total))
+            view[i] = orig
             lp, lm, lp2, lm2 = losses
+            a = grads[name][i]
             fd = (lp - lm) / (2.0 * step)
             fd2 = (lp2 - lm2) / (4.0 * step)
             fd_error = abs(fd - fd2) / 3.0 + EPS * max(abs(lp), abs(lm)) / step
-            rel = abs(a_flat[i] - fd) / (max(abs(a_flat[i]), abs(fd), 1e-8) + fd_error / tol)
+            rel = abs(a - fd) / (max(abs(a), abs(fd), 1e-8) + fd_error / tol)
             worst = max(worst, rel)
         block_errors[name] = worst
     worst_block = max(block_errors, key=block_errors.get)

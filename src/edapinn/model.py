@@ -23,6 +23,14 @@ proxy of each sample.
 
 The trainable numbers live in one vector, ``ModelParams.theta``, laid out by
 ``block_shapes``; ``blocks`` names the views of it or of a gradient.
+
+One ``forward`` and one ``backward`` also serve a stack of M networks of one
+config that train side by side on the same batch (``stack``): ``theta`` then
+has shape ``(M, P)``, every part of the model carries the leading model axis
+(batch-norm running statistics ``(M, width)``), a dual batch is
+``(M, 2, n, width)`` and the outputs are ``(M, n)``. Dropout masks are drawn
+once per layer and shared by the stack. ``members`` gives the stack's models
+one by one, as ordinary single models on views of its memory.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +108,10 @@ class ModelParams:
     """The network and its physics parameters; construction copies the
     trainable values into a new ``theta`` and rebuilds the frozen parts on
     views of it (alpha0, gamma and rho 0-d ones). Write through a view in
-    place: rebinding one raises instead of detaching it from ``theta``."""
+    place: rebinding one raises instead of detaching it from ``theta``.
+
+    Parts whose arrays carry a leading model axis of length M make a stack:
+    ``theta`` of shape ``(M, P)`` (see ``stack``)."""
 
     layers: list[HiddenLayer]
     head_reg: Head
@@ -108,14 +120,21 @@ class ModelParams:
     normalizer: Normalizer | None
     config: ModelConfig
     theta: np.ndarray = field(init=False, repr=False, compare=False)
+    _members: list["ModelParams"] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta = np.empty(sum(math.prod(s) for s in block_shapes(self.config).values()))
+        models = np.shape(self.layers[0].w)[:-2]
+        self.theta = np.empty(models + (sum(math.prod(s) for s in block_shapes(self.config).values()),))
+        self._bind(lambda a: np.array(a, dtype=np.float64))
+
+    def _bind(self, pick) -> None:
+        """Rebuild the parts on views of ``theta``, filled with ``pick`` of
+        their values; their other arrays become ``pick`` of theirs."""
         views = blocks(self.theta, self.config)
-        self.layers = [_on_views(l, f"layer{i}", views) for i, l in enumerate(self.layers)]
-        self.head_reg = _on_views(self.head_reg, "head_reg", views)
-        self.head_cls = _on_views(self.head_cls, "head_cls", views)
-        self.physics = _on_views(self.physics, "physics", views)
+        self.layers = [_on_views(l, f"layer{i}", views, pick) for i, l in enumerate(self.layers)]
+        self.head_reg = _on_views(self.head_reg, "head_reg", views, pick)
+        self.head_cls = _on_views(self.head_cls, "head_cls", views, pick)
+        self.physics = _on_views(self.physics, "physics", views, pick)
 
     def __reduce__(self):
         # a pickle rebuilds through the constructor, so the parts are views of
@@ -125,18 +144,59 @@ class ModelParams:
         )
 
 
-def _on_views(part, prefix: str, views: dict[str, np.ndarray]):
+def _on_views(part, prefix: str, views: dict[str, np.ndarray], pick):
     """A copy of dataclass ``part`` whose trainable fields are the ``views``
-    named ``prefix.field``, filled with its values; other arrays are copied."""
+    named ``prefix.field``, filled with ``pick`` of its values; its other
+    arrays are ``pick`` of them."""
     values = {}
     for f in fields(part):
+        value = pick(getattr(part, f.name))
         view = views.get(f"{prefix}.{f.name}")
-        if view is None:
-            values[f.name] = np.array(getattr(part, f.name), dtype=np.float64)
-        else:
-            view[...] = getattr(part, f.name)
-            values[f.name] = view
+        if view is not None:
+            view[...] = value
+            value = view
+        values[f.name] = value
     return type(part)(**values)
+
+
+def stack(params: ModelParams, models: int) -> ModelParams:
+    """``models`` copies of ``params`` as one stack: every array of its parts
+    gains a leading model axis of that length, and ``theta`` has shape
+    ``(models, P)``."""
+
+    def tiled(part):
+        return type(part)(**{f.name: np.stack([getattr(part, f.name)] * models) for f in fields(part)})
+
+    return ModelParams(
+        [tiled(layer) for layer in params.layers],
+        tiled(params.head_reg),
+        tiled(params.head_cls),
+        tiled(params.physics),
+        params.normalizer,
+        params.config,
+    )
+
+
+def members(params: ModelParams) -> list[ModelParams]:
+    """The single models of ``params``: a single model is its own one member.
+
+    The members of a stack are built once, on views of their rows of its
+    ``theta`` and running statistics, so each sees the stack's training as
+    it happens and can be used as any single model (a pickle of one owns
+    its memory).
+    """
+    if params.theta.ndim == 1:
+        return [params]
+    if params._members is None:
+        params._members = []
+        for i in range(len(params.theta)):
+            one = object.__new__(ModelParams)  # bound below, not copied
+            one.layers, one.head_reg, one.head_cls = params.layers, params.head_reg, params.head_cls
+            one.physics, one.normalizer, one.config = params.physics, params.normalizer, params.config
+            one.theta, one._members = params.theta[i], None
+            one._bind(lambda a, i=i: a[i])
+            params._members.append(one)
+    return params._members
 
 
 def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -159,17 +219,17 @@ def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def blocks(vector: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Named views of ``vector``, a parameter or gradient vector laid out as ``theta``."""
-    views, start = {}, 0
+    """Named views of ``vector``, a parameter or gradient vector laid out as
+    ``theta``; those of a stack's ``(M, P)`` array have shape ``(M,) + shape``."""
+    views, start, models = {}, 0, vector.shape[:-1]
     for name, shape in block_shapes(config).items():
         size = math.prod(shape)
-        views[name] = vector[start : start + size].reshape(shape)
+        views[name] = vector[..., start : start + size].reshape(models + shape)
         start += size
     return views
 
 
-@dataclass
-class LayerCaches:
+class LayerCaches(NamedTuple):
     affine: ad.AffineCache
     bn: ad.BatchNormCache
     swish: ad.SwishCache
@@ -178,17 +238,33 @@ class LayerCaches:
 
 @dataclass
 class ForwardCaches:
+    """What one ``backward`` needs, which it spends, and apart from that the
+    batch-norm running statistics of a train-mode forward, one (mean, var)
+    pair per layer (none in eval mode), for ``commit_batchnorm``."""
+
     layers: list[LayerCaches]
-    reg_affine: ad.AffineCache  # also holds the classification head's input
+    reg_affine: ad.AffineCache | None  # also holds the classification head's input
+    running: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class Predictions:
+    """Outputs of shape ``(n,)``, or ``(M, n)`` for a stack."""
+
     y_eda: np.ndarray
     dydt: np.ndarray
     z_emotion: np.ndarray  # classification logit
     p_emotion: np.ndarray  # sigmoid(z_emotion)
     caches: ForwardCaches
+
+
+def _require_finite(a: np.ndarray, stacked: bool, where: str) -> None:
+    """Raise ``NumericError`` unless ``a`` is all finite; for a stack the
+    error carries the index of the first model that is not."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        model = int(np.argmin(finite.reshape(len(a), -1).all(axis=1))) if stacked else None
+        raise NumericError(f"non-finite activations {where}", model=model)
 
 
 def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> ModelParams:
@@ -216,7 +292,8 @@ def forward(
     mode: str = "eval",
     rng: Pcg32 | None = None,
 ) -> Predictions:
-    """Dual-channel forward pass over a normalized batch.
+    """Dual-channel forward pass over a normalized batch, of one model or of
+    a stack.
 
     Train mode uses batch statistics and draws one dropout mask per hidden
     layer from ``rng``, in layer order, so two streams in the same state
@@ -228,6 +305,7 @@ def forward(
     if t.ndim != 1 or t.size == 0 or e.shape != (t.size, 3):
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
     cfg = params.config
+    stacked = params.theta.ndim > 1
     x = np.stack([np.column_stack([t, e]), np.tile(_INPUT_TANGENT, (t.size, 1))])
     # divergence is reported through the explicit per-layer checks below;
     # numpy's warnings on the already-poisoned arithmetic are redundant
@@ -247,18 +325,17 @@ def forward(
             )
             x, c_sw = ad.swish_forward(x)
             x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
-            if not np.all(np.isfinite(x)):
-                raise NumericError(f"non-finite activations after hidden layer {i}")
+            _require_finite(x, stacked, f"after hidden layer {i}")
             layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
 
         y_out, reg_cache = ad.affine_forward(x, params.head_reg.w)
-        y = (y_out[0] + params.head_reg.b)[:, 0]
-        dydt = y_out[1, :, 0]
-        z = (x[0] @ params.head_cls.w + params.head_cls.b)[:, 0]
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(dydt)):
-            raise NumericError("non-finite activations in the regression head")
+        y = (y_out[..., 0, :, :] + params.head_reg.b[..., None, :])[..., 0]
+        dydt = y_out[..., 1, :, 0]
+        z = (x[..., 0, :, :] @ params.head_cls.w + params.head_cls.b[..., None, :])[..., 0]
+        _require_finite(np.stack([y, dydt], axis=-2), stacked, "in the regression head")
 
-    caches = ForwardCaches(layer_caches, reg_cache)
+    running = [(c.bn.new_running_mean, c.bn.new_running_var) for c in layer_caches if mode == "train"]
+    caches = ForwardCaches(layer_caches, reg_cache, running)
     return Predictions(y, dydt, z, ad.sigmoid(z), caches)
 
 
@@ -274,6 +351,12 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     d(loss)/d(y_eda), d(loss)/d(dy/dt) and d(loss)/d(z_emotion) (the
     classification logit), which flow back through the network, and by its
     derivatives wrt the physics parameters, which fill the physics slots.
+    For a stack every field carries the leading model axis, and so does the
+    gradient, shaped as ``params.theta``.
+
+    ``caches`` is spent: each cache is dropped as soon as it has been used,
+    so the step's memory falls as the backward proceeds instead of holding
+    every layer's activations to the end; its running statistics stay.
     """
     grad = np.zeros_like(params.theta)
     g = blocks(grad, params.config)
@@ -282,33 +365,37 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     g["physics.gamma"][...] = lg.d_gamma
     g["physics.rho"][...] = lg.d_rho
 
-    adj_out = np.stack([lg.adj_y, lg.adj_dydt])[:, :, None]  # (2, n, 1)
-    adj, g["head_reg.w"][...] = ad.affine_backward(caches.reg_affine, adj_out)
-    g["head_reg.b"][...] = adj_out[0].sum(axis=0)
-    adj_z = lg.adj_z[:, None]
-    g["head_cls.w"][...] = caches.reg_affine.x[0].T @ adj_z
-    g["head_cls.b"][...] = adj_z.sum(axis=0)
+    adj_out = np.stack([lg.adj_y, lg.adj_dydt], axis=-2)[..., None]  # (..., 2, n, 1)
+    head, caches.reg_affine = caches.reg_affine, None
+    adj, g["head_reg.w"][...] = ad.affine_backward(head, adj_out)
+    g["head_reg.b"][...] = adj_out[..., 0, :, :].sum(axis=-2)
+    adj_z = lg.adj_z[..., None]
+    g["head_cls.w"][...] = head.x[..., 0, :, :].swapaxes(-1, -2) @ adj_z
+    g["head_cls.b"][...] = adj_z.sum(axis=-2)
+    del head
 
-    adj[0] += adj_z @ params.head_cls.w.T
-    for i in reversed(range(len(params.layers))):
-        c = caches.layers[i]
-        adj = ad.dropout_backward(c.dropout_mask, adj)
-        adj = ad.swish_backward(c.swish, adj)
-        adj, d_scale, d_shift = ad.batchnorm_backward(c.bn, adj)
+    adj[..., 0, :, :] += adj_z @ params.head_cls.w.swapaxes(-1, -2)
+    while caches.layers:
+        i = len(caches.layers) - 1
+        affine, bn, swish, mask = caches.layers.pop()
+        adj = ad.dropout_backward(mask, adj)
+        adj = ad.swish_backward(swish, adj)
+        del swish
+        adj, d_scale, d_shift = ad.batchnorm_backward(bn, adj)
+        del bn
         g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
         if i:
-            adj, g[f"layer{i}.w"][...] = ad.affine_backward(c.affine, adj)
+            adj, g[f"layer{i}.w"][...] = ad.affine_backward(affine, adj)
         else:  # the network input needs no adjoint
-            g["layer0.w"][...] = ad.affine_weight_grad(c.affine, adj)
+            g["layer0.w"][...] = ad.affine_weight_grad(affine, adj)
     return grad
 
 
 def commit_batchnorm(params: ModelParams, caches: ForwardCaches) -> None:
     """Adopt, in place, the running statistics produced by a train-mode forward."""
-    for layer, c in zip(params.layers, caches.layers):
-        if c.bn.new_running_mean is not None:
-            layer.bn_running_mean[...] = c.bn.new_running_mean
-            layer.bn_running_var[...] = c.bn.new_running_var
+    for layer, (mean, var) in zip(params.layers, caches.running):
+        layer.bn_running_mean[...] = mean
+        layer.bn_running_var[...] = var
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ class PhysicsParams:
     gamma:  time-sensitivity scalar
     rho:    unconstrained parameter; the physics-loss weight is
             max(softplus(rho), lambda_floor)
-    In a ``ModelParams`` the fields are views of ``theta``; ``copy`` gives floats.
+    In a ``ModelParams`` the fields are views of ``theta``, with a leading
+    model axis in a stack; ``copy`` gives the floats of a single model.
     """
 
     alpha0: float = 1.0
@@ -62,7 +63,7 @@ class PhysicsParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))
-        if self.beta.shape != (3,):
+        if self.beta.shape[-1:] != (3,):
             raise ContractError(f"beta must be a 3-vector, got shape {self.beta.shape}")
 
     def lambda_eff(self, floor: float = 0.0) -> float:

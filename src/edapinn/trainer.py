@@ -4,15 +4,27 @@ A run's variant is a name the trainer hands to the objective, which owns
 the loss terms each variant trains (``objective.VARIANTS``).
 
 One fold trains in one process so accumulation order is deterministic;
-(seed, data, config) fully determine every recorded trace value. Distinct
-folds use independently derived RNG streams, so a list of (variant, fold)
-jobs may run on worker processes (``threads`` of them) with results
-identical, byte for byte, to the sequential run.
+(seed, data, config) fully determine every recorded trace value. The
+variants of one fold share its init, shuffles and dropout masks, so
+``run_fold`` trains them as one stack of networks (``model.stack``): one
+forward, one backward and one Adam step per batch serve every variant,
+and only the objective runs per model, each with its own variant. Each
+network of the stack gets the numbers, byte for byte, that it gets when
+trained alone. Distinct folds use independently derived RNG streams, so
+the jobs of a run, one per fold, may run on worker processes (``threads``
+of them) with results identical, byte for byte, to the sequential run.
+
+``run_fold_jobs`` also keeps the process's heap steady: it raises glibc's
+trim and mmap thresholds once, so that the step's arrays, which a stack
+makes larger, are reused instead of being mapped and faulted in anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import os
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -122,19 +134,51 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
 # per-batch loss and gradient
 # ---------------------------------------------------------------------------
 
+# one config, or one per model of a stack
+Configs = TrainRunConfig | Sequence[TrainRunConfig]
+
+
+def _model_configs(cfg: Configs, params: ModelParams) -> list[TrainRunConfig]:
+    """The config of every member of ``params``: one config serves them all,
+    a sequence gives one per member, in order."""
+    count = len(model_mod.members(params))
+    cfgs = [cfg] * count if isinstance(cfg, TrainRunConfig) else list(cfg)
+    if len(cfgs) != count:
+        raise ContractError(f"{len(cfgs)} configs for a stack of {count} models")
+    return cfgs
+
+
+def _stacked(parts: list):
+    """One dataclass of ``parts``' type whose fields stack theirs on a new leading axis."""
+    return type(parts[0])(*(np.array([getattr(p, f.name) for p in parts]) for f in fields(parts[0])))
+
 
 def batch_loss(
-    params: ModelParams, batch: Dataset, cfg: TrainRunConfig, rng: Pcg32 | None
+    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | None
 ) -> tuple[obj.LossBreakdown, obj.LossGrads, model_mod.Predictions]:
     """The variant's objective on the train-mode forward of one normalized
     batch, dropout masks drawn from ``rng`` (None at a zero rate): the loss,
-    its adjoints and the predictions, for training and the gradient checker."""
+    its adjoints and the predictions, for training and the gradient checker.
+
+    A stack runs the objective per member, each under its own config's
+    variant; its loss and adjoints carry the leading model axis.
+    """
     preds = forward_batch(params, batch, "train", rng)
-    return *obj.loss_gradients(preds, batch, params, cfg.variant), preds
+    if params.theta.ndim == 1:
+        return *obj.loss_gradients(preds, batch, params, cfg.variant), preds
+    parts = [
+        obj.loss_gradients(
+            replace(preds, y_eda=preds.y_eda[i], dydt=preds.dydt[i],
+                    z_emotion=preds.z_emotion[i], p_emotion=preds.p_emotion[i]),
+            batch, one, c.variant,
+        )
+        for i, (one, c) in enumerate(zip(model_mod.members(params), _model_configs(cfg, params)))
+    ]
+    return _stacked([p[0] for p in parts]), _stacked([p[1] for p in parts]), preds
 
 
 def batch_gradients(
-    params: ModelParams, batch: Dataset, cfg: TrainRunConfig, rng: Pcg32 | None
+    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | None
 ) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
     """Forward, loss and backward for one normalized batch under the
     variant's objective: the loss, its gradient laid out as ``params.theta``
@@ -147,20 +191,21 @@ def train_epoch(
     params: ModelParams,
     opt: AdamState,
     data: Dataset,
-    cfg: TrainRunConfig,
+    cfg: Configs,
     rng: Pcg32,
     epoch: int = 0,
-) -> tuple[AdamState, EpochTrace]:
+) -> tuple[AdamState, EpochTrace | list[EpochTrace]]:
     """One pass that trains ``params`` in place: seeded shuffle, contiguous
     batches, with a final batch of fewer than ``MIN_FINAL_BATCH`` rows joined
     to the one before it. Returns the new optimizer state and the epoch's
-    trace."""
+    trace, one per member for a stack. The batch size comes from the first
+    config; a numeric failure names the epoch, batch and variant."""
+    cfgs = _model_configs(cfg, params)
     n = len(data)
     order = rng.derive(f"shuffle:{epoch}").permutation(n)
     dropout_rng = rng.derive(f"dropout:{epoch}")
-    sums = np.zeros(3)
-    use_physics = VARIANTS[cfg.variant][2]
-    bounds = list(range(0, n, cfg.batch_size)) + [n]
+    sums = np.zeros((3, len(cfgs)))
+    bounds = list(range(0, n, cfgs[0].batch_size)) + [n]
     if len(bounds) > 2 and n - bounds[-2] < MIN_FINAL_BATCH:
         del bounds[-2]
     for batch_no, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -172,30 +217,36 @@ def train_epoch(
             try:
                 breakdown, grad, preds = batch_gradients(params, batch, cfg, dropout_rng)
             except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
-            if not np.isfinite(breakdown.total):
+                where = f"epoch {epoch}, batch {batch_no}, variant {cfgs[exc.model or 0].variant}"
+                raise NumericError(f"{where}: {exc}", model=exc.model) from exc
+            losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics]).reshape(3, -1)
+            bad = ~np.isfinite(np.atleast_1d(breakdown.total))
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise NumericError(
-                    f"epoch {epoch}, batch {batch_no}: non-finite loss "
-                    f"(l_eda={breakdown.l_eda:g}, l_emotion={breakdown.l_emotion:g}, "
-                    f"l_physics={breakdown.l_physics:g})"
+                    f"epoch {epoch}, batch {batch_no}, variant {cfgs[i].variant}: non-finite loss "
+                    f"(l_eda={losses[0, i]:g}, l_emotion={losses[1, i]:g}, l_physics={losses[2, i]:g})",
+                    model=i,
                 )
             opt = adam_step(opt, params, grad)
         model_mod.commit_batchnorm(params, preds.caches)
-        w = len(idx)
-        sums += w * np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
+        sums += len(idx) * losses
     means = sums / n
-    lambda_eff = params.physics.lambda_eff(params.config.lambda_floor) if use_physics else 0.0
-    trace = EpochTrace(
-        epoch,
-        float(means[0]),
-        float(means[1]),
-        float(means[2]),
-        lambda_eff,
-        float(params.physics.alpha0),
-        params.physics.beta.copy(),
-        float(params.physics.gamma),
-    )
-    return opt, trace
+    traces = []
+    for i, (one, c) in enumerate(zip(model_mod.members(params), cfgs)):
+        phys = one.physics
+        lambda_eff = phys.lambda_eff(one.config.lambda_floor) if VARIANTS[c.variant][2] else 0.0
+        traces.append(EpochTrace(
+            epoch,
+            float(means[0, i]),
+            float(means[1, i]),
+            float(means[2, i]),
+            lambda_eff,
+            float(phys.alpha0),
+            phys.beta.copy(),
+            float(phys.gamma),
+        ))
+    return opt, traces[0] if params.theta.ndim == 1 else traces
 
 
 # ---------------------------------------------------------------------------
@@ -206,53 +257,61 @@ def train_epoch(
 def run_fold(
     train: Dataset,
     valid: Dataset,
-    cfg: TrainRunConfig,
+    cfg: Configs,
     model_cfg: ModelConfig,
     fold_index: int = 1,
-) -> tuple[FoldReport, ModelParams]:
+) -> tuple[FoldReport, ModelParams] | list[tuple[FoldReport, ModelParams]]:
     """Train on one split and evaluate on its validation part.
 
     The normalizer is fitted on the training split only; validation flows
     through it unchanged (targets may leave [0, 1]). Returns the report and
-    the trained model.
+    the trained model. Given a sequence of configs that differ in their
+    variant alone, it trains one network per config as one stack and
+    returns one (report, model) pair per config, in order; one config is
+    the stack of one.
     """
+    cfgs = [cfg] if isinstance(cfg, TrainRunConfig) else list(cfg)
+    if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
+        raise ContractError("a stack needs configs that differ in their variant alone")
     norm = fit_normalizer(train)
     train_n = apply_normalizer(norm, train)
     valid_n = apply_normalizer(norm, valid)
     mcfg = replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{fold_index}"))
-    params = init_model(mcfg, norm)
-    opt = init_adam(params, lr=cfg.lr)
-    rng = Pcg32(cfg.seed).derive(f"fold:{fold_index}")
+    params = model_mod.stack(init_model(mcfg, norm), len(cfgs))
+    opt = init_adam(params, lr=cfgs[0].lr)
+    rng = Pcg32(cfgs[0].seed).derive(f"fold:{fold_index}")
     traces = []
-    for epoch in range(cfg.epochs):
-        opt, trace = train_epoch(params, opt, train_n, cfg, rng, epoch)
-        traces.append(trace)
-    preds = forward_batch(params, valid_n, "eval")
-    reg = regression_metrics(preds.y_eda, valid_n.y)
-    cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
-    return FoldReport(fold_index, reg, cls, params.physics.copy(), traces), params
+    for epoch in range(cfgs[0].epochs):
+        opt, epoch_traces = train_epoch(params, opt, train_n, cfgs, rng, epoch)
+        traces.append(epoch_traces)
+    results = []
+    for i, one in enumerate(model_mod.members(params)):
+        preds = forward_batch(one, valid_n, "eval")
+        reg = regression_metrics(preds.y_eda, valid_n.y)
+        cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
+        report = FoldReport(fold_index, reg, cls, one.physics.copy(), [t[i] for t in traces])
+        results.append((report, one))
+    return results[0] if isinstance(cfg, TrainRunConfig) else results
 
 
-FoldJob = tuple[Dataset, Dataset, TrainRunConfig, ModelConfig, int]
+FoldJob = tuple[Dataset, Dataset, Configs, ModelConfig, int]
 
 
 def fold_jobs(
     data: Dataset,
     splits: list[tuple[np.ndarray, np.ndarray]],
-    cfgs: list[TrainRunConfig],
+    cfg: Configs,
     model_cfg: ModelConfig,
 ) -> list[FoldJob]:
-    """The ``run_fold`` arguments of every (config, split) pair, config-major,
-    folds numbered from 1. The configs share one copy of each split's rows."""
-    parts = [(data.subset(tr_idx), data.subset(va_idx)) for tr_idx, va_idx in splits]
+    """The ``run_fold`` arguments of every split, folds numbered from 1: one
+    job per fold, which trains every config of ``cfg`` as one stack."""
     return [
-        (train, valid, cfg, model_cfg, fold)
-        for cfg in cfgs
-        for fold, (train, valid) in enumerate(parts, start=1)
+        (data.subset(tr_idx), data.subset(va_idx), cfg, model_cfg, fold)
+        for fold, (tr_idx, va_idx) in enumerate(splits, start=1)
     ]
 
 
-def _run_job(job: FoldJob) -> tuple[FoldReport, ModelParams]:
+def _run_job(job: FoldJob):
     return run_fold(*job)
 
 
@@ -293,17 +352,50 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
-def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list[tuple[FoldReport, ModelParams]]:
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _steady_heap() -> None:
+    """Keep training's arrays on a heap that glibc neither trims nor maps afresh.
+
+    By default glibc serves a block of 128 KiB or more with mmap, and hands
+    the free top of its heap back to the system beyond a threshold that
+    follows those blocks. A step's arrays reach that size (a (2, 128, 64)
+    float64 batch is 128 KiB; a stack of four is 512 KiB), so every step
+    faulted fresh zero pages in. Trim and mmap thresholds of 256 MiB and
+    4 MiB keep them on a heap that is reused. Runs at most once per process;
+    forked workers inherit the setting. Off glibc, nothing changes.
+    """
+    import ctypes
+
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+
+
+def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list:
     """``run_fold`` over every job, results in job order.
 
     ``threads`` is the number of worker processes, capped at the number of
     jobs; with one, the jobs run in this process, in order. Each worker
     runs OpenBLAS on one thread. The pool lives inside this call: every
     worker has exited when it returns or raises, and a job's exception
-    reaches the caller with its type and message.
+    reaches the caller with its type and message (a worker that dies
+    raises ``concurrent.futures.process.BrokenProcessPool``). The heap
+    setting of ``_steady_heap`` is made first.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    _steady_heap()
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [_run_job(job) for job in jobs]
@@ -331,7 +423,7 @@ def run_kfold(
     collected in fold order, so the output is identical to the sequential run.
     """
     splits = stratified_kfold(data, cfg.k, cfg.seed)
-    results = run_fold_jobs(fold_jobs(data, splits, [cfg], model_cfg), threads)
+    results = run_fold_jobs(fold_jobs(data, splits, cfg, model_cfg), threads)
     return [r for r, _ in results], [m for _, m in results]
 
 

@@ -1,7 +1,10 @@
 """CLI commands, config strictness, output formats and exit codes."""
 
 import json
+import multiprocessing
+import os
 import re
+import signal
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -440,6 +443,27 @@ def test_numeric_failure_in_a_worker_process_exits_3(tmp_path, capsys, command):
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]
     assert main(argv) == 3
     assert "numeric failure: epoch 0, batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kfold", "ablate"])
+def test_dead_worker_process_exits_2(tmp_path, capsys, monkeypatch, command):
+    import edapinn.trainer as trainer_mod
+
+    real = trainer_mod.run_fold
+
+    def dying(train, valid, cfg, model_cfg, fold_index=1):
+        if fold_index == 2:  # only ever in a worker: two threads, three folds
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(train, valid, cfg, model_cfg, fold_index)
+
+    # every pool job of kfold and ablate is one run_fold call; forked workers inherit the patch
+    monkeypatch.setattr(trainer_mod, "run_fold", dying)
+    cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", ["kfold", "ablate"])

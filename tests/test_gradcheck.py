@@ -7,7 +7,7 @@ import edapinn.gradcheck as gradcheck_mod
 from edapinn.data import Dataset
 from edapinn.gradcheck import check_gradients
 from edapinn.errors import ContractError
-from edapinn.model import ModelConfig, blocks, init_model
+from edapinn.model import ModelConfig, blocks, init_model, stack
 from edapinn.rng import Pcg32
 from edapinn.suites import suite_gradient_check
 
@@ -87,6 +87,24 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
     assert grads.pop("head_cls.b")[0] == pytest.approx(np.mean(0.5 - batch.label), abs=1e-15)
     for name, g in grads.items():
         assert not np.any(g), name
+
+
+def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
+    params = stack(init_model(ModelConfig(hidden=[6, 5], seed=17)), 3)
+    params.theta[1:] += 0.1 * Pcg32(18).normal(2 * params.theta.shape[1]).reshape(2, -1)
+    batch = make_batch(12, 17)
+    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    assert report.passed and len(report.block_errors) == 14
+    real = gradcheck_mod.batch_gradients
+
+    def corrupted(*args):
+        breakdown, grad, preds = real(*args)
+        blocks(grad, params.config)["head_cls.w"][2, 3] *= 1.0 + 1e-3  # the last member only
+        return breakdown, grad, preds
+
+    monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
+    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    assert not report.passed and report.worst_block == "head_cls.w"
 
 
 def test_small_batch_rejected():

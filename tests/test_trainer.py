@@ -4,6 +4,8 @@ import concurrent.futures
 import ctypes
 import glob
 import multiprocessing
+import pickle
+import resource
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -13,9 +15,9 @@ import pytest
 import edapinn.trainer as trainer_mod
 from edapinn.autodiff import make_dropout_mask
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
-from edapinn.errors import ConfigError, DataFormatError, NumericError
-from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model
-from edapinn.objective import PhysicsParams, physics_residual
+from edapinn.errors import ConfigError, ContractError, DataFormatError, NumericError
+from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model, stack
+from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
 from edapinn.trainer import (
@@ -354,6 +356,73 @@ def test_fold_report_and_traces_are_detached_snapshots():
     assert np.array_equal(phys.beta, snapshot[1])
 
 
+def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
+    # 132 training rows in batches of 64: the 4-row tail joins the second batch
+    data = small_synth(n=200, seed=13)
+    train, valid = data.subset(np.arange(132)), data.subset(np.arange(132, 200))
+    cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in VARIANTS]
+    model_cfg = quick_model(dropout=0.2)
+    stacked = run_fold(train, valid, cfgs, model_cfg, 2)
+    assert len(stacked) == len(cfgs)
+    for cfg, (report, params) in zip(cfgs, stacked):
+        alone_report, alone = run_fold(train, valid, cfg, model_cfg, 2)
+        assert params.theta.shape == alone.theta.shape
+        assert params.theta.tobytes() == alone.theta.tobytes()
+        for layer, alone_layer in zip(params.layers, alone.layers):
+            assert layer.bn_running_mean.tobytes() == alone_layer.bn_running_mean.tobytes()
+            assert layer.bn_running_var.tobytes() == alone_layer.bn_running_var.tobytes()
+        assert len(report.traces) == 3
+        assert pickle.dumps(report.traces) == pickle.dumps(alone_report.traces)
+        assert pickle.dumps(report) == pickle.dumps(alone_report)
+        assert checkpoint_text(params) == checkpoint_text(alone)
+
+
+def test_stack_configs_may_differ_in_their_variant_alone():
+    data = small_synth(n=120)
+    with pytest.raises(ContractError):
+        run_fold(data, data, [quick_cfg(), quick_cfg(epochs=4)], quick_model())
+    with pytest.raises(ContractError):
+        run_fold(data, data, [], quick_model())
+
+
+def test_numeric_failure_in_a_stack_names_its_variant():
+    data = small_synth(n=128)
+    norm = fit_normalizer(data)
+    nd = apply_normalizer(norm, data)
+    cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics", "eda_only")]
+    params = stack(init_model(quick_model(dropout=0.0), norm), 3)
+    params.layers[1].w[1, 0, 0] = np.inf
+    with pytest.raises(NumericError) as caught:
+        train_epoch(params, init_adam(params), nd, cfgs, Pcg32(5), 4)
+    expected = "epoch 4, batch 0, variant no_physics: non-finite activations after hidden layer 1"
+    assert str(caught.value) == expected
+    assert caught.value.model == 1
+    params = stack(init_model(quick_model(dropout=0.0), norm), 3)
+    params.head_reg.b[2] = 1e200  # finite outputs whose squared error overflows
+    with pytest.raises(NumericError) as caught:
+        train_epoch(params, init_adam(params), nd, cfgs, Pcg32(5), 0)
+    assert str(caught.value).startswith("epoch 0, batch 0, variant eda_only: non-finite loss (l_eda=inf")
+    assert caught.value.model == 2
+
+
+def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
+    trainer_mod._steady_heap()
+    real, faults = trainer_mod.train_epoch, []
+
+    def counting(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = real(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return out
+
+    monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+    data = small_synth(n=600)
+    run_fold(data.subset(np.arange(512)), data.subset(np.arange(512, 600)),
+             quick_cfg(epochs=6, batch_size=128), quick_model(hidden=[64, 64]))
+    # 5 epochs of 4 steps; without the setting each step faults in 100-300 pages
+    assert sum(faults[1:]) <= 3 * 5 * 4
+
+
 def test_kfold_shapes_and_aggregate():
     data = small_synth(n=250, seed=11)
     reports, models = run_kfold(data, quick_cfg(), quick_model())
@@ -460,7 +529,7 @@ def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
     run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=1)  # in-process, no pool
     ablation_table(data, ["full", "eda_only", "ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)
     ablation_table(data, ["ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)  # no jobs, no pool
-    assert sizes == [3, 2, 6]
+    assert sizes == [3, 2, 3]  # an ablation job is a fold that trains its variants as one stack
 
 
 def blas_threads() -> list[int]:
