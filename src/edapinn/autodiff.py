@@ -3,11 +3,13 @@
 A dual batch is one float64 array of shape ``(..., 2, n, width)``: the
 values at ``[..., 0, :, :]`` and, at ``[..., 1, :, :]``, their per-sample
 derivatives with respect to the scalar time input (the tangents). Leading
-axes index a stack of models that share a batch: every primitive reduces
-over the rows (axis -2), builds its output on axis -3 and broadcasts a
-parameter vector ``p`` over the rows as ``p[..., None, :]``, so one code path
-serves one model, with parameters of shape ``(width,)``, and a stack of M,
-with parameters of shape ``(M, width)``. Every forward takes one such array
+axes index a stack of models: every primitive reduces over the rows (axis
+-2), builds its output on axis -3 and broadcasts a parameter vector ``p``
+over the rows as ``p[..., None, :]``, so one code path serves one model,
+with parameters of shape ``(width,)``, a stack of V variants of one fold,
+with parameters of shape ``(V, width)``, and a stack over F folds, with
+parameters of shape ``(F, V, width)``, whose input ``(F, 1, 2, n, 4)`` holds
+one batch per fold and broadcasts over the variants. Every forward takes one such array
 and returns one; every backward takes the adjoint of its output, an array of
 the same shape, and returns the adjoint of its input,
 
@@ -23,15 +25,18 @@ channel axis, -3) and batch-norm's ``(d_scale, d_shift)``;
 ``affine_weight_grad`` gives ``dw`` alone, for the first layer, whose input
 needs no adjoint. The affine map has no bias (the model adds the regression
 head's own), and dropout's cache is the mask it applied, one
-``(n, width)`` draw shared by every model of a stack. Swish evaluates its
-sigmoid once per forward call and caches s'(x) and s''(x) times the input's
-tangent, both built from it; batch-norm caches a copy of its input's tangent
-rather than the input, twice its size. Both keep a stack's step small. ``sigmoid`` is
-the package's one logistic function.
+``(n, width)`` draw shared by every model of a stack, or one per fold,
+``(F, 1, n, width)``. Swish evaluates its sigmoid once per forward call, in
+its output's buffer, and caches s'(x) and s''(x) times the input's tangent,
+both built from it; batch-norm caches a copy of its input's tangent rather
+than the input, twice its size. Both keep a stack's step small, and in eval
+mode, which never trains, neither builds what only a backward reads.
+``sigmoid`` is the package's one logistic function.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +45,25 @@ from .errors import ContractError
 from .rng import Pcg32
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """1 / (1 + exp(-x)) of a scalar or an array, as 0.5 * (1 + tanh(x / 2)):
-    no masks, no overflow, exactly 0 and 1 far out in the tails."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    no masks, no overflow, exactly 0 and 1 far out in the tails. Built in
+    one array, ``out`` when given, with no temporaries."""
+    if np.ndim(x) == 0 and out is None:
+        return 0.5 * (1.0 + np.tanh(0.5 * x))
+    s = np.multiply(x, 0.5, out=out)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
-def softplus(x: float) -> float:
-    if x > 30.0:
-        return float(x)
-    return float(np.log1p(np.exp(x)))
+def softplus(x):
+    """log(1 + exp(x)), exactly x above 30: a float of a scalar, elementwise of an array."""
+    if np.ndim(x) == 0:
+        return float(x) if x > 30.0 else float(np.log1p(np.exp(x)))
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
 def softplus_inv(y: float) -> float:
@@ -114,16 +128,30 @@ def _empty_dual(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, n
     return out, _channels(out)
 
 
-def swish_forward(x: np.ndarray):
-    """Caches s'(x) and s''(x) * xdot, both from one sigmoid."""
+def swish_forward(x: np.ndarray, mode: str = "train"):
+    """Caches s'(x) and s''(x) * xdot, both from one sigmoid, built in the
+    output's tangent channel; eval mode, which never trains, caches nothing."""
     v, t = _channels(x)
-    s = sigmoid(v)
-    d1 = s * (1.0 + v * (1.0 - s))
-    d2_tangent = s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s)) * t
     out, (out_v, out_t) = _empty_dual(v.shape)
+    s = sigmoid(v, out=out_t)
+    one_minus_s = 1.0 - s
+    d1 = np.multiply(v, one_minus_s)
+    d1 += 1.0
+    d1 *= s
+    cache = None
+    if mode == "train":
+        # s * (1 - s) * (2 + v * (1 - 2 s)) * t, left to right
+        d2_tangent = np.multiply(s, 2.0)
+        np.subtract(1.0, d2_tangent, out=d2_tangent)
+        d2_tangent *= v
+        d2_tangent += 2.0
+        one_minus_s *= s
+        one_minus_s *= d2_tangent
+        d2_tangent = np.multiply(one_minus_s, t, out=one_minus_s)
+        cache = SwishCache(d1, d2_tangent)
     np.multiply(v, s, out=out_v)
-    np.multiply(d1, t, out=out_t)
-    return out, SwishCache(d1, d2_tangent)
+    np.multiply(d1, t, out=out_t)  # s is spent
+    return out, cache
 
 
 def swish_backward(cache: SwishCache, adj: np.ndarray):
@@ -153,7 +181,7 @@ def swish_backward(cache: SwishCache, adj: np.ndarray):
 class BatchNormCache:
     scale: np.ndarray
     x_centered: np.ndarray
-    x_tangent: np.ndarray
+    x_tangent: np.ndarray | None
     istd: np.ndarray
     new_running_mean: np.ndarray | None
     new_running_var: np.ndarray | None
@@ -188,8 +216,10 @@ def batchnorm_forward(
     out, (out_v, out_t) = _empty_dual(v.shape)
     np.add(scale * (x_centered * istd), shift, out=out_v)
     np.multiply(scale * istd, t, out=out_t)
-    # a copy of the tangent lets the input, twice its size, go
-    return out, BatchNormCache(scale, x_centered, t.copy(), istd, new_rm, new_rv)
+    # a copy of the tangent lets the input, twice its size, go; eval mode,
+    # which never trains, copies nothing
+    x_tangent = t.copy() if mode == "train" else None
+    return out, BatchNormCache(scale, x_centered, x_tangent, istd, new_rm, new_rv)
 
 
 def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
@@ -200,7 +230,11 @@ def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
     av, at = _channels(adj)
     n = xc.shape[-2]
 
-    adj_scale = (av * (xc * istd)).sum(axis=-2) + (at * xt * istd).sum(axis=-2)
+    at_xt = at * xt
+    # tangent channel: output g*istd*xt depends on x through var(x)
+    s_t = at_xt.sum(axis=-2, keepdims=True)
+    at_xt *= istd
+    adj_scale = (av * (xc * istd)).sum(axis=-2) + at_xt.sum(axis=-2)
     adj_shift = av.sum(axis=-2)
 
     # value channel: standard batch-norm gradient through mu and var, built
@@ -212,8 +246,6 @@ def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
     out_v *= istd
     out_v += dvar * (2.0 / n) * xc
     out_v += dmu / n
-    # tangent channel: output g*istd*xt depends on x through var(x)
-    s_t = (at * xt).sum(axis=-2, keepdims=True)
     out_v -= (g * s_t / n) * istd**3 * xc
     np.multiply(at, g * istd, out=out_t)
     return out, adj_scale, adj_shift
@@ -232,17 +264,26 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | None = None):
+def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | Sequence[Pcg32] | None = None):
     """The batch masked by a fresh ``(n, width)`` draw from ``rng``, the same
     for every model of a stack, and the mask applied, or ``x`` itself and
-    ``None`` when dropout is off (eval mode or a zero rate)."""
+    ``None`` when dropout is off (eval mode or a zero rate).
+
+    A sequence of streams, one per index of the stack's first axis (one per
+    fold), draws one mask from each, in order: the mask has shape
+    ``(F, 1, ..., n, width)`` and is shared along the stack's other axes.
+    """
     if mode == "eval" or rate == 0.0:
         return x, None
     if rng is None:
         raise ContractError("train-mode dropout needs an rng")
-    mask = make_dropout_mask(x.shape[-2:], rate, rng)
-    return x * mask, mask
+    if isinstance(rng, Pcg32):
+        mask = make_dropout_mask(x.shape[-2:], rate, rng)
+    else:
+        shape = (len(rng),) + (1,) * (x.ndim - 4) + x.shape[-2:]
+        mask = np.stack([make_dropout_mask(x.shape[-2:], rate, r) for r in rng]).reshape(shape)
+    return x * mask[..., None, :, :], mask
 
 
 def dropout_backward(mask: np.ndarray | None, adj: np.ndarray):
-    return adj if mask is None else adj * mask
+    return adj if mask is None else adj * mask[..., None, :, :]

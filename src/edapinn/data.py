@@ -38,7 +38,11 @@ DDT_HEADER = ["row", "dydt"]
 
 @dataclass
 class Dataset:
-    """Column-major view of the tabular schema; rows align across arrays."""
+    """Column-major view of the tabular schema; rows align across arrays.
+
+    A batch of a stack of models over folds holds one batch per fold on
+    leading axes in front of the rows (t of shape ``(F, 1, n)``); its length
+    is the row count."""
 
     t: np.ndarray  # (n,)
     e: np.ndarray  # (n, 3)
@@ -46,14 +50,14 @@ class Dataset:
     label: np.ndarray  # (n,) ints in {0, 1}
 
     def __post_init__(self):
-        if self.t.ndim != 1:
-            raise ContractError(f"dataset t must be 1-D, got shape {self.t.shape}")
-        n = self.t.shape[0]
-        if self.e.shape != (n, 3) or self.y.shape != (n,) or self.label.shape != (n,):
+        if self.t.ndim < 1:
+            raise ContractError(f"dataset t must be 1-D or more, got shape {self.t.shape}")
+        rows = self.t.shape
+        if self.e.shape != rows + (3,) or self.y.shape != rows or self.label.shape != rows:
             raise ContractError("dataset arrays must align on the sample dimension")
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.t.shape[-1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.t[idx], self.e[idx], self.y[idx], self.label[idx])

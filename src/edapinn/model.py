@@ -24,19 +24,27 @@ proxy of each sample.
 The trainable numbers live in one vector, ``ModelParams.theta``, laid out by
 ``block_shapes``; ``blocks`` names the views of it or of a gradient.
 
-One ``forward`` and one ``backward`` also serve a stack of M networks of one
-config that train side by side on the same batch (``stack``): ``theta`` then
-has shape ``(M, P)``, every part of the model carries the leading model axis
-(batch-norm running statistics ``(M, width)``), a dual batch is
-``(M, 2, n, width)`` and the outputs are ``(M, n)``. Dropout masks are drawn
-once per layer and shared by the stack. ``members`` gives the stack's models
-one by one, as ordinary single models on views of its memory.
+One ``forward`` and one ``backward`` also serve a stack of networks of one
+config that train side by side (``stack``). A stack of V variants of one
+fold shares its batch: ``theta`` has shape ``(V, P)``, every part of the
+model carries the leading model axis (batch-norm running statistics
+``(V, width)``), a dual batch is ``(V, 2, n, width)`` and the outputs are
+``(V, n)``; dropout masks are drawn once per layer and shared. A stack over
+F folds puts a fold axis in front, ``theta`` of shape ``(F, V, P)``: its
+batch holds one batch per fold, ``t`` of shape ``(F, 1, n)``, so the input
+is ``(F, 1, 2, n, 4)`` and broadcasts over the variants, and each fold
+draws its own masks from its own stream, ``(F, 1, n, width)``. ``members``
+gives the models along a stack's first axis, on views of its memory.
+
+Only a train-mode forward has a backward: an eval-mode forward keeps no
+caches, so it holds no more than a layer's activations at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -110,8 +118,8 @@ class ModelParams:
     views of it (alpha0, gamma and rho 0-d ones). Write through a view in
     place: rebinding one raises instead of detaching it from ``theta``.
 
-    Parts whose arrays carry a leading model axis of length M make a stack:
-    ``theta`` of shape ``(M, P)`` (see ``stack``)."""
+    Parts whose arrays carry leading model axes make a stack: ``theta`` of
+    shape ``(V, P)`` or ``(F, V, P)`` (see ``stack``)."""
 
     layers: list[HiddenLayer]
     head_reg: Head
@@ -121,6 +129,10 @@ class ModelParams:
     config: ModelConfig
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     _members: list["ModelParams"] | None = field(default=None, init=False, repr=False, compare=False)
+    # the config and normalizer of each row of a stack built from a list of models
+    _rows: list[tuple[ModelConfig, Normalizer | None]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         models = np.shape(self.layers[0].w)[:-2]
@@ -159,31 +171,47 @@ def _on_views(part, prefix: str, views: dict[str, np.ndarray], pick):
     return type(part)(**values)
 
 
-def stack(params: ModelParams, models: int) -> ModelParams:
+def stack(params: ModelParams | Sequence[ModelParams], models: int) -> ModelParams:
     """``models`` copies of ``params`` as one stack: every array of its parts
     gains a leading model axis of that length, and ``theta`` has shape
-    ``(models, P)``."""
+    ``(models, P)``.
 
-    def tiled(part):
-        return type(part)(**{f.name: np.stack([getattr(part, f.name)] * models) for f in fields(part)})
+    Given a list of models of one config but for the seed (one per fold,
+    say), each is stacked so, and the list's axis comes first: ``theta`` of
+    shape ``(len(params), models, P)``. What ``forward`` and the objective
+    read is the first model's config; each row keeps its own config and
+    normalizer, which its ``members`` carry.
+    """
+    single = isinstance(params, ModelParams)
+    parts = [params] if single else list(params)
 
-    return ModelParams(
-        [tiled(layer) for layer in params.layers],
-        tiled(params.head_reg),
-        tiled(params.head_cls),
-        tiled(params.physics),
-        params.normalizer,
-        params.config,
+    def tiled(same):
+        """One part of every model, stacked."""
+        arrays = {f.name: np.stack([np.stack([getattr(q, f.name)] * models) for q in same]) for f in fields(same[0])}
+        return type(same[0])(**{name: a[0] if single else a for name, a in arrays.items()})
+
+    stacked = ModelParams(
+        [tiled(layers) for layers in zip(*(p.layers for p in parts))],
+        tiled([p.head_reg for p in parts]),
+        tiled([p.head_cls for p in parts]),
+        tiled([p.physics for p in parts]),
+        parts[0].normalizer,
+        parts[0].config,
     )
+    if not single:
+        stacked._rows = [(p.config, p.normalizer) for p in parts]
+    return stacked
 
 
 def members(params: ModelParams) -> list[ModelParams]:
-    """The single models of ``params``: a single model is its own one member.
+    """The models along the first model axis of ``params``: the single
+    models of a stack of variants, the per-fold stacks of one over folds; a
+    single model is its own one member.
 
     The members of a stack are built once, on views of their rows of its
     ``theta`` and running statistics, so each sees the stack's training as
-    it happens and can be used as any single model (a pickle of one owns
-    its memory).
+    it happens and can be used as any model of its shape (a pickle of one
+    owns its memory).
     """
     if params.theta.ndim == 1:
         return [params]
@@ -192,8 +220,9 @@ def members(params: ModelParams) -> list[ModelParams]:
         for i in range(len(params.theta)):
             one = object.__new__(ModelParams)  # bound below, not copied
             one.layers, one.head_reg, one.head_cls = params.layers, params.head_reg, params.head_cls
-            one.physics, one.normalizer, one.config = params.physics, params.normalizer, params.config
-            one.theta, one._members = params.theta[i], None
+            one.physics, one.theta = params.physics, params.theta[i]
+            one.config, one.normalizer = params._rows[i] if params._rows else (params.config, params.normalizer)
+            one._members = one._rows = None
             one._bind(lambda a, i=i: a[i])
             params._members.append(one)
     return params._members
@@ -249,21 +278,22 @@ class ForwardCaches:
 
 @dataclass
 class Predictions:
-    """Outputs of shape ``(n,)``, or ``(M, n)`` for a stack."""
+    """Outputs of shape ``(n,)``, or the stack's leading axes then ``n``."""
 
     y_eda: np.ndarray
     dydt: np.ndarray
     z_emotion: np.ndarray  # classification logit
     p_emotion: np.ndarray  # sigmoid(z_emotion)
-    caches: ForwardCaches
+    caches: ForwardCaches | None  # None in eval mode, which has no backward
 
 
-def _require_finite(a: np.ndarray, stacked: bool, where: str) -> None:
-    """Raise ``NumericError`` unless ``a`` is all finite; for a stack the
-    error carries the index of the first model that is not."""
+def _require_finite(a: np.ndarray, models: tuple[int, ...], where: str) -> None:
+    """Raise ``NumericError`` unless ``a`` is all finite; for a stack of
+    leading axes ``models`` the error carries the flat index, in the order of
+    its members' members, of the first model that is not."""
     finite = np.isfinite(a)
     if not finite.all():
-        model = int(np.argmin(finite.reshape(len(a), -1).all(axis=1))) if stacked else None
+        model = int(np.argmin(finite.reshape(math.prod(models), -1).all(axis=1))) if models else None
         raise NumericError(f"non-finite activations {where}", model=model)
 
 
@@ -298,15 +328,18 @@ def forward(
     Train mode uses batch statistics and draws one dropout mask per hidden
     layer from ``rng``, in layer order, so two streams in the same state
     give the same masks; eval mode uses running statistics, disables
-    dropout and never consumes randomness.
+    dropout, never consumes randomness and keeps no caches. A stack over
+    folds takes ``t`` of shape ``(F, 1, n)``, ``e`` of shape ``(F, 1, n, 3)``
+    and one stream per fold.
     """
     t = np.asarray(t, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    if t.ndim != 1 or t.size == 0 or e.shape != (t.size, 3):
+    if t.ndim < 1 or t.shape[-1] == 0 or e.shape != t.shape + (3,):
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
     cfg = params.config
-    stacked = params.theta.ndim > 1
-    x = np.stack([np.column_stack([t, e]), np.tile(_INPUT_TANGENT, (t.size, 1))])
+    models = params.theta.shape[:-1]
+    inputs = np.concatenate([t[..., None], e], axis=-1)
+    x = np.stack([inputs, np.broadcast_to(_INPUT_TANGENT, inputs.shape)], axis=-3)
     # divergence is reported through the explicit per-layer checks below;
     # numpy's warnings on the already-poisoned arithmetic are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -323,19 +356,22 @@ def forward(
                 eps=cfg.bn_eps,
                 momentum=cfg.bn_momentum,
             )
-            x, c_sw = ad.swish_forward(x)
+            x, c_sw = ad.swish_forward(x, mode)
             x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
-            _require_finite(x, stacked, f"after hidden layer {i}")
-            layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
+            _require_finite(x, models, f"after hidden layer {i}")
+            if mode == "train":
+                layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
 
         y_out, reg_cache = ad.affine_forward(x, params.head_reg.w)
         y = (y_out[..., 0, :, :] + params.head_reg.b[..., None, :])[..., 0]
         dydt = y_out[..., 1, :, 0]
         z = (x[..., 0, :, :] @ params.head_cls.w + params.head_cls.b[..., None, :])[..., 0]
-        _require_finite(np.stack([y, dydt], axis=-2), stacked, "in the regression head")
+        _require_finite(np.stack([y, dydt], axis=-2), models, "in the regression head")
 
-    running = [(c.bn.new_running_mean, c.bn.new_running_var) for c in layer_caches if mode == "train"]
-    caches = ForwardCaches(layer_caches, reg_cache, running)
+    caches = None
+    if mode == "train":
+        running = [(c.bn.new_running_mean, c.bn.new_running_var) for c in layer_caches]
+        caches = ForwardCaches(layer_caches, reg_cache, running)
     return Predictions(y, dydt, z, ad.sigmoid(z), caches)
 
 
@@ -356,8 +392,11 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
 
     ``caches`` is spent: each cache is dropped as soon as it has been used,
     so the step's memory falls as the backward proceeds instead of holding
-    every layer's activations to the end; its running statistics stay.
+    every layer's activations to the end; its running statistics stay. An
+    eval-mode forward has none to give: ``None`` raises ``ContractError``.
     """
+    if caches is None:
+        raise ContractError("backward needs the caches of a train-mode forward")
     grad = np.zeros_like(params.theta)
     g = blocks(grad, params.config)
     g["physics.alpha0"][...] = lg.d_alpha0

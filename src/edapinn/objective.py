@@ -17,11 +17,16 @@ trajectory rather than hiding the collapse.
 ``VARIANTS`` is the one table of the terms each network variant trains,
 and ``loss_gradients`` the one place the objective is evaluated: one call
 returns the unweighted loss breakdown and the adjoints of the variant's
-terms, from one residual.
+terms, from one residual. Like the primitives (``autodiff``), every function
+here reduces over the rows, the last axis, and broadcasts the leading axes
+of a stack of models: a (folds, variants) stack's outputs ``(F, V, n)``
+against its batch's targets ``(F, 1, n)``, with one variant per index of the
+stack's last model axis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -66,8 +71,10 @@ class PhysicsParams:
         if self.beta.shape[-1:] != (3,):
             raise ContractError(f"beta must be a 3-vector, got shape {self.beta.shape}")
 
-    def lambda_eff(self, floor: float = 0.0) -> float:
-        return max(softplus(self.rho), floor)
+    def lambda_eff(self, floor: float = 0.0):
+        """max(softplus(rho), floor): a float, or one per model of a stack."""
+        lam = softplus(self.rho)
+        return max(lam, floor) if np.ndim(lam) == 0 else np.maximum(lam, floor)
 
     def copy(self) -> "PhysicsParams":
         return PhysicsParams(float(self.alpha0), self.beta.copy(), float(self.gamma), float(self.rho))
@@ -82,24 +89,40 @@ class LossBreakdown:
     total: float
 
 
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
+def _row_mean(a: np.ndarray):
+    """The mean over the last axis: a float of a vector, else an array."""
+    m = np.mean(a, axis=-1)
+    return float(m) if m.ndim == 0 else m
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis, per leading index, as ``a @ b`` of vectors computes it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rows_match(a: np.ndarray, b: np.ndarray) -> bool:
+    """Nonempty rows of one length."""
+    return a.ndim >= 1 and a.shape[-1:] == b.shape[-1:] and a.size > 0
+
+
+def mse(pred: np.ndarray, target: np.ndarray):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.size == 0:
+    if not _rows_match(pred, target):
         raise ContractError("mse needs equal-length nonempty vectors")
     d = pred - target
-    return float(np.mean(d * d))
+    return _row_mean(d * d)
 
 
-def bce(logit: np.ndarray, label: np.ndarray) -> float:
+def bce(logit: np.ndarray, label: np.ndarray):
     """Mean binary cross-entropy of sigmoid(logit) against 0/1 labels."""
     z = np.asarray(logit, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
-    if z.shape != label.shape or z.size == 0:
+    if not _rows_match(z, label):
         raise ContractError("bce needs equal-length nonempty vectors")
     if not np.all((label == 0.0) | (label == 1.0)):
         raise ContractError("labels must be 0 or 1")
-    return float(np.mean(np.logaddexp(0.0, z) - label * z))
+    return _row_mean(np.logaddexp(0.0, z) - label * z)
 
 
 def physics_residual(
@@ -112,18 +135,19 @@ def physics_residual(
     dydt = np.asarray(dydt, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] != 3:
+    if e.ndim < 2 or e.shape[-1] != 3:
         raise ContractError(f"e must be (n, 3), got {e.shape}")
-    if not (dydt.shape == y.shape == (e.shape[0],)):
+    if dydt.shape != y.shape or not _rows_match(y, e[..., 0]):
         raise ContractError("dydt, y and e must share the sample dimension")
-    return phys.gamma * dydt + phys.alpha0 * y - e @ phys.beta
+    gamma, alpha0 = np.asarray(phys.gamma)[..., None], np.asarray(phys.alpha0)[..., None]
+    return gamma * dydt + alpha0 * y - (e @ phys.beta[..., :, None])[..., 0]
 
 
-def physics_loss(residual: np.ndarray) -> float:
+def physics_loss(residual: np.ndarray):
     residual = np.asarray(residual, dtype=np.float64)
     if residual.size == 0:
         raise ContractError("physics_loss needs a nonempty residual vector")
-    return float(np.mean(residual * residual))
+    return _row_mean(residual * residual)
 
 
 @dataclass
@@ -133,14 +157,14 @@ class LossGrads:
     adj_y: np.ndarray
     adj_dydt: np.ndarray
     adj_z: np.ndarray
-    d_alpha0: float
+    d_alpha0: float | np.ndarray
     d_beta: np.ndarray
-    d_gamma: float
-    d_rho: float
+    d_gamma: float | np.ndarray
+    d_rho: float | np.ndarray
 
 
 def loss_gradients(
-    preds: "Predictions", batch: "Dataset", params: "ModelParams", variant: str
+    preds: "Predictions", batch: "Dataset", params: "ModelParams", variant: str | Sequence[str]
 ) -> tuple[LossBreakdown, LossGrads]:
     """The loss breakdown of ``preds`` on one normalized ``batch`` and the
     exact gradients of the terms of L_eda + L_emotion + lambda*L_physics that
@@ -149,8 +173,12 @@ def loss_gradients(
     lambda, its floor and its freeze come from ``params``. Every component is
     always computed, and the breakdown is the unweighted one, so
     total == l_eda + l_emotion + lambda_eff * l_physics holds by definition.
+    For a stack, ``variant`` may name one variant per index of its last
+    model axis, and every field carries the stack's leading axes; each
+    model's numbers are those it gets alone, bit for bit.
     """
-    use_eda, use_emotion, use_physics = VARIANTS[variant]
+    use = VARIANTS[variant] if isinstance(variant, str) else [VARIANTS[v] for v in variant]
+    use_eda, use_emotion, use_physics = np.array(use).T  # a flag, or one per model
     phys, floor = params.physics, params.config.lambda_floor
     n = len(batch)
     y = np.asarray(preds.y_eda, dtype=np.float64)
@@ -165,27 +193,20 @@ def loss_gradients(
     lam = phys.lambda_eff(floor)
     breakdown = LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
 
-    adj_y = np.zeros(n)
-    adj_dydt = np.zeros(n)
-    adj_z = np.zeros(n)
-    d_alpha0 = 0.0
-    d_beta = np.zeros(3)
-    d_gamma = 0.0
-    d_rho = 0.0
-
-    if use_eda:
-        adj_y += 2.0 * (y - batch.y) / n
-
-    if use_emotion:
-        adj_z += (p - labels) / n
-
-    if use_physics:
-        adj_y += lam * 2.0 * r * phys.alpha0 / n
-        adj_dydt += lam * 2.0 * r * phys.gamma / n
-        d_alpha0 = lam * 2.0 * float(r @ y) / n
-        d_gamma = lam * 2.0 * float(r @ dydt) / n
-        d_beta = -lam * 2.0 * (r @ batch.e) / n
-        if not params.config.lambda_frozen and softplus(phys.rho) > floor:
-            d_rho = l_phys * float(sigmoid(phys.rho))
-
+    # a term a model does not train adds nothing, not even a NaN of its own
+    rows = (..., None)  # a per-model value against the rows
+    lam_r, alpha0_r, gamma_r = (np.asarray(a)[rows] for a in (lam, phys.alpha0, phys.gamma))
+    adj_y = np.zeros(y.shape)
+    adj_dydt = np.zeros(y.shape)
+    adj_z = np.zeros(y.shape)
+    adj_y += np.where(use_eda[rows], 2.0 * (y - batch.y) / n, 0.0)
+    adj_z += np.where(use_emotion[rows], (p - labels) / n, 0.0)
+    adj_y += np.where(use_physics[rows], lam_r * 2.0 * r * alpha0_r / n, 0.0)
+    adj_dydt += np.where(use_physics[rows], lam_r * 2.0 * r * gamma_r / n, 0.0)
+    d_alpha0 = np.where(use_physics, lam * 2.0 * _dot(r, y) / n, 0.0)
+    d_gamma = np.where(use_physics, lam * 2.0 * _dot(r, dydt) / n, 0.0)
+    r_e = (r[..., None, :] @ batch.e)[..., 0, :]
+    d_beta = np.where(use_physics[rows], -lam_r * 2.0 * r_e / n, 0.0)
+    trains_rho = use_physics & (not params.config.lambda_frozen) & (softplus(phys.rho) > floor)
+    d_rho = np.where(trains_rho, l_phys * sigmoid(phys.rho), 0.0)
     return breakdown, LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)

@@ -92,11 +92,12 @@ def ablation_table(
 
     A variant is a baseline of ``baselines.BASELINES`` or else a network
     variant of ``objective.VARIANTS``, which ``TrainRunConfig`` checks.
-    Network variants run the full k-fold protocol. Each fold is one job
-    that trains all of them as one stack of networks (see
-    ``trainer.run_fold``); the jobs run on ``threads`` worker processes when
-    threads > 1 (see ``trainer.run_fold_jobs``), so more threads than folds
-    gain nothing. The default of 1 trains in this process. The F1 of a
+    Network variants run the full k-fold protocol, all of them as one stack
+    of networks per fold (see ``trainer.run_folds``); with every variant,
+    each fold is a job of its own (see ``trainer.fold_jobs``). The jobs run
+    on ``threads`` worker processes when threads > 1 (see
+    ``trainer.run_fold_jobs``), so more threads than folds gain nothing.
+    The default of 1 trains in this process. The F1 of a
     variant whose ``VARIANTS`` row leaves out the emotion term (eda_only)
     reports 0.0, as its classifier is never trained. Returns the table plus
     the per-variant fold reports so callers can reuse them without
@@ -104,7 +105,8 @@ def ablation_table(
     """
     folds = stratified_kfold(data, cfg.k, cfg.seed)
     cfgs = {v: replace(cfg, variant=v) for v in variants if v not in BASELINES}
-    stacks = run_fold_jobs(fold_jobs(data, folds, list(cfgs.values()), model_cfg), threads) if cfgs else []
+    jobs = fold_jobs(data, folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
+    stacks = run_fold_jobs(jobs, threads)
     fold_reports = {v: [stack[i][0] for stack in stacks] for i, v in enumerate(cfgs)}
     baseline = baseline_rows(data, folds, [v for v in variants if v in BASELINES])
     rows: list[AblationRow] = []

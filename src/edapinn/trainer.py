@@ -4,15 +4,19 @@ A run's variant is a name the trainer hands to the objective, which owns
 the loss terms each variant trains (``objective.VARIANTS``).
 
 One fold trains in one process so accumulation order is deterministic;
-(seed, data, config) fully determine every recorded trace value. The
-variants of one fold share its init, shuffles and dropout masks, so
-``run_fold`` trains them as one stack of networks (``model.stack``): one
-forward, one backward and one Adam step per batch serve every variant,
-and only the objective runs per model, each with its own variant. Each
-network of the stack gets the numbers, byte for byte, that it gets when
-trained alone. Distinct folds use independently derived RNG streams, so
-the jobs of a run, one per fold, may run on worker processes (``threads``
-of them) with results identical, byte for byte, to the sequential run.
+(seed, data, config) fully determine every recorded trace value. A job
+trains several folds, each with every variant of the run, as one stack of
+networks (``model.stack``) with leading axes (folds, variants): one
+forward, one backward and one Adam step per batch serve them all. The
+variants of a fold share its normalizer, init, shuffles and dropout masks,
+and the objective gives each its own terms; each fold keeps its own
+normalizer, init and streams. So every network of the stack gets the
+numbers, byte for byte, that it gets when trained alone (``run_fold``, the
+stack of one fold). ``fold_jobs`` deals the folds into as few jobs as fill
+``threads`` worker processes without a job holding more networks than one
+fold of every variant; since every fold has its own derived RNG streams,
+the results are identical, byte for byte, however the folds are dealt and
+wherever the jobs run.
 
 ``run_fold_jobs`` also keeps the process's heap steady: it raises glibc's
 trim and mmap thresholds once, so that the step's arrays, which a stack
@@ -22,6 +26,7 @@ makes larger, are reused instead of being mapped and faulted in anew.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
@@ -105,80 +110,81 @@ ADAM_EPS = 1e-8
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: np.ndarray  # steps taken, one count per network: theta.shape[:-1]
     lr: float = 0.001
 
 
 def init_adam(params: ModelParams, lr: float = 0.001) -> AdamState:
-    """Zero moments shaped like ``params.theta``."""
-    return AdamState(np.zeros_like(params.theta), np.zeros_like(params.theta), lr=lr)
+    """Zero moments shaped like ``params.theta``, no steps taken."""
+    theta = params.theta
+    return AdamState(np.zeros_like(theta), np.zeros_like(theta), np.zeros(theta.shape[:-1], np.int64), lr)
+
+
+def _bias_correction(beta: float, t: np.ndarray) -> np.ndarray:
+    """1 - beta**t of every network's step count, each power as Python
+    computes it for one network, shaped to broadcast over its numbers."""
+    return np.array([1.0 - beta ** int(k) for k in t.flat]).reshape(t.shape + (1,))
 
 
 def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamState:
-    """Bias-corrected Adam on all of ``params.theta`` in place; returns the new state.
+    """Bias-corrected Adam on all of ``params.theta`` in place, the moments
+    and step counts of ``state`` too; returns ``state``.
 
-    A number whose gradient is always zero (a frozen rho) steps by exactly 0.0.
+    Every network of a stack counts its own steps, so stacked folds that
+    have taken different numbers of steps still step as one. A number whose
+    gradient is always zero (a frozen rho) steps by exactly 0.0.
     """
     if grad.shape != params.theta.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match theta {params.theta.shape}")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
+    state.t += 1
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    c1 = _bias_correction(ADAM_BETA1, state.t)
+    c2 = _bias_correction(ADAM_BETA2, state.t)
     params.theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return replace(state, m=m, v=v, t=t)
+    return state
 
 
 # ---------------------------------------------------------------------------
 # per-batch loss and gradient
 # ---------------------------------------------------------------------------
 
-# one config, or one per model of a stack
+# one config, or one per variant of a stack
 Configs = TrainRunConfig | Sequence[TrainRunConfig]
 
 
 def _model_configs(cfg: Configs, params: ModelParams) -> list[TrainRunConfig]:
-    """The config of every member of ``params``: one config serves them all,
-    a sequence gives one per member, in order."""
-    count = len(model_mod.members(params))
+    """The config of every variant of ``params``, along its last model axis:
+    one config serves them all, a sequence gives one per variant, in order."""
+    count = params.theta.shape[-2] if params.theta.ndim > 1 else 1
     cfgs = [cfg] * count if isinstance(cfg, TrainRunConfig) else list(cfg)
     if len(cfgs) != count:
         raise ContractError(f"{len(cfgs)} configs for a stack of {count} models")
     return cfgs
 
 
-def _stacked(parts: list):
-    """One dataclass of ``parts``' type whose fields stack theirs on a new leading axis."""
-    return type(parts[0])(*(np.array([getattr(p, f.name) for p in parts]) for f in fields(parts[0])))
-
-
 def batch_loss(
-    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | None
+    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, obj.LossGrads, model_mod.Predictions]:
     """The variant's objective on the train-mode forward of one normalized
     batch, dropout masks drawn from ``rng`` (None at a zero rate): the loss,
     its adjoints and the predictions, for training and the gradient checker.
 
-    A stack runs the objective per member, each under its own config's
-    variant; its loss and adjoints carry the leading model axis.
+    A stack runs the objective once, each variant under its own config
+    along the stack's last model axis; its loss and adjoints carry the
+    stack's leading axes.
     """
     preds = forward_batch(params, batch, "train", rng)
-    if params.theta.ndim == 1:
-        return *obj.loss_gradients(preds, batch, params, cfg.variant), preds
-    parts = [
-        obj.loss_gradients(
-            replace(preds, y_eda=preds.y_eda[i], dydt=preds.dydt[i],
-                    z_emotion=preds.z_emotion[i], p_emotion=preds.p_emotion[i]),
-            batch, one, c.variant,
-        )
-        for i, (one, c) in enumerate(zip(model_mod.members(params), _model_configs(cfg, params)))
-    ]
-    return _stacked([p[0] for p in parts]), _stacked([p[1] for p in parts]), preds
+    variants = [c.variant for c in _model_configs(cfg, params)]
+    variant = variants if params.theta.ndim > 1 else variants[0]
+    return *obj.loss_gradients(preds, batch, params, variant), preds
 
 
 def batch_gradients(
-    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | None
+    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
     """Forward, loss and backward for one normalized batch under the
     variant's objective: the loss, its gradient laid out as ``params.theta``
@@ -187,55 +193,108 @@ def batch_gradients(
     return breakdown, model_mod.backward(params, preds.caches, lg), preds
 
 
+def _batch_bounds(n: int, batch_size: int) -> list[int]:
+    """Contiguous batch bounds over ``n`` rows, a final batch of fewer than
+    ``MIN_FINAL_BATCH`` rows joined to the one before it."""
+    bounds = list(range(0, n, batch_size)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < MIN_FINAL_BATCH:
+        del bounds[-2]
+    return bounds
+
+
+def _fold_batch(parts: list[Dataset]) -> Dataset:
+    """Equal-sized batches of several folds as one, on a fold axis and a
+    unit variant axis in front of the rows: t of shape ``(F, 1, n)``."""
+    return Dataset(*(np.stack([getattr(p, f.name) for p in parts])[:, None] for f in fields(Dataset)))
+
+
 def train_epoch(
     params: ModelParams,
     opt: AdamState,
-    data: Dataset,
+    data: Dataset | Sequence[Dataset],
     cfg: Configs,
-    rng: Pcg32,
+    rng: Pcg32 | Sequence[Pcg32],
     epoch: int = 0,
-) -> tuple[AdamState, EpochTrace | list[EpochTrace]]:
-    """One pass that trains ``params`` in place: seeded shuffle, contiguous
-    batches, with a final batch of fewer than ``MIN_FINAL_BATCH`` rows joined
-    to the one before it. Returns the new optimizer state and the epoch's
-    trace, one per member for a stack. The batch size comes from the first
-    config; a numeric failure names the epoch, batch and variant."""
+    folds: Sequence[int] | None = None,
+) -> tuple[AdamState, EpochTrace | list]:
+    """One pass that trains ``params`` and ``opt`` in place: seeded shuffle,
+    contiguous batches, with a final batch of fewer than ``MIN_FINAL_BATCH``
+    rows joined to the one before it. Returns the optimizer state and the
+    epoch's trace, one per variant for a stack. The batch size comes from
+    the first config.
+
+    A stack over folds, ``theta`` of shape ``(F, V, P)``, takes one
+    normalized training split and one stream per fold in ``data`` and
+    ``rng``; ``folds`` numbers them (1 to F by default), and the traces come
+    per fold, then per variant. Each fold shuffles its rows and draws its
+    masks from its own stream, so every network steps as it does alone: a
+    batch that every fold has, at one size, is one step of the whole stack,
+    any other (a tail, or a batch some folds lack) steps fold by fold on the
+    stack's rows. A numeric failure names the epoch, batch, fold and variant.
+    """
     cfgs = _model_configs(cfg, params)
-    n = len(data)
-    order = rng.derive(f"shuffle:{epoch}").permutation(n)
-    dropout_rng = rng.derive(f"dropout:{epoch}")
-    sums = np.zeros((3, len(cfgs)))
-    bounds = list(range(0, n, cfgs[0].batch_size)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] < MIN_FINAL_BATCH:
-        del bounds[-2]
-    for batch_no, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        idx = order[start:stop]
-        batch = data.subset(idx)
+    by_fold = not isinstance(data, Dataset)
+    datas, rngs = (list(data), list(rng)) if by_fold else ([data], [rng])
+    names = list(folds) if folds is not None else list(range(1, len(datas) + 1))
+    orders = [r.derive(f"shuffle:{epoch}").permutation(len(d)) for r, d in zip(rngs, datas)]
+    dropout = [r.derive(f"dropout:{epoch}") for r in rngs]
+    bounds = [_batch_bounds(len(d), cfgs[0].batch_size) for d in datas]
+    rows = list(zip(model_mod.members(params), _adam_rows(opt))) if by_fold else []
+    sums = np.zeros((3,) + params.theta.shape[:-1])
+
+    def step(batch_no, fold, net, state, batch, masks) -> np.ndarray:
+        """One step of ``net``, the whole stack (``fold`` None) or one fold's
+        rows of it; returns the loss components, shaped (3,) + its leading axes."""
+
+        def failure(model, message):
+            f, v = divmod(model or 0, len(cfgs))
+            f = f if fold is None else fold
+            where = f"epoch {epoch}, batch {batch_no}, " + (f"fold {names[f]}, " if by_fold else "")
+            model = None if model is None else f * len(cfgs) + v
+            return NumericError(f"{where}variant {cfgs[v].variant}: {message}", model=model)
+
         # non-finites are detected explicitly (per-layer and on the loss), so
         # numpy's overflow chatter on an already-diverged step is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                breakdown, grad, preds = batch_gradients(params, batch, cfg, dropout_rng)
+                breakdown, grad, preds = batch_gradients(net, batch, cfgs, masks)
             except NumericError as exc:
-                where = f"epoch {epoch}, batch {batch_no}, variant {cfgs[exc.model or 0].variant}"
-                raise NumericError(f"{where}: {exc}", model=exc.model) from exc
-            losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics]).reshape(3, -1)
-            bad = ~np.isfinite(np.atleast_1d(breakdown.total))
+                raise failure(exc.model, exc) from exc
+            losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
+            bad = ~np.isfinite(np.ravel(breakdown.total))
             if bad.any():
                 i = int(np.argmax(bad))
-                raise NumericError(
-                    f"epoch {epoch}, batch {batch_no}, variant {cfgs[i].variant}: non-finite loss "
-                    f"(l_eda={losses[0, i]:g}, l_emotion={losses[1, i]:g}, l_physics={losses[2, i]:g})",
-                    model=i,
+                l_eda, l_emotion, l_physics = losses.reshape(3, -1)[:, i]
+                raise failure(
+                    i if net.theta.ndim > 1 else None,
+                    f"non-finite loss (l_eda={l_eda:g}, l_emotion={l_emotion:g}, l_physics={l_physics:g})",
                 )
-            opt = adam_step(opt, params, grad)
-        model_mod.commit_batchnorm(params, preds.caches)
-        sums += len(idx) * losses
-    means = sums / n
+            adam_step(state, net, grad)
+        model_mod.commit_batchnorm(net, preds.caches)
+        return losses
+
+    for batch_no in range(max(map(len, bounds)) - 1):
+        parts = {
+            f: datas[f].subset(orders[f][b[batch_no] : b[batch_no + 1]])
+            for f, b in enumerate(bounds)
+            if batch_no + 1 < len(b)
+        }
+        if not by_fold:
+            steps = [(None, params, opt, parts[0], dropout[0])]
+        elif len(parts) == len(datas) and len({len(part) for part in parts.values()}) == 1:
+            steps = [(None, params, opt, _fold_batch(list(parts.values())), dropout)]
+        else:
+            steps = [(f, *rows[f], part, dropout[f]) for f, part in parts.items()]
+        for fold, net, state, batch, masks in steps:
+            fold_sums = sums if fold is None else sums[:, fold]
+            fold_sums += len(batch) * step(batch_no, fold, net, state, batch, masks)
+
+    rows_per_fold = np.array([len(d) for d in datas]).reshape((-1, 1) if by_fold else ())
+    means = (sums / rows_per_fold).reshape(3, -1)
     traces = []
-    for i, (one, c) in enumerate(zip(model_mod.members(params), cfgs)):
-        phys = one.physics
-        lambda_eff = phys.lambda_eff(one.config.lambda_floor) if VARIANTS[c.variant][2] else 0.0
+    for i, one in enumerate(_networks(params)):
+        phys, c = one.physics, cfgs[i % len(cfgs)]
+        lambda_eff = float(phys.lambda_eff(one.config.lambda_floor)) if VARIANTS[c.variant][2] else 0.0
         traces.append(EpochTrace(
             epoch,
             float(means[0, i]),
@@ -246,12 +305,77 @@ def train_epoch(
             phys.beta.copy(),
             float(phys.gamma),
         ))
-    return opt, traces[0] if params.theta.ndim == 1 else traces
+    if params.theta.ndim == 1:
+        return opt, traces[0]
+    if by_fold:
+        return opt, [traces[f * len(cfgs) : (f + 1) * len(cfgs)] for f in range(len(datas))]
+    return opt, traces
+
+
+def _networks(params: ModelParams) -> list[ModelParams]:
+    """Every single network of ``params``, in the order of its flat index."""
+    if params.theta.ndim == 1:
+        return [params]
+    return [one for row in model_mod.members(params) for one in _networks(row)]
+
+
+def _adam_rows(opt: AdamState) -> list[AdamState]:
+    """The state of each row of a stack's first axis, on views of ``opt``."""
+    return [AdamState(m, v, t, opt.lr) for m, v, t in zip(opt.m, opt.v, opt.t)]
 
 
 # ---------------------------------------------------------------------------
 # folds
 # ---------------------------------------------------------------------------
+
+# a fold to train: its training split, its validation split and its number
+Fold = tuple[Dataset, Dataset, int]
+
+
+def run_folds(folds: Sequence[Fold], cfg: Configs, model_cfg: ModelConfig) -> list:
+    """Train on each fold's split and evaluate on its validation part, every
+    fold and every config as one stack of networks, ``theta`` of shape
+    ``(F, V, P)`` (see ``train_epoch``).
+
+    Each fold fits its normalizer on its training split only (validation
+    flows through it unchanged; targets may leave [0, 1]), inits its
+    networks from its own derived seed and shuffles and draws masks from its
+    own stream, so every network gets, byte for byte, the numbers it gets
+    when trained alone. Returns, per fold in order, the report and the
+    trained model; given a sequence of configs that differ in their variant
+    alone, a list of such pairs, one per config, in order.
+    """
+    cfgs = [cfg] if isinstance(cfg, TrainRunConfig) else list(cfg)
+    if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
+        raise ContractError("a stack needs configs that differ in their variant alone")
+    if not folds:
+        raise ContractError("a stack needs at least one fold")
+    norms = [fit_normalizer(train) for train, _, _ in folds]
+    trains = [apply_normalizer(norm, train) for norm, (train, _, _) in zip(norms, folds)]
+    valids = [apply_normalizer(norm, valid) for norm, (_, valid, _) in zip(norms, folds)]
+    numbers = [i for _, _, i in folds]
+    inits = [
+        init_model(replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{i}")), norm)
+        for norm, i in zip(norms, numbers)
+    ]
+    params = model_mod.stack(inits, len(cfgs))
+    opt = init_adam(params, lr=cfgs[0].lr)
+    rngs = [Pcg32(cfgs[0].seed).derive(f"fold:{i}") for i in numbers]
+    traces = []
+    for epoch in range(cfgs[0].epochs):
+        opt, epoch_traces = train_epoch(params, opt, trains, cfgs, rngs, epoch, numbers)
+        traces.append(epoch_traces)
+    results = []
+    for f, (row, valid_n, i) in enumerate(zip(model_mod.members(params), valids, numbers)):
+        pairs = []
+        for v, one in enumerate(model_mod.members(row)):
+            preds = forward_batch(one, valid_n, "eval")
+            reg = regression_metrics(preds.y_eda, valid_n.y)
+            cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
+            report = FoldReport(i, reg, cls, one.physics.copy(), [t[f][v] for t in traces])
+            pairs.append((report, one))
+        results.append(pairs[0] if isinstance(cfg, TrainRunConfig) else pairs)
+    return results
 
 
 def run_fold(
@@ -261,40 +385,14 @@ def run_fold(
     model_cfg: ModelConfig,
     fold_index: int = 1,
 ) -> tuple[FoldReport, ModelParams] | list[tuple[FoldReport, ModelParams]]:
-    """Train on one split and evaluate on its validation part.
-
-    The normalizer is fitted on the training split only; validation flows
-    through it unchanged (targets may leave [0, 1]). Returns the report and
-    the trained model. Given a sequence of configs that differ in their
-    variant alone, it trains one network per config as one stack and
-    returns one (report, model) pair per config, in order; one config is
-    the stack of one.
-    """
-    cfgs = [cfg] if isinstance(cfg, TrainRunConfig) else list(cfg)
-    if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
-        raise ContractError("a stack needs configs that differ in their variant alone")
-    norm = fit_normalizer(train)
-    train_n = apply_normalizer(norm, train)
-    valid_n = apply_normalizer(norm, valid)
-    mcfg = replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{fold_index}"))
-    params = model_mod.stack(init_model(mcfg, norm), len(cfgs))
-    opt = init_adam(params, lr=cfgs[0].lr)
-    rng = Pcg32(cfgs[0].seed).derive(f"fold:{fold_index}")
-    traces = []
-    for epoch in range(cfgs[0].epochs):
-        opt, epoch_traces = train_epoch(params, opt, train_n, cfgs, rng, epoch)
-        traces.append(epoch_traces)
-    results = []
-    for i, one in enumerate(model_mod.members(params)):
-        preds = forward_batch(one, valid_n, "eval")
-        reg = regression_metrics(preds.y_eda, valid_n.y)
-        cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
-        report = FoldReport(fold_index, reg, cls, one.physics.copy(), [t[i] for t in traces])
-        results.append((report, one))
-    return results[0] if isinstance(cfg, TrainRunConfig) else results
+    """Train on one split and evaluate on its validation part: the stack of
+    one fold (``run_folds``). Returns the report and the trained model, or
+    one such pair per config given a sequence of configs that differ in
+    their variant alone."""
+    return run_folds([(train, valid, fold_index)], cfg, model_cfg)[0]
 
 
-FoldJob = tuple[Dataset, Dataset, Configs, ModelConfig, int]
+FoldJob = tuple[list[Fold], Configs, ModelConfig]
 
 
 def fold_jobs(
@@ -302,17 +400,24 @@ def fold_jobs(
     splits: list[tuple[np.ndarray, np.ndarray]],
     cfg: Configs,
     model_cfg: ModelConfig,
+    threads: int,
 ) -> list[FoldJob]:
-    """The ``run_fold`` arguments of every split, folds numbered from 1: one
-    job per fold, which trains every config of ``cfg`` as one stack."""
-    return [
-        (data.subset(tr_idx), data.subset(va_idx), cfg, model_cfg, fold)
-        for fold, (tr_idx, va_idx) in enumerate(splits, start=1)
-    ]
+    """The ``run_folds`` arguments of every split, folds numbered from 1.
+
+    The k folds are dealt, in order, into
+    ``max(min(threads, k), ceil(k * V / len(VARIANTS)))`` jobs whose sizes
+    differ by at most one, V being the number of configs. So the jobs fill
+    ``threads`` workers, and no job holds more networks than one fold of
+    every variant: a larger stack costs more per network and more memory.
+    """
+    folds = [(data.subset(tr), data.subset(va), i) for i, (tr, va) in enumerate(splits, start=1)]
+    k, variants = len(folds), 1 if isinstance(cfg, TrainRunConfig) else len(cfg)
+    jobs = max(min(threads, k), math.ceil(k * variants / len(VARIANTS)))
+    return [([folds[i] for i in job], cfg, model_cfg) for job in np.array_split(np.arange(k), jobs)]
 
 
 def _run_job(job: FoldJob):
-    return run_fold(*job)
+    return run_folds(*job)
 
 
 # the thread-count setter of OpenBLAS, under each name its builds export
@@ -383,7 +488,7 @@ def _steady_heap() -> None:
 
 
 def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list:
-    """``run_fold`` over every job, results in job order.
+    """``run_folds`` over every job, its results in fold order.
 
     ``threads`` is the number of worker processes, capped at the number of
     jobs; with one, the jobs run in this process, in order. Each worker
@@ -398,7 +503,7 @@ def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list:
     _steady_heap()
     workers = min(threads, len(jobs))
     if workers <= 1:
-        return [_run_job(job) for job in jobs]
+        return [fold for job in jobs for fold in _run_job(job)]
     # imported here: the pool's modules add about 30 ms to every cold start
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -407,7 +512,7 @@ def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list:
     # the method starts no resource tracker or forkserver that outlives the pool
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
-        return list(pool.map(_run_job, jobs))
+        return [fold for folds in pool.map(_run_job, jobs) for fold in folds]
 
 
 def run_kfold(
@@ -418,12 +523,13 @@ def run_kfold(
 ) -> tuple[list[FoldReport], list[ModelParams]]:
     """Stratified ``cfg.k``-fold driver; fold indices are 1-based as reported.
 
-    With threads > 1, folds train on that many worker processes (see
-    ``run_fold_jobs``); every fold owns derived RNG streams and results are
-    collected in fold order, so the output is identical to the sequential run.
+    The folds train as a few stacks (``fold_jobs``), on ``threads`` worker
+    processes when threads > 1 (see ``run_fold_jobs``); every fold owns
+    derived RNG streams and results are collected in fold order, so the
+    output is identical, byte for byte, to that of one fold at a time.
     """
     splits = stratified_kfold(data, cfg.k, cfg.seed)
-    results = run_fold_jobs(fold_jobs(data, splits, cfg, model_cfg), threads)
+    results = run_fold_jobs(fold_jobs(data, splits, cfg, model_cfg, threads), threads)
     return [r for r, _ in results], [m for _, m in results]
 
 

@@ -449,15 +449,15 @@ def test_numeric_failure_in_a_worker_process_exits_3(tmp_path, capsys, command):
 def test_dead_worker_process_exits_2(tmp_path, capsys, monkeypatch, command):
     import edapinn.trainer as trainer_mod
 
-    real = trainer_mod.run_fold
+    real = trainer_mod.run_folds
 
-    def dying(train, valid, cfg, model_cfg, fold_index=1):
-        if fold_index == 2:  # only ever in a worker: two threads, three folds
+    def dying(folds, cfg, model_cfg):
+        if 2 in [number for _, _, number in folds]:  # only ever in a worker: two threads, three folds
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(train, valid, cfg, model_cfg, fold_index)
+        return real(folds, cfg, model_cfg)
 
-    # every pool job of kfold and ablate is one run_fold call; forked workers inherit the patch
-    monkeypatch.setattr(trainer_mod, "run_fold", dying)
+    # every pool job of kfold and ablate is one run_folds call; forked workers inherit the patch
+    monkeypatch.setattr(trainer_mod, "run_folds", dying)
     cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]
     assert main(argv) == 2

@@ -107,6 +107,25 @@ def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
     assert not report.passed and report.worst_block == "head_cls.w"
 
 
+def test_stack_over_folds_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
+    inits = [init_model(ModelConfig(hidden=[5, 4], seed=s)) for s in (21, 22)]
+    params = stack(inits, 2)
+    params.theta[:, 1] += 0.1 * Pcg32(23).normal(2 * params.theta.shape[-1]).reshape(2, -1)
+    batch = make_batch(10, 21)
+    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    assert report.passed and len(report.block_errors) == 14
+    real = gradcheck_mod.batch_gradients
+
+    def corrupted(*args):
+        breakdown, grad, preds = real(*args)
+        blocks(grad, params.config)["layer1.bn_shift"][1, 0, 2] *= 1.0 + 1e-3  # fold 2, variant 1
+        return breakdown, grad, preds
+
+    monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
+    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    assert not report.passed and report.worst_block == "layer1.bn_shift"
+
+
 def test_small_batch_rejected():
     params = init_model(ModelConfig(seed=17))
     with pytest.raises(ContractError):

@@ -131,6 +131,32 @@ def test_eval_forward_is_pure():
     assert np.array_equal(a.p_emotion, b.p_emotion)
 
 
+def test_eval_forward_keeps_no_caches_and_has_no_backward():
+    import tracemalloc
+
+    from edapinn.errors import ContractError
+    from edapinn.model import backward
+    from edapinn.objective import loss_gradients
+
+    params = init_model(ModelConfig(seed=9))  # two hidden layers of 64
+    t, e = random_inputs(400, 10)
+    forward(params, t, e, "eval")  # numpy's one-time allocations out of the way
+    tracemalloc.start()
+    try:
+        preds = forward(params, t, e, "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.caches is None
+    # one (2, 400, 64) activation is 409.6 kB; keeping every layer's backward
+    # caches peaked at 7.6 of them, a layer's working set alone at 5.2
+    assert peak <= 6 * (2 * 400 * 64 * 8)
+    batch = Dataset(t, e, np.zeros(400), np.zeros(400, dtype=np.int64))
+    _, lg = loss_gradients(preds, batch, params, "full")
+    with pytest.raises(ContractError):
+        backward(params, preds.caches, lg)
+
+
 def test_train_mode_dropout_needs_rng():
     params = init_model(ModelConfig(seed=13))
     t, e = random_inputs(8, 14)

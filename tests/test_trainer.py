@@ -28,7 +28,9 @@ from edapinn.trainer import (
     init_adam,
     physics_least_squares,
     recover_physics,
+    fold_jobs,
     run_fold,
+    run_folds,
     run_kfold,
     train_epoch,
 )
@@ -202,9 +204,9 @@ def test_training_step_evaluates_sigmoid_once_per_layer(monkeypatch):
 
     real, calls = autodiff.sigmoid, []
 
-    def counting(x):
+    def counting(x, out=None):
         calls.append(np.shape(x))
-        return real(x)
+        return real(x, out)
 
     monkeypatch.setattr(autodiff, "sigmoid", counting)
     monkeypatch.setattr(objective, "sigmoid", counting)
@@ -377,6 +379,47 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
         assert checkpoint_text(params) == checkpoint_text(alone)
 
 
+def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit():
+    # 135/136/137 training rows in batches of 64: batch 0 steps the whole
+    # stack; batch 1 is 71/64/64 rows (fold 1's 7-row tail joins it) and
+    # batch 2 only folds 2 and 3 have, so both step fold by fold, and from
+    # then on the folds' Adam step counts differ
+    data = small_synth(n=480, seed=21)
+    folds = [(data.subset(np.arange(160 * i, 160 * i + 135 + i)),
+              data.subset(np.arange(160 * i + 135 + i, 160 * (i + 1))), i + 1) for i in range(3)]
+    cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in ("full", "emotion_only")]
+    model_cfg = quick_model(dropout=0.2)
+    stacked = run_folds(folds, cfgs, model_cfg)
+    assert len(stacked) == 3
+    for (train, valid, number), pairs in zip(folds, stacked):
+        assert len(pairs) == 2
+        for cfg, (report, params) in zip(cfgs, pairs):
+            alone_report, alone = run_fold(train, valid, cfg, model_cfg, number)
+            assert params.theta.shape == alone.theta.shape
+            assert params.theta.tobytes() == alone.theta.tobytes()
+            for layer, alone_layer in zip(params.layers, alone.layers):
+                assert layer.bn_running_mean.tobytes() == alone_layer.bn_running_mean.tobytes()
+                assert layer.bn_running_var.tobytes() == alone_layer.bn_running_var.tobytes()
+            assert report.fold == number and len(report.traces) == 3
+            assert pickle.dumps(report.traces) == pickle.dumps(alone_report.traces)
+            assert pickle.dumps(report) == pickle.dumps(alone_report)
+            assert checkpoint_text(params) == checkpoint_text(alone)
+
+
+@pytest.mark.parametrize(
+    "k, variants, threads, sizes",
+    [(5, 1, 1, [3, 2]), (5, 1, 2, [3, 2]), (5, 4, 1, [1] * 5), (5, 4, 2, [1] * 5),
+     (3, 1, 64, [1, 1, 1]), (3, 2, 2, [2, 1]), (4, 1, 1, [4])],
+)
+def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(k, variants, threads, sizes):
+    data = small_synth(n=200, seed=13)
+    splits = trainer_mod.stratified_kfold(data, k, 5)
+    cfgs = [quick_cfg(variant=v) for v in list(VARIANTS)[:variants]]
+    jobs = fold_jobs(data, splits, cfgs if variants > 1 else cfgs[0], quick_model(), threads)
+    assert [len(folds) for folds, _, _ in jobs] == sizes
+    assert [number for folds, _, _ in jobs for _, _, number in folds] == list(range(1, k + 1))
+
+
 def test_stack_configs_may_differ_in_their_variant_alone():
     data = small_synth(n=120)
     with pytest.raises(ContractError):
@@ -403,6 +446,21 @@ def test_numeric_failure_in_a_stack_names_its_variant():
         train_epoch(params, init_adam(params), nd, cfgs, Pcg32(5), 0)
     assert str(caught.value).startswith("epoch 0, batch 0, variant eda_only: non-finite loss (l_eda=inf")
     assert caught.value.model == 2
+
+
+def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
+    data = small_synth(n=256)
+    parts = [data.subset(np.arange(128)), data.subset(np.arange(128, 256))]
+    nds = [apply_normalizer(fit_normalizer(part), part) for part in parts]
+    cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics")]
+    inits = [init_model(quick_model(dropout=0.2, seed=s)) for s in (7, 8)]
+    params = stack(inits, 2)
+    params.layers[1].w[1, 1, 0, 0] = np.inf
+    with pytest.raises(NumericError) as caught:
+        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 3, folds=(4, 5))
+    expected = "epoch 3, batch 0, fold 5, variant no_physics: non-finite activations after hidden layer 1"
+    assert str(caught.value) == expected
+    assert caught.value.model == 3
 
 
 def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
@@ -483,14 +541,14 @@ def test_ablation_worker_processes_match_sequential_byte_for_byte():
 )
 @pytest.mark.parametrize("entry", ["run_kfold", "ablation_table"])
 def test_worker_failure_keeps_its_type_and_leaves_no_process(monkeypatch, error, entry):
-    real = trainer_mod.run_fold
+    real = trainer_mod.run_folds
 
-    def failing(train, valid, cfg, model_cfg, fold_index=1):
-        if fold_index == 2:
+    def failing(folds, cfg, model_cfg):
+        if 2 in [number for _, _, number in folds]:
             raise error
-        return real(train, valid, cfg, model_cfg, fold_index)
+        return real(folds, cfg, model_cfg)
 
-    monkeypatch.setattr(trainer_mod, "run_fold", failing)  # forked workers inherit the patch
+    monkeypatch.setattr(trainer_mod, "run_folds", failing)  # forked workers inherit the patch
     data = small_synth(n=200, seed=13)
     with pytest.raises(type(error)) as caught:
         if entry == "run_kfold":
@@ -550,7 +608,7 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded")
-    monkeypatch.setattr(trainer_mod, "run_fold", lambda *job: (blas_threads(), None))
+    monkeypatch.setattr(trainer_mod, "run_folds", lambda folds, *rest: [(blas_threads(), None)] * len(folds))
     seen, _ = run_kfold(small_synth(n=200, seed=13), quick_cfg(k=3), quick_model(), threads=2)
     assert seen == [[1] * len(before)] * 3
     assert blas_threads() == before  # this process keeps its own setting
