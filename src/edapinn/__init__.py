@@ -38,7 +38,6 @@ from .model import (
     forward,
     forward_batch,
     init_model,
-    load_checkpoint,
 )
 from .objective import (
     LossBreakdown,

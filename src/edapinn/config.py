@@ -9,8 +9,9 @@ numbers must be finite. ``ablate.variants`` lists the ablation rows: at
 least one, each a network variant or a baseline, none twice. Unknown keys
 and malformed values are rejected before any computation starts, with the
 full key path in the diagnostic.
-The single top-level seed derives every stream seed (init, dropout,
-shuffling, synthesis), so one integer reproduces an entire experiment.
+The single top-level seed, an integer in [0, 2**64) like ``--seed``, derives
+every stream seed (init, dropout, shuffling, synthesis), so one integer
+reproduces an entire experiment.
 """
 
 from __future__ import annotations
@@ -88,13 +89,21 @@ def _parse_section(section, default, path: str):
     return replace(default, **values)
 
 
+def _seed(seed: int, where: str) -> int:
+    """``seed`` if it is a u64: the streams take it modulo 2**64, so any
+    other value would silently run as one of those."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where} must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
 def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _expect_keys(doc, {"seed", "model", "train", "data", "output", "ablate"}, "")
-    seed = _value(doc.get("seed", 1), 1, "seed")
+    seed = _seed(_value(doc.get("seed", 1), 1, "seed"), "config key 'seed'")
     if seed_override is not None:
-        seed = seed_override
+        seed = _seed(seed_override, "--seed")
 
     model = _parse_section(
         doc.get("model", {}), ModelConfig(seed=derive_seed(seed, "model")), "model"

@@ -31,18 +31,3 @@ class DataFormatError(EdaPinnError):
         super().__init__(message)
         self.row = row
 
-
-class CheckpointError(EdaPinnError):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint format version is not supported."""
-
-
-class CheckpointSchemaError(CheckpointError):
-    """Checkpoint file parses but does not match the expected schema."""
-
-
-class CheckpointReadError(CheckpointError):
-    """Checkpoint file is unreadable or not valid JSON."""

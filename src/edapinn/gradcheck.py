@@ -10,8 +10,9 @@ the checked function is deterministic; batch-norm runs in train mode, so the
 finite differences see the batch statistics' dependence on the perturbed
 weights, exactly as the analytic backward does. Each coordinate is perturbed
 in place through the named views ``model.blocks`` gives of ``params.theta``
-and restored after its evaluations. A stack is checked as one function, the
-sum of its members' losses, whose gradient is each member's own.
+and restored after its evaluations. The verification suites check a
+single network; a stack is checked as one function, the sum of its
+members' losses, whose gradient is each member's own.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .data import Dataset
 from .errors import ContractError
 from .model import ModelParams
 from .rng import Pcg32
-from .trainer import TrainRunConfig, batch_gradients, batch_loss
+from .trainer import batch_gradients, batch_loss
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -58,12 +59,11 @@ def check_gradients(
     """
     if len(batch) < 2:
         raise ContractError("gradient check needs a batch of size >= 2")
-    cfg = TrainRunConfig()
 
     def mask_stream() -> Pcg32:
         return Pcg32(params.config.seed).derive("gradcheck")
 
-    _, analytic, _ = batch_gradients(params, batch, cfg, mask_stream())
+    _, analytic, _ = batch_gradients(params, batch, "full", mask_stream())
     grads = model_mod.blocks(analytic, params.config)
     views = model_mod.blocks(params.theta, params.config)
     if params.config.lambda_frozen:  # a frozen lambda is a constant of the objective
@@ -76,7 +76,7 @@ def check_gradients(
             losses = []
             for h in (step, -step, 2.0 * step, -2.0 * step):
                 view[i] = orig + h
-                losses.append(np.sum(batch_loss(params, batch, cfg, mask_stream())[0].total))
+                losses.append(np.sum(batch_loss(params, batch, "full", mask_stream())[0].total))
             view[i] = orig
             lp, lm, lp2, lm2 = losses
             a = grads[name][i]

@@ -24,17 +24,21 @@ proxy of each sample.
 The trainable numbers live in one vector, ``ModelParams.theta``, laid out by
 ``block_shapes``; ``blocks`` names the views of it or of a gradient.
 
-One ``forward`` and one ``backward`` also serve a stack of networks of one
-config that train side by side (``stack``). A stack of V variants of one
-fold shares its batch: ``theta`` has shape ``(V, P)``, every part of the
-model carries the leading model axis (batch-norm running statistics
-``(V, width)``), a dual batch is ``(V, 2, n, width)`` and the outputs are
-``(V, n)``; dropout masks are drawn once per layer and shared. A stack over
-F folds puts a fold axis in front, ``theta`` of shape ``(F, V, P)``: its
-batch holds one batch per fold, ``t`` of shape ``(F, 1, n)``, so the input
-is ``(F, 1, 2, n, 4)`` and broadcasts over the variants, and each fold
-draws its own masks from its own stream, ``(F, 1, n, width)``. ``members``
-gives the models along a stack's first axis, on views of its memory.
+One ``forward`` and one ``backward`` serve a single network, which the
+gradient checker and evaluation run, and the stack of networks that
+training runs (``stack``): F folds of V variants of one config, ``theta``
+of shape ``(F, V, P)``, every part of the model carrying the leading axes
+(batch-norm running statistics ``(F, V, width)``). Its batch holds one
+batch per fold, ``t`` of shape ``(F, 1, n)``, so the input is
+``(F, 1, 2, n, 4)`` and broadcasts over the variants; each fold draws its
+own dropout masks from its own stream, ``(F, 1, n, width)``, and the
+outputs are ``(F, V, n)``. ``members`` gives the rows of a stack on views
+of its memory: a fold's ``(V, P)`` stack, which steps alone on a batch of
+shape ``(n,)`` that the other folds lack (a dual batch ``(V, 2, n, width)``,
+masks drawn once per layer and shared), and its single networks.
+
+A checkpoint (``checkpoint_text``) is a write-only record of one network:
+versioned JSON of every field, identical for identical models.
 
 Only a train-mode forward has a backward: an eval-mode forward keeps no
 caches, so it holds no more than a layer's activations at a time.
@@ -46,21 +50,13 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Normalizer, read_text
-from .errors import (
-    CheckpointReadError,
-    CheckpointSchemaError,
-    CheckpointVersionError,
-    ConfigError,
-    ContractError,
-    NumericError,
-)
+from .data import Normalizer
+from .errors import ConfigError, ContractError, NumericError
 from .objective import LossGrads, PhysicsParams
 from .rng import Pcg32
 
@@ -119,7 +115,7 @@ class ModelParams:
     place: rebinding one raises instead of detaching it from ``theta``.
 
     Parts whose arrays carry leading model axes make a stack: ``theta`` of
-    shape ``(V, P)`` or ``(F, V, P)`` (see ``stack``)."""
+    shape ``(F, V, P)`` (see ``stack``), or ``(V, P)`` for one of its rows."""
 
     layers: list[HiddenLayer]
     head_reg: Head
@@ -171,50 +167,44 @@ def _on_views(part, prefix: str, views: dict[str, np.ndarray], pick):
     return type(part)(**values)
 
 
-def stack(params: ModelParams | Sequence[ModelParams], models: int) -> ModelParams:
-    """``models`` copies of ``params`` as one stack: every array of its parts
-    gains a leading model axis of that length, and ``theta`` has shape
-    ``(models, P)``.
+def stack(params: Sequence[ModelParams], models: int) -> ModelParams:
+    """``models`` copies of each of ``params``, models of one config but for
+    the seed (one per fold, say), as one stack: every array of their parts
+    gains two leading axes, the list's then the copies', and ``theta`` has
+    shape ``(len(params), models, P)``.
 
-    Given a list of models of one config but for the seed (one per fold,
-    say), each is stacked so, and the list's axis comes first: ``theta`` of
-    shape ``(len(params), models, P)``. What ``forward`` and the objective
-    read is the first model's config; each row keeps its own config and
-    normalizer, which its ``members`` carry.
+    What ``forward`` and the objective read is the first model's config;
+    each row keeps its own config and normalizer, which its ``members`` carry.
     """
-    single = isinstance(params, ModelParams)
-    parts = [params] if single else list(params)
 
     def tiled(same):
         """One part of every model, stacked."""
-        arrays = {f.name: np.stack([np.stack([getattr(q, f.name)] * models) for q in same]) for f in fields(same[0])}
-        return type(same[0])(**{name: a[0] if single else a for name, a in arrays.items()})
+        return type(same[0])(**{
+            f.name: np.stack([np.stack([getattr(q, f.name)] * models) for q in same]) for f in fields(same[0])
+        })
 
     stacked = ModelParams(
-        [tiled(layers) for layers in zip(*(p.layers for p in parts))],
-        tiled([p.head_reg for p in parts]),
-        tiled([p.head_cls for p in parts]),
-        tiled([p.physics for p in parts]),
-        parts[0].normalizer,
-        parts[0].config,
+        [tiled(layers) for layers in zip(*(p.layers for p in params))],
+        tiled([p.head_reg for p in params]),
+        tiled([p.head_cls for p in params]),
+        tiled([p.physics for p in params]),
+        params[0].normalizer,
+        params[0].config,
     )
-    if not single:
-        stacked._rows = [(p.config, p.normalizer) for p in parts]
+    stacked._rows = [(p.config, p.normalizer) for p in params]
     return stacked
 
 
 def members(params: ModelParams) -> list[ModelParams]:
-    """The models along the first model axis of ``params``: the single
-    models of a stack of variants, the per-fold stacks of one over folds; a
-    single model is its own one member.
+    """The models along the first axis of a stack: the per-fold stacks, of
+    ``theta`` shape ``(V, P)``, of a stack over folds, and the single models
+    of one of those.
 
     The members of a stack are built once, on views of their rows of its
     ``theta`` and running statistics, so each sees the stack's training as
     it happens and can be used as any model of its shape (a pickle of one
     owns its memory).
     """
-    if params.theta.ndim == 1:
-        return [params]
     if params._members is None:
         params._members = []
         for i in range(len(params.theta)):
@@ -438,7 +428,7 @@ def commit_batchnorm(params: ModelParams, caches: ForwardCaches) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: versioned JSON, byte-deterministic
+# checkpoint serialization: versioned JSON, byte-deterministic, write-only
 # ---------------------------------------------------------------------------
 
 
@@ -464,81 +454,3 @@ def checkpoint_text(params: ModelParams) -> str:
     for entry, layer in zip(doc["layers"], params.layers):
         entry["w_shape"] = list(layer.w.shape)
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _scalar(val, kind: str, where: str):
-    """A stored scalar of annotation ``kind``: float (finite; ints widen), int or bool."""
-    types = {"float": (int, float), "int": int, "bool": bool}[kind]
-    ok = isinstance(val, types) and isinstance(val, bool) == (kind == "bool")
-    if not ok or not math.isfinite(val):
-        raise CheckpointSchemaError(f"field {where!r} must be a finite {kind}")
-    return float(val) if kind == "float" else val
-
-
-def _array(val, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """A stored flat list as a finite array of ``shape``, its length checked first."""
-    if not isinstance(val, list) or len(val) != math.prod(shape):
-        raise CheckpointSchemaError(f"field {where!r} must be a list of {math.prod(shape)} numbers")
-    return np.array([_scalar(v, "float", where) for v in val]).reshape(shape)
-
-
-def _read(cls, entry, where: str, vector: int = 0, **shapes):
-    """A ``cls`` from its stored fields, each read by its annotation: an
-    ``np.ndarray`` at ``shapes[name]`` or ``(vector,)``, else ints or a scalar."""
-    if not isinstance(entry, dict):
-        raise CheckpointSchemaError(f"field {where!r} must be an object")
-    values = {}
-    for f in fields(cls):
-        val, name = entry[f.name], f"{where}.{f.name}"
-        if f.type == "np.ndarray":
-            values[f.name] = _array(val, shapes.get(f.name, (vector,)), name)
-        elif f.type == "list[int]":
-            values[f.name] = [_scalar(v, "int", name) for v in val]
-        else:
-            values[f.name] = _scalar(val, f.type, name)
-    return cls(**values)
-
-
-def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint, checking every field against the stored config.
-
-    Each array must be finite and hold exactly as many numbers as the shape
-    the config implies (widths ``[4] + hidden``), the config must be a valid
-    ``ModelConfig``, and a stored normalizer must be invertible
-    (every ``input_std`` > 0, ``y_max`` > ``y_min``); any mismatch raises
-    ``CheckpointSchemaError``.
-    """
-    text = read_text(path, CheckpointReadError, "checkpoint")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointReadError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointSchemaError("missing format_version field")
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint version {doc['format_version']!r}, expected {CHECKPOINT_VERSION!r}"
-        )
-    try:
-        cfg = _read(ModelConfig, doc["config"], "config")
-        if len(doc["layers"]) != len(cfg.hidden):
-            raise CheckpointSchemaError(f"config implies {len(cfg.hidden)} hidden layers")
-        widths = [INPUT_WIDTH] + cfg.hidden
-        layers = []
-        for i, (entry, shape) in enumerate(zip(doc["layers"], zip(widths[:-1], widths[1:]))):
-            layers.append(_read(HiddenLayer, entry, f"layers[{i}]", shape[1], w=shape))
-            if entry["w_shape"] != list(shape):
-                raise CheckpointSchemaError(f"field 'layers[{i}].w_shape' must be {list(shape)}")
-        head_reg = _read(Head, doc["head_reg"], "head_reg", 1, w=(widths[-1], 1))
-        head_cls = _read(Head, doc["head_cls"], "head_cls", 1, w=(widths[-1], 1))
-        physics = _read(PhysicsParams, doc["physics"], "physics", 3)
-        norm = doc["normalizer"]
-        if norm is not None:
-            norm = _read(Normalizer, norm, "normalizer", INPUT_WIDTH)
-            if not np.all(norm.input_std > 0.0):
-                raise CheckpointSchemaError("field 'normalizer.input_std' must be positive")
-            if not norm.y_max > norm.y_min:
-                raise CheckpointSchemaError("field 'normalizer.y_max' must exceed 'normalizer.y_min'")
-    except (KeyError, TypeError, OverflowError, ConfigError) as exc:
-        raise CheckpointSchemaError(f"malformed checkpoint field: {exc}") from exc
-    return ModelParams(layers, head_reg, head_cls, physics, norm, cfg)

@@ -3,20 +3,21 @@
 A run's variant is a name the trainer hands to the objective, which owns
 the loss terms each variant trains (``objective.VARIANTS``).
 
-One fold trains in one process so accumulation order is deterministic;
-(seed, data, config) fully determine every recorded trace value. A job
-trains several folds, each with every variant of the run, as one stack of
-networks (``model.stack``) with leading axes (folds, variants): one
-forward, one backward and one Adam step per batch serve them all. The
+Training has one shape: a stack of networks (``model.stack``) with leading
+axes (folds, variants), ``theta`` of shape ``(F, V, P)``. ``run_folds``
+trains several folds, each with every variant of the run, as one stack:
+one forward, one backward and one Adam step per batch serve them all. The
 variants of a fold share its normalizer, init, shuffles and dropout masks,
 and the objective gives each its own terms; each fold keeps its own
 normalizer, init and streams. So every network of the stack gets the
 numbers, byte for byte, that it gets when trained alone (``run_fold``, the
-stack of one fold). ``fold_jobs`` deals the folds into as few jobs as fill
-``threads`` worker processes without a job holding more networks than one
-fold of every variant; since every fold has its own derived RNG streams,
-the results are identical, byte for byte, however the folds are dealt and
-wherever the jobs run.
+stack of one fold and one variant). Each fold trains in one process, so
+accumulation order is deterministic; (seed, data, config) fully determine
+every recorded trace value. ``fold_jobs`` deals the folds into as few jobs
+as fill ``threads`` worker processes without a job holding more networks
+than one fold of every variant; since every fold has its own derived RNG
+streams, the results are identical, byte for byte, however the folds are
+dealt and wherever the jobs run.
 
 ``run_fold_jobs`` also keeps the process's heap steady: it raises glibc's
 trim and mmap thresholds once, so that the step's arrays, which a stack
@@ -47,9 +48,10 @@ from .model import ModelConfig, ModelParams, forward_batch, init_model
 from .objective import VARIANTS, PhysicsParams
 from .rng import Pcg32, derive_seed
 
-# a final batch of fewer rows joins the one before it: batch-norm statistics
-# over 1-3 rows blow the physics loss and its gradient up (after 5 epochs, 1 row
-# gave 2.4e7 and 6.1e7, 8 rows 0.75 and 5.9), poisoning Adam's second moments
+# no batch has fewer rows: the batch size may not be smaller, and a final batch
+# of fewer rows joins the one before it. Batch-norm statistics over 1-3 rows
+# blow the physics loss and its gradient up (after 5 epochs, 1 row gave 2.4e7
+# and 6.1e7, 8 rows 0.75 and 5.9), poisoning Adam's second moments
 MIN_FINAL_BATCH = 8
 
 
@@ -65,8 +67,8 @@ class TrainRunConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+        if self.batch_size < MIN_FINAL_BATCH:
+            raise ConfigError(f"batch size must be >= {MIN_FINAL_BATCH}, got {self.batch_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {tuple(VARIANTS)}")
         if not 0 < self.lr < np.inf:  # also rejects NaN
@@ -152,44 +154,30 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
 # per-batch loss and gradient
 # ---------------------------------------------------------------------------
 
-# one config, or one per variant of a stack
-Configs = TrainRunConfig | Sequence[TrainRunConfig]
-
-
-def _model_configs(cfg: Configs, params: ModelParams) -> list[TrainRunConfig]:
-    """The config of every variant of ``params``, along its last model axis:
-    one config serves them all, a sequence gives one per variant, in order."""
-    count = params.theta.shape[-2] if params.theta.ndim > 1 else 1
-    cfgs = [cfg] * count if isinstance(cfg, TrainRunConfig) else list(cfg)
-    if len(cfgs) != count:
-        raise ContractError(f"{len(cfgs)} configs for a stack of {count} models")
-    return cfgs
-
 
 def batch_loss(
-    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | Sequence[Pcg32] | None
+    params: ModelParams, batch: Dataset, variant: str | Sequence[str], rng: Pcg32 | Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, obj.LossGrads, model_mod.Predictions]:
-    """The variant's objective on the train-mode forward of one normalized
-    batch, dropout masks drawn from ``rng`` (None at a zero rate): the loss,
-    its adjoints and the predictions, for training and the gradient checker.
+    """The objective of ``variant`` on the train-mode forward of one
+    normalized batch, dropout masks drawn from ``rng`` (None at a zero rate):
+    the loss, its adjoints and the predictions, for training and the
+    gradient checker.
 
-    A stack runs the objective once, each variant under its own config
-    along the stack's last model axis; its loss and adjoints carry the
-    stack's leading axes.
+    A stack may name one variant per index of its last model axis (see
+    ``objective.loss_gradients``); its loss and adjoints carry the stack's
+    leading axes.
     """
     preds = forward_batch(params, batch, "train", rng)
-    variants = [c.variant for c in _model_configs(cfg, params)]
-    variant = variants if params.theta.ndim > 1 else variants[0]
     return *obj.loss_gradients(preds, batch, params, variant), preds
 
 
 def batch_gradients(
-    params: ModelParams, batch: Dataset, cfg: Configs, rng: Pcg32 | Sequence[Pcg32] | None
+    params: ModelParams, batch: Dataset, variant: str | Sequence[str], rng: Pcg32 | Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
     """Forward, loss and backward for one normalized batch under the
-    variant's objective: the loss, its gradient laid out as ``params.theta``
-    and the predictions, for Adam and the gradient checker."""
-    breakdown, lg, preds = batch_loss(params, batch, cfg, rng)
+    objective of ``variant``: the loss, its gradient laid out as
+    ``params.theta`` and the predictions, for Adam and the gradient checker."""
+    breakdown, lg, preds = batch_loss(params, batch, variant, rng)
     return breakdown, model_mod.backward(params, preds.caches, lg), preds
 
 
@@ -211,53 +199,54 @@ def _fold_batch(parts: list[Dataset]) -> Dataset:
 def train_epoch(
     params: ModelParams,
     opt: AdamState,
-    data: Dataset | Sequence[Dataset],
-    cfg: Configs,
-    rng: Pcg32 | Sequence[Pcg32],
-    epoch: int = 0,
-    folds: Sequence[int] | None = None,
-) -> tuple[AdamState, EpochTrace | list]:
-    """One pass that trains ``params`` and ``opt`` in place: seeded shuffle,
-    contiguous batches, with a final batch of fewer than ``MIN_FINAL_BATCH``
-    rows joined to the one before it. Returns the optimizer state and the
-    epoch's trace, one per variant for a stack. The batch size comes from
-    the first config.
+    data: Sequence[Dataset],
+    cfgs: Sequence[TrainRunConfig],
+    rngs: Sequence[Pcg32],
+    epoch: int,
+    folds: Sequence[int],
+) -> tuple[AdamState, list[list[EpochTrace]]]:
+    """One pass that trains a stack over folds, ``params`` with ``theta`` of
+    shape ``(F, V, P)``, and ``opt`` in place. Fold f trains on the
+    normalized split ``data[f]`` with stream ``rngs[f]`` and is numbered
+    ``folds[f]``; variant v trains under ``cfgs[v]``, the batch size coming
+    from the first config. Returns the optimizer state and the epoch's
+    traces, per fold, then per variant.
 
-    A stack over folds, ``theta`` of shape ``(F, V, P)``, takes one
-    normalized training split and one stream per fold in ``data`` and
-    ``rng``; ``folds`` numbers them (1 to F by default), and the traces come
-    per fold, then per variant. Each fold shuffles its rows and draws its
-    masks from its own stream, so every network steps as it does alone: a
-    batch that every fold has, at one size, is one step of the whole stack,
-    any other (a tail, or a batch some folds lack) steps fold by fold on the
-    stack's rows. A numeric failure names the epoch, batch, fold and variant.
+    Each fold shuffles its rows and draws its masks from its own stream and
+    cuts contiguous batches, a final batch of fewer than ``MIN_FINAL_BATCH``
+    rows joined to the one before it; so every network steps as it does
+    alone. A batch that every fold has, at one size, is one step of the
+    whole stack; any other (a tail, or a batch some folds lack) steps fold
+    by fold on the stack's rows. A numeric failure names the epoch, batch,
+    fold and variant.
     """
-    cfgs = _model_configs(cfg, params)
-    by_fold = not isinstance(data, Dataset)
-    datas, rngs = (list(data), list(rng)) if by_fold else ([data], [rng])
-    names = list(folds) if folds is not None else list(range(1, len(datas) + 1))
-    orders = [r.derive(f"shuffle:{epoch}").permutation(len(d)) for r, d in zip(rngs, datas)]
+    if params.theta.shape[:-1] != (len(data), len(cfgs)) or not len(data) == len(rngs) == len(folds):
+        raise ContractError(
+            f"a stack of shape {params.theta.shape[:-1]} needs one split, stream and number per fold "
+            f"and one config per variant, got {len(data)}, {len(rngs)}, {len(folds)} and {len(cfgs)}"
+        )
+    variants = [c.variant for c in cfgs]
+    orders = [r.derive(f"shuffle:{epoch}").permutation(len(d)) for r, d in zip(rngs, data)]
     dropout = [r.derive(f"dropout:{epoch}") for r in rngs]
-    bounds = [_batch_bounds(len(d), cfgs[0].batch_size) for d in datas]
-    rows = list(zip(model_mod.members(params), _adam_rows(opt))) if by_fold else []
+    bounds = [_batch_bounds(len(d), cfgs[0].batch_size) for d in data]
+    rows = list(zip(model_mod.members(params), _adam_rows(opt)))
     sums = np.zeros((3,) + params.theta.shape[:-1])
 
     def step(batch_no, fold, net, state, batch, masks) -> np.ndarray:
         """One step of ``net``, the whole stack (``fold`` None) or one fold's
-        rows of it; returns the loss components, shaped (3,) + its leading axes."""
+        row of it; returns the loss components, shaped (3,) + its leading axes."""
 
         def failure(model, message):
-            f, v = divmod(model or 0, len(cfgs))
+            f, v = divmod(model, len(variants))
             f = f if fold is None else fold
-            where = f"epoch {epoch}, batch {batch_no}, " + (f"fold {names[f]}, " if by_fold else "")
-            model = None if model is None else f * len(cfgs) + v
-            return NumericError(f"{where}variant {cfgs[v].variant}: {message}", model=model)
+            where = f"epoch {epoch}, batch {batch_no}, fold {folds[f]}, variant {variants[v]}"
+            return NumericError(f"{where}: {message}", model=f * len(variants) + v)
 
         # non-finites are detected explicitly (per-layer and on the loss), so
         # numpy's overflow chatter on an already-diverged step is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                breakdown, grad, preds = batch_gradients(net, batch, cfgs, masks)
+                breakdown, grad, preds = batch_gradients(net, batch, variants, masks)
             except NumericError as exc:
                 raise failure(exc.model, exc) from exc
             losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
@@ -266,8 +255,7 @@ def train_epoch(
                 i = int(np.argmax(bad))
                 l_eda, l_emotion, l_physics = losses.reshape(3, -1)[:, i]
                 raise failure(
-                    i if net.theta.ndim > 1 else None,
-                    f"non-finite loss (l_eda={l_eda:g}, l_emotion={l_emotion:g}, l_physics={l_physics:g})",
+                    i, f"non-finite loss (l_eda={l_eda:g}, l_emotion={l_emotion:g}, l_physics={l_physics:g})"
                 )
             adam_step(state, net, grad)
         model_mod.commit_batchnorm(net, preds.caches)
@@ -275,13 +263,11 @@ def train_epoch(
 
     for batch_no in range(max(map(len, bounds)) - 1):
         parts = {
-            f: datas[f].subset(orders[f][b[batch_no] : b[batch_no + 1]])
+            f: data[f].subset(orders[f][b[batch_no] : b[batch_no + 1]])
             for f, b in enumerate(bounds)
             if batch_no + 1 < len(b)
         }
-        if not by_fold:
-            steps = [(None, params, opt, parts[0], dropout[0])]
-        elif len(parts) == len(datas) and len({len(part) for part in parts.values()}) == 1:
+        if len(parts) == len(data) and len({len(part) for part in parts.values()}) == 1:
             steps = [(None, params, opt, _fold_batch(list(parts.values())), dropout)]
         else:
             steps = [(f, *rows[f], part, dropout[f]) for f, part in parts.items()]
@@ -289,34 +275,19 @@ def train_epoch(
             fold_sums = sums if fold is None else sums[:, fold]
             fold_sums += len(batch) * step(batch_no, fold, net, state, batch, masks)
 
-    rows_per_fold = np.array([len(d) for d in datas]).reshape((-1, 1) if by_fold else ())
-    means = (sums / rows_per_fold).reshape(3, -1)
+    means = sums / np.array([len(d) for d in data])[:, None]
     traces = []
-    for i, one in enumerate(_networks(params)):
-        phys, c = one.physics, cfgs[i % len(cfgs)]
-        lambda_eff = float(phys.lambda_eff(one.config.lambda_floor)) if VARIANTS[c.variant][2] else 0.0
-        traces.append(EpochTrace(
-            epoch,
-            float(means[0, i]),
-            float(means[1, i]),
-            float(means[2, i]),
-            lambda_eff,
-            float(phys.alpha0),
-            phys.beta.copy(),
-            float(phys.gamma),
-        ))
-    if params.theta.ndim == 1:
-        return opt, traces[0]
-    if by_fold:
-        return opt, [traces[f * len(cfgs) : (f + 1) * len(cfgs)] for f in range(len(datas))]
+    for f, (row, _) in enumerate(rows):
+        fold_traces = []
+        for v, (one, variant) in enumerate(zip(model_mod.members(row), variants)):
+            phys = one.physics
+            lambda_eff = float(phys.lambda_eff(one.config.lambda_floor)) if VARIANTS[variant][2] else 0.0
+            l_eda, l_emotion, l_physics = (float(m) for m in means[:, f, v])
+            fold_traces.append(EpochTrace(
+                epoch, l_eda, l_emotion, l_physics, lambda_eff, float(phys.alpha0), phys.beta.copy(), float(phys.gamma)
+            ))
+        traces.append(fold_traces)
     return opt, traces
-
-
-def _networks(params: ModelParams) -> list[ModelParams]:
-    """Every single network of ``params``, in the order of its flat index."""
-    if params.theta.ndim == 1:
-        return [params]
-    return [one for row in model_mod.members(params) for one in _networks(row)]
 
 
 def _adam_rows(opt: AdamState) -> list[AdamState]:
@@ -332,20 +303,21 @@ def _adam_rows(opt: AdamState) -> list[AdamState]:
 Fold = tuple[Dataset, Dataset, int]
 
 
-def run_folds(folds: Sequence[Fold], cfg: Configs, model_cfg: ModelConfig) -> list:
+def run_folds(
+    folds: Sequence[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig
+) -> list[list[tuple[FoldReport, ModelParams]]]:
     """Train on each fold's split and evaluate on its validation part, every
     fold and every config as one stack of networks, ``theta`` of shape
-    ``(F, V, P)`` (see ``train_epoch``).
+    ``(F, V, P)`` (see ``train_epoch``); the configs may differ in their
+    variant alone.
 
     Each fold fits its normalizer on its training split only (validation
     flows through it unchanged; targets may leave [0, 1]), inits its
     networks from its own derived seed and shuffles and draws masks from its
     own stream, so every network gets, byte for byte, the numbers it gets
     when trained alone. Returns, per fold in order, the report and the
-    trained model; given a sequence of configs that differ in their variant
-    alone, a list of such pairs, one per config, in order.
+    trained model of each config, in order.
     """
-    cfgs = [cfg] if isinstance(cfg, TrainRunConfig) else list(cfg)
     if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
         raise ContractError("a stack needs configs that differ in their variant alone")
     if not folds:
@@ -374,31 +346,30 @@ def run_folds(folds: Sequence[Fold], cfg: Configs, model_cfg: ModelConfig) -> li
             cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
             report = FoldReport(i, reg, cls, one.physics.copy(), [t[f][v] for t in traces])
             pairs.append((report, one))
-        results.append(pairs[0] if isinstance(cfg, TrainRunConfig) else pairs)
+        results.append(pairs)
     return results
 
 
 def run_fold(
     train: Dataset,
     valid: Dataset,
-    cfg: Configs,
+    cfg: TrainRunConfig,
     model_cfg: ModelConfig,
     fold_index: int = 1,
-) -> tuple[FoldReport, ModelParams] | list[tuple[FoldReport, ModelParams]]:
+) -> tuple[FoldReport, ModelParams]:
     """Train on one split and evaluate on its validation part: the stack of
-    one fold (``run_folds``). Returns the report and the trained model, or
-    one such pair per config given a sequence of configs that differ in
-    their variant alone."""
-    return run_folds([(train, valid, fold_index)], cfg, model_cfg)[0]
+    one fold and one config (``run_folds``). Returns the report and the
+    trained model."""
+    return run_folds([(train, valid, fold_index)], [cfg], model_cfg)[0][0]
 
 
-FoldJob = tuple[list[Fold], Configs, ModelConfig]
+FoldJob = tuple[list[Fold], Sequence[TrainRunConfig], ModelConfig]
 
 
 def fold_jobs(
     data: Dataset,
     splits: list[tuple[np.ndarray, np.ndarray]],
-    cfg: Configs,
+    cfgs: Sequence[TrainRunConfig],
     model_cfg: ModelConfig,
     threads: int,
 ) -> list[FoldJob]:
@@ -411,9 +382,9 @@ def fold_jobs(
     every variant: a larger stack costs more per network and more memory.
     """
     folds = [(data.subset(tr), data.subset(va), i) for i, (tr, va) in enumerate(splits, start=1)]
-    k, variants = len(folds), 1 if isinstance(cfg, TrainRunConfig) else len(cfg)
-    jobs = max(min(threads, k), math.ceil(k * variants / len(VARIANTS)))
-    return [([folds[i] for i in job], cfg, model_cfg) for job in np.array_split(np.arange(k), jobs)]
+    k = len(folds)
+    jobs = max(min(threads, k), math.ceil(k * len(cfgs) / len(VARIANTS)))
+    return [([folds[i] for i in job], cfgs, model_cfg) for job in np.array_split(np.arange(k), jobs)]
 
 
 def _run_job(job: FoldJob):
@@ -529,7 +500,8 @@ def run_kfold(
     output is identical, byte for byte, to that of one fold at a time.
     """
     splits = stratified_kfold(data, cfg.k, cfg.seed)
-    results = run_fold_jobs(fold_jobs(data, splits, cfg, model_cfg, threads), threads)
+    jobs = fold_jobs(data, splits, [cfg], model_cfg, threads)
+    results = [pairs[0] for pairs in run_fold_jobs(jobs, threads)]
     return [r for r, _ in results], [m for _, m in results]
 
 

@@ -66,6 +66,29 @@ def test_seed_override_changes_derived_seeds():
     assert a.synth.seed != b.synth.seed
 
 
+@pytest.mark.parametrize(
+    "doc, argv, named",
+    [
+        ({"seed": -1}, [], "config key 'seed'"),
+        ({"seed": 2**64}, [], "config key 'seed'"),
+        ({}, ["--seed", "-1"], "--seed"),
+        ({"seed": 3}, ["--seed", str(2**64 + 1)], "--seed"),
+    ],
+    ids=["config_negative", "config_2_64", "option_negative", "option_2_64_plus_1"],
+)
+def test_seed_outside_u64_exits_2(tmp_path, capsys, doc, argv, named):
+    """A seed the streams would take modulo 2**64 is refused, not run as another."""
+    cfg_path = write_config(tmp_path, {**doc, "data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
+    assert main(["kfold", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *argv]) == 2
+    assert f"{named} must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_bounds_take_0_and_2_64_minus_1():
+    assert parse_config({"seed": 2**64 - 1}).seed == 2**64 - 1
+    assert parse_config({"seed": 5}, seed_override=0).seed == 0
+
+
 def test_input_and_synth_mutually_exclusive():
     with pytest.raises(ConfigError):
         parse_config({"data": {"input": "x.csv", "synth": {"n": 10}}})
@@ -330,11 +353,9 @@ def test_train_writes_checkpoint(tmp_path):
     cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
     out = tmp_path / "t"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert (out / "checkpoint.json").exists()
-    from edapinn.model import load_checkpoint
-
-    params = load_checkpoint(out / "checkpoint.json")
-    assert params.normalizer is not None
+    doc = json.loads((out / "checkpoint.json").read_text())
+    assert doc["format_version"] == "1"
+    assert doc["normalizer"] is not None
 
 
 def test_ablate_row_count_and_orderings(tmp_path, capsys):

@@ -90,8 +90,8 @@ def test_zero_network_zero_targets_regression_gradients_vanish():
 
 
 def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
-    params = stack(init_model(ModelConfig(hidden=[6, 5], seed=17)), 3)
-    params.theta[1:] += 0.1 * Pcg32(18).normal(2 * params.theta.shape[1]).reshape(2, -1)
+    params = stack([init_model(ModelConfig(hidden=[6, 5], seed=17))], 3)
+    params.theta[0, 1:] += 0.1 * Pcg32(18).normal(2 * params.theta.shape[-1]).reshape(2, -1)
     batch = make_batch(12, 17)
     report = check_gradients(params, batch, step=1e-5, tol=1e-6)
     assert report.passed and len(report.block_errors) == 14
@@ -99,7 +99,7 @@ def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
 
     def corrupted(*args):
         breakdown, grad, preds = real(*args)
-        blocks(grad, params.config)["head_cls.w"][2, 3] *= 1.0 + 1e-3  # the last member only
+        blocks(grad, params.config)["head_cls.w"][0, 2, 3] *= 1.0 + 1e-3  # the last member only
         return breakdown, grad, preds
 
     monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)

@@ -16,7 +16,7 @@ import edapinn.trainer as trainer_mod
 from edapinn.autodiff import make_dropout_mask
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError, ContractError, DataFormatError, NumericError
-from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model, stack
+from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model, members, stack
 from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
@@ -50,6 +50,17 @@ def quick_model(**kw):
     defaults = dict(hidden=[12, 12], seed=7)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def train_one_fold(net, data, cfg, epochs=1):
+    """``epochs`` epochs of ``net`` as a one-fold, one-variant stack on the
+    normalized split ``data``: the trained network and its epoch traces."""
+    params = stack([net], 1)
+    opt, rng, traces = init_adam(params, cfg.lr), Pcg32(cfg.seed), []
+    for epoch in range(epochs):
+        opt, epoch_traces = train_epoch(params, opt, [data], [cfg], [rng], epoch, [1])
+        traces.append(epoch_traces[0][0])
+    return members(members(params)[0])[0], traces
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +126,9 @@ def test_adam_shape_mismatch_rejected():
 def test_no_physics_variant_records_zero_lambda():
     data = small_synth()
     norm = fit_normalizer(data)
-    nd = apply_normalizer(norm, data)
-    params = init_model(quick_model(), norm)
-    cfg = quick_cfg(variant="no_physics")
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    for epoch in range(2):
-        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
-        assert trace.lambda_eff == 0.0
+    _, traces = train_one_fold(init_model(quick_model(), norm), apply_normalizer(norm, data),
+                               quick_cfg(variant="no_physics"), epochs=2)
+    assert [trace.lambda_eff for trace in traces] == [0.0, 0.0]
 
 
 def test_single_sample_epoch_equals_one_adam_step():
@@ -130,10 +136,9 @@ def test_single_sample_epoch_equals_one_adam_step():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data).subset(np.array([3]))
     cfg = quick_cfg(batch_size=8)
-    stepped = init_model(quick_model(dropout=0.0), norm)
-    train_epoch(stepped, init_adam(stepped, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    stepped, _ = train_one_fold(init_model(quick_model(dropout=0.0), norm), nd, cfg)
     manual = init_model(quick_model(dropout=0.0), norm)
-    _, grad, _ = batch_gradients(manual, nd, cfg, None)
+    _, grad, _ = batch_gradients(manual, nd, "full", None)
     adam_step(init_adam(manual, cfg.lr), manual, grad)
     assert np.allclose(stepped.theta, manual.theta, atol=1e-15)
 
@@ -149,9 +154,7 @@ def test_small_final_batch_joins_the_previous_one(monkeypatch, rows, sizes):
     monkeypatch.setattr(trainer_mod, "batch_gradients", recording)
     data = small_synth(n=rows)
     nd = apply_normalizer(fit_normalizer(data), data)
-    params = init_model(quick_model())
-    cfg = quick_cfg(batch_size=128)
-    train_epoch(params, init_adam(params, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    train_one_fold(init_model(quick_model()), nd, quick_cfg(batch_size=128))
     assert seen == sizes
 
 
@@ -161,11 +164,7 @@ def test_variant_containment_classification_head_frozen_under_eda_only():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
     before = params.head_cls.w.copy()
-    cfg = quick_cfg(variant="eda_only")
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    for epoch in range(3):
-        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
+    params, _ = train_one_fold(params, nd, quick_cfg(variant="eda_only"), epochs=3)
     assert np.array_equal(params.head_cls.w, before)
     assert np.array_equal(params.head_cls.b, np.zeros(1))
 
@@ -178,8 +177,7 @@ def test_emotion_only_moves_the_regression_head_through_physics():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
     before_w = params.head_reg.w.copy()
-    cfg = quick_cfg(variant="emotion_only")
-    train_epoch(params, init_adam(params, cfg.lr), nd, cfg, Pcg32(cfg.seed), 0)
+    params, _ = train_one_fold(params, nd, quick_cfg(variant="emotion_only"))
     assert not np.array_equal(params.head_reg.w, before_w)
 
 
@@ -192,8 +190,7 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     nd.label[:] = 0
     params = init_model(quick_model(dropout=0.0))
     params.head_cls.b[:] = 20.0
-    cfg = quick_cfg(variant="emotion_only")
-    breakdown, grad, preds = batch_gradients(params, nd, cfg, None)
+    breakdown, grad, preds = batch_gradients(params, nd, "emotion_only", None)
     assert blocks(grad, params.config)["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
     assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
     assert breakdown.l_emotion == pytest.approx(np.mean(np.logaddexp(0.0, preds.z_emotion)), rel=1e-12)
@@ -212,7 +209,7 @@ def test_training_step_evaluates_sigmoid_once_per_layer(monkeypatch):
     monkeypatch.setattr(objective, "sigmoid", counting)
     data = small_synth(n=64)
     params = init_model(quick_model())
-    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), quick_cfg(), Pcg32(1))
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), "full", Pcg32(1))
     # one per swish layer (the backward reuses it), p = sigmoid(z), d lambda / d rho
     assert calls == [(64, 12), (64, 12), (64,), ()]
 
@@ -230,7 +227,7 @@ def test_training_step_evaluates_the_objective_once(monkeypatch):
     monkeypatch.setattr(objective, "physics_residual", counting)
     data = small_synth(n=64)
     params = init_model(quick_model())
-    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), quick_cfg(), Pcg32(1))
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), "full", Pcg32(1))
     assert calls == [64]
 
 
@@ -244,14 +241,14 @@ def test_batch_loss_on_fresh_streams_repeats_and_masks_in_layer_order():
     def stream():
         return Pcg32(params.config.seed).derive("gradcheck")
 
-    first, _, preds = batch_loss(params, nd, quick_cfg(), stream())
-    second, _, _ = batch_loss(params, nd, quick_cfg(), stream())
+    first, _, preds = batch_loss(params, nd, "full", stream())
+    second, _, _ = batch_loss(params, nd, "full", stream())
     assert np.float64(first.total).tobytes() == np.float64(second.total).tobytes()
     rng = stream()
     for layer, cache in zip(params.layers, preds.caches.layers):
         expected = make_dropout_mask((len(nd), layer.w.shape[1]), 0.3, rng)
         assert np.array_equal(cache.dropout_mask, expected)
-    breakdown, _, _ = batch_gradients(params, nd, quick_cfg(), stream())
+    breakdown, _, _ = batch_gradients(params, nd, "full", stream())
     assert np.float64(breakdown.total).tobytes() == np.float64(first.total).tobytes()
 
 
@@ -267,9 +264,9 @@ def test_single_step_descent_probability():
     trials = 100
     for s in range(trials):
         params = init_model(quick_model(seed=1000 + s), norm)
-        before, grad, _ = batch_gradients(params, nd, cfg, Pcg32(s).derive("mask"))
+        before, grad, _ = batch_gradients(params, nd, "full", Pcg32(s).derive("mask"))
         adam_step(init_adam(params, cfg.lr), params, grad)
-        after, _, _ = batch_loss(params, nd, cfg, Pcg32(s).derive("mask"))
+        after, _, _ = batch_loss(params, nd, "full", Pcg32(s).derive("mask"))
         wins += after.total <= before.total
     assert wins >= 99
 
@@ -364,7 +361,7 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
     train, valid = data.subset(np.arange(132)), data.subset(np.arange(132, 200))
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in VARIANTS]
     model_cfg = quick_model(dropout=0.2)
-    stacked = run_fold(train, valid, cfgs, model_cfg, 2)
+    stacked = run_folds([(train, valid, 2)], cfgs, model_cfg)[0]
     assert len(stacked) == len(cfgs)
     for cfg, (report, params) in zip(cfgs, stacked):
         alone_report, alone = run_fold(train, valid, cfg, model_cfg, 2)
@@ -415,7 +412,7 @@ def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(k, variants, threads,
     data = small_synth(n=200, seed=13)
     splits = trainer_mod.stratified_kfold(data, k, 5)
     cfgs = [quick_cfg(variant=v) for v in list(VARIANTS)[:variants]]
-    jobs = fold_jobs(data, splits, cfgs if variants > 1 else cfgs[0], quick_model(), threads)
+    jobs = fold_jobs(data, splits, cfgs, quick_model(), threads)
     assert [len(folds) for folds, _, _ in jobs] == sizes
     assert [number for folds, _, _ in jobs for _, _, number in folds] == list(range(1, k + 1))
 
@@ -423,9 +420,9 @@ def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(k, variants, threads,
 def test_stack_configs_may_differ_in_their_variant_alone():
     data = small_synth(n=120)
     with pytest.raises(ContractError):
-        run_fold(data, data, [quick_cfg(), quick_cfg(epochs=4)], quick_model())
+        run_folds([(data, data, 1)], [quick_cfg(), quick_cfg(epochs=4)], quick_model())
     with pytest.raises(ContractError):
-        run_fold(data, data, [], quick_model())
+        run_folds([(data, data, 1)], [], quick_model())
 
 
 def test_numeric_failure_in_a_stack_names_its_variant():
@@ -433,18 +430,18 @@ def test_numeric_failure_in_a_stack_names_its_variant():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics", "eda_only")]
-    params = stack(init_model(quick_model(dropout=0.0), norm), 3)
-    params.layers[1].w[1, 0, 0] = np.inf
+    params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
+    params.layers[1].w[0, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), nd, cfgs, Pcg32(5), 4)
-    expected = "epoch 4, batch 0, variant no_physics: non-finite activations after hidden layer 1"
+        train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 4, [1])
+    expected = "epoch 4, batch 0, fold 1, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 1
-    params = stack(init_model(quick_model(dropout=0.0), norm), 3)
-    params.head_reg.b[2] = 1e200  # finite outputs whose squared error overflows
+    params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
+    params.head_reg.b[0, 2] = 1e200  # finite outputs whose squared error overflows
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), nd, cfgs, Pcg32(5), 0)
-    assert str(caught.value).startswith("epoch 0, batch 0, variant eda_only: non-finite loss (l_eda=inf")
+        train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 0, [1])
+    assert str(caught.value).startswith("epoch 0, batch 0, fold 1, variant eda_only: non-finite loss (l_eda=inf")
     assert caught.value.model == 2
 
 
@@ -457,10 +454,31 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     params = stack(inits, 2)
     params.layers[1].w[1, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 3, folds=(4, 5))
+        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 3, (4, 5))
     expected = "epoch 3, batch 0, fold 5, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 3
+    # 128 and 120 rows in one batch each: the folds step one by one, and fold 5's
+    # third variant has finite outputs whose squared error overflows
+    nds[1] = nds[1].subset(np.arange(120))
+    cfgs = [quick_cfg(batch_size=128, variant=v) for v in ("full", "no_physics", "eda_only")]
+    params = stack([init_model(quick_model(dropout=0.0, seed=s)) for s in (7, 8)], 3)
+    params.head_reg.b[1, 2] = 1e200
+    with pytest.raises(NumericError) as caught:
+        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 0, (4, 5))
+    assert str(caught.value).startswith("epoch 0, batch 0, fold 5, variant eda_only: non-finite loss (l_eda=inf")
+    assert caught.value.model == 5
+
+
+def test_train_epoch_needs_one_split_stream_and_number_per_fold_and_one_config_per_variant():
+    data = small_synth(n=128)
+    nd = apply_normalizer(fit_normalizer(data), data)
+    params = stack([init_model(quick_model())] * 2, 2)
+    good = [[nd] * 2, [quick_cfg(), quick_cfg(variant="no_physics")], [Pcg32(1)] * 2, [1, 2]]
+    for i in range(len(good)):
+        splits, cfgs, rngs, folds = good[:i] + [good[i][:1]] + good[i + 1 :]
+        with pytest.raises(ContractError, match="one split, stream and number per fold"):
+            train_epoch(params, init_adam(params), splits, cfgs, rngs, 0, folds)
 
 
 def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
@@ -608,7 +626,7 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     before = blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded")
-    monkeypatch.setattr(trainer_mod, "run_folds", lambda folds, *rest: [(blas_threads(), None)] * len(folds))
+    monkeypatch.setattr(trainer_mod, "run_folds", lambda folds, *rest: [[(blas_threads(), None)]] * len(folds))
     seen, _ = run_kfold(small_synth(n=200, seed=13), quick_cfg(k=3), quick_model(), threads=2)
     assert seen == [[1] * len(before)] * 3
     assert blas_threads() == before  # this process keeps its own setting
@@ -632,6 +650,9 @@ def test_invalid_variant_rejected():
 def test_invalid_train_config_cannot_be_built():
     with pytest.raises(ConfigError, match="epochs"):
         replace(quick_cfg(), epochs=0)
+    # batch-norm statistics over fewer rows blow the loss up
+    with pytest.raises(ConfigError, match="batch size must be >= 8, got 7"):
+        replace(quick_cfg(), batch_size=7)
     with pytest.raises(FrozenInstanceError):
         quick_cfg().epochs = 0
 
@@ -645,15 +666,8 @@ def test_lambda_monotone_decay_with_zero_floor():
     data = small_synth(n=200, seed=17)
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
-    params = init_model(quick_model(lambda_floor=0.0), norm)
-    cfg = quick_cfg(epochs=10)
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    lams = []
-    for epoch in range(10):
-        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
-        if trace.l_physics > 0:
-            lams.append(trace.lambda_eff)
+    _, traces = train_one_fold(init_model(quick_model(lambda_floor=0.0), norm), nd, quick_cfg(), epochs=10)
+    lams = [trace.lambda_eff for trace in traces if trace.l_physics > 0]
     assert all(a >= b for a, b in zip(lams, lams[1:]))
     assert lams[-1] < 0.1  # strictly collapsed from its 0.1 start
 
@@ -664,12 +678,8 @@ def test_lambda_floor_holds():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(lambda_floor=1e-3), norm)
     params.physics.rho[...] = -12.0  # softplus(rho) far below the floor
-    cfg = quick_cfg(epochs=3)
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    for epoch in range(3):
-        opt, trace = train_epoch(params, opt, nd, cfg, rng, epoch)
-        assert trace.lambda_eff >= 1e-3
+    _, traces = train_one_fold(params, nd, quick_cfg(), epochs=3)
+    assert all(trace.lambda_eff >= 1e-3 for trace in traces)
 
 
 def test_lambda_frozen_excludes_rho():
@@ -678,11 +688,7 @@ def test_lambda_frozen_excludes_rho():
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(lambda_frozen=True), norm)
     rho_before = float(params.physics.rho)
-    cfg = quick_cfg(epochs=2)
-    opt = init_adam(params, cfg.lr)
-    rng = Pcg32(cfg.seed)
-    for epoch in range(2):
-        opt, _ = train_epoch(params, opt, nd, cfg, rng, epoch)
+    params, _ = train_one_fold(params, nd, quick_cfg(), epochs=2)
     assert params.physics.rho == rho_before
 
 
