@@ -261,7 +261,7 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
     by ``1 / (1 - rate)``; ``Pcg32.random_ge`` decides the comparison without
     forming the uniforms, with the same result and draw count as ``random``."""
     keep = rng.random_ge(shape[0] * shape[1], rate).reshape(shape)
-    return keep.astype(np.float64) / (1.0 - rate)
+    return np.where(keep, 1.0 / (1.0 - rate), 0.0)
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | Sequence[Pcg32] | None = None):

@@ -79,6 +79,7 @@ def _parse_section(section, default, path: str):
     """The dataclass ``default`` with the values of ``section`` read over it.
 
     The keys are its fields less the derived ``seed``; a dataclass field nests.
+    A value the dataclass refuses is named by its key path.
     """
     _expect_keys(section, [f.name for f in fields(default) if f.name != "seed"], path)
     values = {}
@@ -86,7 +87,12 @@ def _parse_section(section, default, path: str):
         where, old = f"{path}.{key}", getattr(default, key)
         read = _parse_section if is_dataclass(old) else _value
         values[key] = read(val, old, where)
-    return replace(default, **values)
+    try:
+        return replace(default, **values)
+    except ConfigError as exc:
+        if exc.field is None:
+            raise
+        raise ConfigError(f"config key '{path}.{exc.field}': {exc}") from None
 
 
 def _seed(seed: int, where: str) -> int:

@@ -291,7 +291,7 @@ class ClusterSpec:
         if self.mean.shape != (3,) or self.std.shape != (3,):
             raise ConfigError("cluster mean/std must be 3-vectors")
         if np.any(self.std <= 0):
-            raise ConfigError("cluster stds must be positive")
+            raise ConfigError("cluster stds must be positive", "std")
 
 
 @dataclass
@@ -322,14 +322,15 @@ class SynthSpec:
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.alpha0 <= 0 or self.gamma <= 0:
-            raise ConfigError("alpha0 and gamma must be positive")
+        for name in ("alpha0", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ConfigError("alpha0 and gamma must be positive", name)
         if self.noise < 0:
-            raise ConfigError("noise sigma must be >= 0")
+            raise ConfigError("noise sigma must be >= 0", "noise")
         if not 0 < self.stress_fraction < 1:
-            raise ConfigError("stress_fraction must lie in (0, 1)")
+            raise ConfigError("stress_fraction must lie in (0, 1)", "stress_fraction")
         if self.n < 1:
-            raise ConfigError("sample count must be >= 1")
+            raise ConfigError("sample count must be >= 1", "n")
         if self.t_max <= self.t_min:
             raise ConfigError("t range must be increasing")
 

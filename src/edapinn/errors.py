@@ -19,7 +19,13 @@ class NumericError(EdaPinnError):
 
 
 class ConfigError(EdaPinnError):
-    """Invalid configuration value or config-file structure."""
+    """Invalid configuration value or config-file structure. Carries the
+    field at fault when a config dataclass refuses one of its values, so
+    that the config reader can name the key."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DataFormatError(EdaPinnError):

@@ -79,17 +79,17 @@ class ModelConfig:
     def __post_init__(self):
         """Reject out-of-range values; NaN and infinite ones fail every range."""
         if not self.hidden or any(w < 1 for w in self.hidden):
-            raise ConfigError("hidden widths must be a nonempty list of counts >= 1")
+            raise ConfigError("hidden widths must be a nonempty list of counts >= 1", "hidden")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout rate must lie in [0, 1)")
+            raise ConfigError("dropout rate must lie in [0, 1)", "dropout")
         if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("classification threshold must lie in (0, 1)")
+            raise ConfigError("classification threshold must lie in (0, 1)", "threshold")
         if not 0.0 <= self.lambda_floor < np.inf:
-            raise ConfigError("lambda floor must be finite and >= 0")
+            raise ConfigError("lambda floor must be finite and >= 0", "lambda_floor")
         if not 0.0 < self.bn_eps < np.inf:
-            raise ConfigError("batch-norm epsilon must be finite and positive")
+            raise ConfigError("batch-norm epsilon must be finite and positive", "bn_eps")
         if not 0.0 <= self.bn_momentum < 1.0:
-            raise ConfigError("batch-norm momentum must lie in [0, 1)")
+            raise ConfigError("batch-norm momentum must lie in [0, 1)", "bn_momentum")
 
 
 @dataclass(frozen=True)

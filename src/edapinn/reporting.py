@@ -108,7 +108,8 @@ def ablation_table(
     jobs = fold_jobs(data, folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
     stacks = run_fold_jobs(jobs, threads)
     fold_reports = {v: [stack[i][0] for stack in stacks] for i, v in enumerate(cfgs)}
-    baseline = baseline_rows(data, folds, [v for v in variants if v in BASELINES])
+    names = [v for v in variants if v in BASELINES]
+    baseline = baseline_rows(data, folds, names, model_cfg.threshold)
     rows: list[AblationRow] = []
     for v in variants:
         if v in baseline:

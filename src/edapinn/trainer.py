@@ -66,15 +66,19 @@ class TrainRunConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1", "epochs")
         if self.batch_size < MIN_FINAL_BATCH:
-            raise ConfigError(f"batch size must be >= {MIN_FINAL_BATCH}, got {self.batch_size}")
+            raise ConfigError(
+                f"batch size must be >= {MIN_FINAL_BATCH}, got {self.batch_size}", "batch_size"
+            )
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {tuple(VARIANTS)}")
+            raise ConfigError(
+                f"unknown variant {self.variant!r}, expected one of {tuple(VARIANTS)}", "variant"
+            )
         if not 0 < self.lr < np.inf:  # also rejects NaN
-            raise ConfigError("learning rate must be finite and positive")
+            raise ConfigError("learning rate must be finite and positive", "lr")
         if self.k < 2:
-            raise ConfigError("k must be >= 2")
+            raise ConfigError("k must be >= 2", "k")
 
 
 @dataclass

@@ -285,3 +285,13 @@ def test_dropout_applies_one_mask_to_both_channels_bit_for_bit():
     assert same_bits(out[0], x[0] * mask) and same_bits(out[1], x[1] * mask)
     adj = dropout_backward(mask, x)
     assert same_bits(adj[0], x[0] * mask) and same_bits(adj[1], x[1] * mask)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.3, 0.5])
+def test_dropout_mask_equals_scaled_keep_flags_bit_for_bit(rate):
+    # the mask is one np.where over the keep flags; dividing the 0/1 flags
+    # by the keep probability gives the same bits
+    keep = Pcg32(98).random_ge(128 * 64, rate).reshape(128, 64)
+    mask = make_dropout_mask((128, 64), rate, Pcg32(98))
+    assert same_bits(mask, keep.astype(np.float64) / (1.0 - rate))
+    assert mask.dtype == np.float64 and 0 < np.count_nonzero(mask) < mask.size

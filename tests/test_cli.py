@@ -110,8 +110,14 @@ def test_bad_types_rejected():
         ({"data": {"synth": {"noise": float("inf")}}}, "data.synth.noise"),
         ({"data": {"synth": {"beta": [1, float("nan"), 2]}}}, "data.synth.beta"),
         ({"data": {"synth": None}}, "data.synth"),
+        ({"train": {"batch_size": 1}}, "config key 'train.batch_size': batch size must be >= 8, got 1"),
+        ({"model": {"dropout": 1.5}}, "config key 'model.dropout': dropout rate must lie in [0, 1)"),
+        ({"data": {"synth": {"stress": {"std": [1, 0, 1]}}}}, "config key 'data.synth.stress.std'"),
     ],
-    ids=["lambda_floor_negative", "lambda_floor_nan", "lr_nan", "noise_inf", "beta_nan", "synth_null"],
+    ids=[
+        "lambda_floor_negative", "lambda_floor_nan", "lr_nan", "noise_inf", "beta_nan", "synth_null",
+        "batch_size_1", "dropout_1_5", "cluster_std_0",
+    ],
 )
 def test_negative_lambda_floor_rejected_before_running(tmp_path, capsys, doc, named):
     cfg_path = write_config(tmp_path, doc)
