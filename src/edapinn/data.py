@@ -69,13 +69,18 @@ class Dataset:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write through a temp file and a rename, so ``path`` is never left truncated."""
+    """Write through a temp file and a rename, so ``path`` is never left truncated;
+    the file gets the mode the umask gives a new file, not the temp file's 0o600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # os reads the umask only by setting one: the strictest, for that moment
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

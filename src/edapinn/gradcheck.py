@@ -12,7 +12,7 @@ weights, exactly as the analytic backward does. Each coordinate is perturbed
 in place through the named views ``model.blocks`` gives of ``params.theta``
 and restored after its evaluations. The verification suites check a
 single network; a stack is checked as one function, the sum of its
-members' losses, whose gradient is each member's own.
+networks' losses, whose gradient is each network's own.
 """
 
 from __future__ import annotations

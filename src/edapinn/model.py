@@ -21,24 +21,27 @@ The time column's tangent is seeded to 1 and the emotion columns' to 0, so
 the dual channel carries d(EDA)/dt with respect to the (normalized) time
 proxy of each sample.
 
-The trainable numbers live in one vector, ``ModelParams.theta``, laid out by
-``block_shapes``; ``blocks`` names the views of it or of a gradient.
+A network's numbers are two vectors, ``theta`` (trainable, laid out by
+``block_shapes``) and ``running`` (batch-norm running statistics, laid out
+by ``running_shapes``). Every part is named once, ``layerI.key`` or
+``head_reg``/``head_cls``/``physics`` then the key; ``ModelParams.views``
+holds a view of each, ``blocks`` names a gradient's parts alike, and every
+function here reads and writes the parts by those names.
 
 One ``forward`` and one ``backward`` serve a single network, which the
 gradient checker and evaluation run, and the stack of networks that
 training runs (``stack``): F folds of V variants of one config, ``theta``
-of shape ``(F, V, P)``, every part of the model carrying the leading axes
-(batch-norm running statistics ``(F, V, width)``). Its batch holds one
-batch per fold, ``t`` of shape ``(F, 1, n)``, so the input is
-``(F, 1, 2, n, 4)`` and broadcasts over the variants; each fold draws its
-own dropout masks from its own stream, ``(F, 1, n, width)``, and the
-outputs are ``(F, V, n)``. ``members`` gives the rows of a stack on views
-of its memory: a fold's ``(V, P)`` stack, which steps alone on a batch of
-shape ``(n,)`` that the other folds lack (a dual batch ``(V, 2, n, width)``,
-masks drawn once per layer and shared), and its single networks.
+of shape ``(F, V, P)`` and ``running`` of shape ``(F, V, R)``, so every view
+carries the leading axes. Its batch holds one batch per fold, ``t`` of shape
+``(F, 1, n)``, so the input is ``(F, 1, 2, n, 4)`` and broadcasts over the
+variants; each fold draws its own dropout masks from its own stream,
+``(F, 1, n, width)``, and the outputs are ``(F, V, n)``. A row of a stack,
+``ModelParams(p.theta[f], p.running[f], normalizer, config)``, is a view of
+its memory.
 
 A checkpoint (``checkpoint_text``) is a write-only record of one network:
-versioned JSON of every field, identical for identical models.
+versioned JSON of every part, the normalizer and the config, identical for
+identical models.
 
 Only a train-mode forward has a backward: an eval-mode forward keeps no
 caches, so it holds no more than a layer's activations at a time.
@@ -48,8 +51,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -92,132 +96,6 @@ class ModelConfig:
             raise ConfigError("batch-norm momentum must lie in [0, 1)", "bn_momentum")
 
 
-@dataclass(frozen=True)
-class HiddenLayer:
-    w: np.ndarray
-    bn_scale: np.ndarray
-    bn_shift: np.ndarray
-    bn_running_mean: np.ndarray
-    bn_running_var: np.ndarray
-
-
-@dataclass(frozen=True)
-class Head:
-    w: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
-class ModelParams:
-    """The network and its physics parameters; construction copies the
-    trainable values into a new ``theta`` and rebuilds the frozen parts on
-    views of it (alpha0, gamma and rho 0-d ones). Write through a view in
-    place: rebinding one raises instead of detaching it from ``theta``.
-
-    Parts whose arrays carry leading model axes make a stack: ``theta`` of
-    shape ``(F, V, P)`` (see ``stack``), or ``(V, P)`` for one of its rows."""
-
-    layers: list[HiddenLayer]
-    head_reg: Head
-    head_cls: Head
-    physics: PhysicsParams
-    normalizer: Normalizer | None
-    config: ModelConfig
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    _members: list["ModelParams"] | None = field(default=None, init=False, repr=False, compare=False)
-    # the config and normalizer of each row of a stack built from a list of models
-    _rows: list[tuple[ModelConfig, Normalizer | None]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        models = np.shape(self.layers[0].w)[:-2]
-        self.theta = np.empty(models + (sum(math.prod(s) for s in block_shapes(self.config).values()),))
-        self._bind(lambda a: np.array(a, dtype=np.float64))
-
-    def _bind(self, pick) -> None:
-        """Rebuild the parts on views of ``theta``, filled with ``pick`` of
-        their values; their other arrays become ``pick`` of theirs."""
-        views = blocks(self.theta, self.config)
-        self.layers = [_on_views(l, f"layer{i}", views, pick) for i, l in enumerate(self.layers)]
-        self.head_reg = _on_views(self.head_reg, "head_reg", views, pick)
-        self.head_cls = _on_views(self.head_cls, "head_cls", views, pick)
-        self.physics = _on_views(self.physics, "physics", views, pick)
-
-    def __reduce__(self):
-        # a pickle rebuilds through the constructor, so the parts are views of
-        # the new theta; by default they would unpickle as detached copies
-        return ModelParams, (
-            self.layers, self.head_reg, self.head_cls, self.physics, self.normalizer, self.config
-        )
-
-
-def _on_views(part, prefix: str, views: dict[str, np.ndarray], pick):
-    """A copy of dataclass ``part`` whose trainable fields are the ``views``
-    named ``prefix.field``, filled with ``pick`` of its values; its other
-    arrays are ``pick`` of them."""
-    values = {}
-    for f in fields(part):
-        value = pick(getattr(part, f.name))
-        view = views.get(f"{prefix}.{f.name}")
-        if view is not None:
-            view[...] = value
-            value = view
-        values[f.name] = value
-    return type(part)(**values)
-
-
-def stack(params: Sequence[ModelParams], models: int) -> ModelParams:
-    """``models`` copies of each of ``params``, models of one config but for
-    the seed (one per fold, say), as one stack: every array of their parts
-    gains two leading axes, the list's then the copies', and ``theta`` has
-    shape ``(len(params), models, P)``.
-
-    What ``forward`` and the objective read is the first model's config;
-    each row keeps its own config and normalizer, which its ``members`` carry.
-    """
-
-    def tiled(same):
-        """One part of every model, stacked."""
-        return type(same[0])(**{
-            f.name: np.stack([np.stack([getattr(q, f.name)] * models) for q in same]) for f in fields(same[0])
-        })
-
-    stacked = ModelParams(
-        [tiled(layers) for layers in zip(*(p.layers for p in params))],
-        tiled([p.head_reg for p in params]),
-        tiled([p.head_cls for p in params]),
-        tiled([p.physics for p in params]),
-        params[0].normalizer,
-        params[0].config,
-    )
-    stacked._rows = [(p.config, p.normalizer) for p in params]
-    return stacked
-
-
-def members(params: ModelParams) -> list[ModelParams]:
-    """The models along the first axis of a stack: the per-fold stacks, of
-    ``theta`` shape ``(V, P)``, of a stack over folds, and the single models
-    of one of those.
-
-    The members of a stack are built once, on views of their rows of its
-    ``theta`` and running statistics, so each sees the stack's training as
-    it happens and can be used as any model of its shape (a pickle of one
-    owns its memory).
-    """
-    if params._members is None:
-        params._members = []
-        for i in range(len(params.theta)):
-            one = object.__new__(ModelParams)  # bound below, not copied
-            one.layers, one.head_reg, one.head_cls = params.layers, params.head_reg, params.head_cls
-            one.physics, one.theta = params.physics, params.theta[i]
-            one.config, one.normalizer = params._rows[i] if params._rows else (params.config, params.normalizer)
-            one._members = one._rows = None
-            one._bind(lambda a, i=i: a[i])
-            params._members.append(one)
-    return params._members
-
-
 def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every trainable block, in their order within ``theta``.
 
@@ -237,15 +115,77 @@ def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def blocks(vector: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Named views of ``vector``, a parameter or gradient vector laid out as
-    ``theta``; those of a stack's ``(M, P)`` array have shape ``(M,) + shape``."""
+def running_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every batch-norm running statistic, in their order within ``running``."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, width in enumerate(config.hidden):
+        shapes[f"layer{i}.bn_running_mean"] = shapes[f"layer{i}.bn_running_var"] = (width,)
+    return shapes
+
+
+def _views(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Named views of ``vector``, laid out by ``shapes`` along its last axis;
+    those of an ``(M, N)`` array have shape ``(M,) + shape``."""
     views, start, models = {}, 0, vector.shape[:-1]
-    for name, shape in block_shapes(config).items():
+    for name, shape in shapes.items():
         size = math.prod(shape)
         views[name] = vector[..., start : start + size].reshape(models + shape)
         start += size
     return views
+
+
+def blocks(vector: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Named views of ``vector``, a parameter or gradient vector laid out as
+    ``theta``; those of a stack's ``(M, P)`` array have shape ``(M,) + shape``."""
+    return _views(vector, block_shapes(config))
+
+
+@dataclass(frozen=True, eq=False)
+class ModelParams:
+    """The numbers of one network, or of a stack of networks (see ``stack``).
+
+    ``theta`` holds the trainable numbers, laid out by ``block_shapes``, and
+    ``running`` the batch-norm running statistics, laid out by
+    ``running_shapes``; in a stack both carry the same leading model axes.
+    Construction copies neither. ``views`` maps every part's name to a view
+    of one of them, and ``physics`` is built on the physics views (alpha0,
+    gamma and rho 0-d ones): write through a view in place. The mapping is
+    read-only and rebinding a field raises, so no part can come loose from
+    its vector.
+    """
+
+    theta: np.ndarray
+    running: np.ndarray
+    normalizer: Normalizer | None
+    config: ModelConfig
+    views: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    physics: PhysicsParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        views = {**blocks(self.theta, self.config), **_views(self.running, running_shapes(self.config))}
+        object.__setattr__(self, "views", MappingProxyType(views))
+        physics = PhysicsParams(*(views[f"physics.{f.name}"] for f in fields(PhysicsParams)))
+        object.__setattr__(self, "physics", physics)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the views sit on the new arrays;
+        # by default they would unpickle as detached copies
+        return ModelParams, (self.theta, self.running, self.normalizer, self.config)
+
+
+def stack(params: Sequence[ModelParams], models: int) -> ModelParams:
+    """``models`` copies of each of ``params``, models of one config but for
+    the seed (one per fold, say), as one stack: ``theta`` of shape
+    ``(len(params), models, P)`` and ``running`` likewise.
+
+    What ``forward`` and the objective read is the first model's config; the
+    caller keeps each row's own config and normalizer.
+    """
+    theta, running = (
+        np.repeat(np.stack([getattr(p, name) for p in params])[:, None], models, axis=1)
+        for name in ("theta", "running")
+    )
+    return ModelParams(theta, running, params[0].normalizer, params[0].config)
 
 
 class LayerCaches(NamedTuple):
@@ -279,8 +219,8 @@ class Predictions:
 
 def _require_finite(a: np.ndarray, models: tuple[int, ...], where: str) -> None:
     """Raise ``NumericError`` unless ``a`` is all finite; for a stack of
-    leading axes ``models`` the error carries the flat index, in the order of
-    its members' members, of the first model that is not."""
+    leading axes ``models`` the error carries the flat index over those axes,
+    in C order (fold-major), of the first network that is not."""
     finite = np.isfinite(a)
     if not finite.all():
         model = int(np.argmin(finite.reshape(math.prod(models), -1).all(axis=1))) if models else None
@@ -290,19 +230,22 @@ def _require_finite(a: np.ndarray, models: tuple[int, ...], where: str) -> None:
 def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> ModelParams:
     """Glorot-uniform weights, unit batch-norm, softplus(rho) = 0.1."""
     rng = Pcg32(config.seed).derive("init")
+    theta = np.zeros(sum(map(math.prod, block_shapes(config).values())))
+    running = np.zeros(sum(map(math.prod, running_shapes(config).values())))
+    params = ModelParams(theta, running, normalizer, config)
+    views = params.views
     widths = [INPUT_WIDTH] + list(config.hidden)
-    layers = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, fan_in * fan_out).reshape(fan_in, fan_out)
-        layers.append(
-            HiddenLayer(w, np.ones(fan_out), np.zeros(fan_out), np.zeros(fan_out), np.ones(fan_out))
-        )
-    top = widths[-1]
-    limit = np.sqrt(6.0 / (top + 1))
-    head_reg = Head(rng.uniform(-limit, limit, top).reshape(top, 1), np.zeros(1))
-    head_cls = Head(rng.uniform(-limit, limit, top).reshape(top, 1), np.zeros(1))
-    return ModelParams(layers, head_reg, head_cls, PhysicsParams(), normalizer, config)
+        views[f"layer{i}.w"][...] = rng.uniform(-limit, limit, fan_in * fan_out).reshape(fan_in, fan_out)
+        views[f"layer{i}.bn_scale"][...] = views[f"layer{i}.bn_running_var"][...] = 1.0
+    limit = np.sqrt(6.0 / (widths[-1] + 1))
+    for head in ("head_reg", "head_cls"):
+        views[f"{head}.w"][...] = rng.uniform(-limit, limit, widths[-1]).reshape(widths[-1], 1)
+    initial = PhysicsParams()
+    for f in fields(PhysicsParams):
+        views[f"physics.{f.name}"][...] = getattr(initial, f.name)
+    return params
 
 
 def forward(
@@ -326,7 +269,7 @@ def forward(
     e = np.asarray(e, dtype=np.float64)
     if t.ndim < 1 or t.shape[-1] == 0 or e.shape != t.shape + (3,):
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
-    cfg = params.config
+    cfg, views = params.config, params.views
     models = params.theta.shape[:-1]
     inputs = np.concatenate([t[..., None], e], axis=-1)
     x = np.stack([inputs, np.broadcast_to(_INPUT_TANGENT, inputs.shape)], axis=-3)
@@ -334,28 +277,20 @@ def forward(
     # numpy's warnings on the already-poisoned arithmetic are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         layer_caches = []
-        for i, layer in enumerate(params.layers):
-            x, c_aff = ad.affine_forward(x, layer.w)
-            x, c_bn = ad.batchnorm_forward(
-                x,
-                layer.bn_scale,
-                layer.bn_shift,
-                layer.bn_running_mean,
-                layer.bn_running_var,
-                mode,
-                eps=cfg.bn_eps,
-                momentum=cfg.bn_momentum,
-            )
+        for i in range(len(cfg.hidden)):
+            x, c_aff = ad.affine_forward(x, views[f"layer{i}.w"])
+            bn = [views[f"layer{i}.bn_{key}"] for key in ("scale", "shift", "running_mean", "running_var")]
+            x, c_bn = ad.batchnorm_forward(x, *bn, mode, eps=cfg.bn_eps, momentum=cfg.bn_momentum)
             x, c_sw = ad.swish_forward(x, mode)
             x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
             _require_finite(x, models, f"after hidden layer {i}")
             if mode == "train":
                 layer_caches.append(LayerCaches(c_aff, c_bn, c_sw, mask))
 
-        y_out, reg_cache = ad.affine_forward(x, params.head_reg.w)
-        y = (y_out[..., 0, :, :] + params.head_reg.b[..., None, :])[..., 0]
+        y_out, reg_cache = ad.affine_forward(x, views["head_reg.w"])
+        y = (y_out[..., 0, :, :] + views["head_reg.b"][..., None, :])[..., 0]
         dydt = y_out[..., 1, :, 0]
-        z = (x[..., 0, :, :] @ params.head_cls.w + params.head_cls.b[..., None, :])[..., 0]
+        z = (x[..., 0, :, :] @ views["head_cls.w"] + views["head_cls.b"][..., None, :])[..., 0]
         _require_finite(np.stack([y, dydt], axis=-2), models, "in the regression head")
 
     caches = None
@@ -389,10 +324,8 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
         raise ContractError("backward needs the caches of a train-mode forward")
     grad = np.zeros_like(params.theta)
     g = blocks(grad, params.config)
-    g["physics.alpha0"][...] = lg.d_alpha0
-    g["physics.beta"][...] = lg.d_beta
-    g["physics.gamma"][...] = lg.d_gamma
-    g["physics.rho"][...] = lg.d_rho
+    for f in fields(PhysicsParams):
+        g[f"physics.{f.name}"][...] = getattr(lg, f"d_{f.name}")
 
     adj_out = np.stack([lg.adj_y, lg.adj_dydt], axis=-2)[..., None]  # (..., 2, n, 1)
     head, caches.reg_affine = caches.reg_affine, None
@@ -403,7 +336,7 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     g["head_cls.b"][...] = adj_z.sum(axis=-2)
     del head
 
-    adj[..., 0, :, :] += adj_z @ params.head_cls.w.swapaxes(-1, -2)
+    adj[..., 0, :, :] += adj_z @ params.views["head_cls.w"].swapaxes(-1, -2)
     while caches.layers:
         i = len(caches.layers) - 1
         affine, bn, swish, mask = caches.layers.pop()
@@ -422,9 +355,9 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
 
 def commit_batchnorm(params: ModelParams, caches: ForwardCaches) -> None:
     """Adopt, in place, the running statistics produced by a train-mode forward."""
-    for layer, (mean, var) in zip(params.layers, caches.running):
-        layer.bn_running_mean[...] = mean
-        layer.bn_running_var[...] = var
+    for i, (mean, var) in enumerate(caches.running):
+        params.views[f"layer{i}.bn_running_mean"][...] = mean
+        params.views[f"layer{i}.bn_running_var"][...] = var
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +369,7 @@ def _plain(value):
     """A dataclass as a JSON-ready dict of its constructor fields, arrays as
     flat lists and 0-d arrays as scalars."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.ravel().tolist() if value.ndim else value.item()
     return value
@@ -447,10 +378,15 @@ def _plain(value):
 def checkpoint_text(params: ModelParams) -> str:
     """Canonical serialized form; identical models give identical bytes.
 
-    It holds every field of ``params``, each layer's ``w_shape`` and the version.
+    It holds every part of ``views``, ``layerI.key`` under ``layers[I]`` with
+    that layer's ``w_shape`` and every other part under its own name, then
+    the normalizer, the config and the version.
     """
-    doc = _plain(params)
+    layers = [{"w_shape": list(params.views[f"layer{i}.w"].shape)} for i in range(len(params.config.hidden))]
+    doc = {"normalizer": _plain(params.normalizer), "config": _plain(params.config), "layers": layers}
+    for name, view in params.views.items():
+        part, key = name.split(".")
+        entry = layers[int(part[len("layer") :])] if part.startswith("layer") else doc.setdefault(part, {})
+        entry[key] = _plain(view)
     doc["format_version"] = CHECKPOINT_VERSION
-    for entry, layer in zip(doc["layers"], params.layers):
-        entry["w_shape"] = list(layer.w.shape)
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"

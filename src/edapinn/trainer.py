@@ -150,7 +150,8 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
     v += (1.0 - ADAM_BETA2) * grad * grad
     c1 = _bias_correction(ADAM_BETA1, state.t)
     c2 = _bias_correction(ADAM_BETA2, state.t)
-    params.theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    theta = params.theta  # a field of a frozen model, updated in place
+    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return state
 
 
@@ -233,7 +234,6 @@ def train_epoch(
     orders = [r.derive(f"shuffle:{epoch}").permutation(len(d)) for r, d in zip(rngs, data)]
     dropout = [r.derive(f"dropout:{epoch}") for r in rngs]
     bounds = [_batch_bounds(len(d), cfgs[0].batch_size) for d in data]
-    rows = list(zip(model_mod.members(params), _adam_rows(opt)))
     sums = np.zeros((3,) + params.theta.shape[:-1])
 
     def step(batch_no, fold, net, state, batch, masks) -> np.ndarray:
@@ -274,29 +274,30 @@ def train_epoch(
         if len(parts) == len(data) and len({len(part) for part in parts.values()}) == 1:
             steps = [(None, params, opt, _fold_batch(list(parts.values())), dropout)]
         else:
-            steps = [(f, *rows[f], part, dropout[f]) for f, part in parts.items()]
+            steps = [  # each fold on its rows of the stack and of ``opt``, views of their memory
+                (f, ModelParams(params.theta[f], params.running[f], params.normalizer, params.config),
+                 AdamState(opt.m[f], opt.v[f], opt.t[f], opt.lr), part, dropout[f])
+                for f, part in parts.items()
+            ]
         for fold, net, state, batch, masks in steps:
             fold_sums = sums if fold is None else sums[:, fold]
             fold_sums += len(batch) * step(batch_no, fold, net, state, batch, masks)
 
     means = sums / np.array([len(d) for d in data])[:, None]
+    phys, floor = params.physics, params.config.lambda_floor
     traces = []
-    for f, (row, _) in enumerate(rows):
+    for f in range(len(data)):
         fold_traces = []
-        for v, (one, variant) in enumerate(zip(model_mod.members(row), variants)):
-            phys = one.physics
-            lambda_eff = float(phys.lambda_eff(one.config.lambda_floor)) if VARIANTS[variant][2] else 0.0
+        for v, variant in enumerate(variants):
+            # one network's scalars, so its lambda is computed as it is alone
+            one = PhysicsParams(phys.alpha0[f, v], phys.beta[f, v], phys.gamma[f, v], phys.rho[f, v])
+            lambda_eff = float(one.lambda_eff(floor)) if VARIANTS[variant][2] else 0.0
             l_eda, l_emotion, l_physics = (float(m) for m in means[:, f, v])
             fold_traces.append(EpochTrace(
-                epoch, l_eda, l_emotion, l_physics, lambda_eff, float(phys.alpha0), phys.beta.copy(), float(phys.gamma)
+                epoch, l_eda, l_emotion, l_physics, lambda_eff, float(one.alpha0), one.beta.copy(), float(one.gamma)
             ))
         traces.append(fold_traces)
     return opt, traces
-
-
-def _adam_rows(opt: AdamState) -> list[AdamState]:
-    """The state of each row of a stack's first axis, on views of ``opt``."""
-    return [AdamState(m, v, t, opt.lr) for m, v, t in zip(opt.m, opt.v, opt.t)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +320,26 @@ def run_folds(
     flows through it unchanged; targets may leave [0, 1]), inits its
     networks from its own derived seed and shuffles and draws masks from its
     own stream, so every network gets, byte for byte, the numbers it gets
-    when trained alone. Returns, per fold in order, the report and the
-    trained model of each config, in order.
+    when trained alone. A training split of fewer than ``MIN_FINAL_BATCH``
+    rows raises ``ConfigError`` before any training. Returns, per fold in
+    order, the report and the trained model of each config, in order: a
+    view of the stack's memory with its fold's normalizer and seeded config.
     """
     if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
         raise ContractError("a stack needs configs that differ in their variant alone")
     if not folds:
         raise ContractError("a stack needs at least one fold")
+    for train, _, i in folds:
+        if len(train) < MIN_FINAL_BATCH:
+            raise ConfigError(
+                f"fold {i} has {len(train)} training rows; a batch needs at least {MIN_FINAL_BATCH}"
+            )
     norms = [fit_normalizer(train) for train, _, _ in folds]
     trains = [apply_normalizer(norm, train) for norm, (train, _, _) in zip(norms, folds)]
     valids = [apply_normalizer(norm, valid) for norm, (_, valid, _) in zip(norms, folds)]
     numbers = [i for _, _, i in folds]
-    inits = [
-        init_model(replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{i}")), norm)
-        for norm, i in zip(norms, numbers)
-    ]
-    params = model_mod.stack(inits, len(cfgs))
+    seeded = [replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{i}")) for i in numbers]
+    params = model_mod.stack([init_model(c, norm) for c, norm in zip(seeded, norms)], len(cfgs))
     opt = init_adam(params, lr=cfgs[0].lr)
     rngs = [Pcg32(cfgs[0].seed).derive(f"fold:{i}") for i in numbers]
     traces = []
@@ -342,9 +347,10 @@ def run_folds(
         opt, epoch_traces = train_epoch(params, opt, trains, cfgs, rngs, epoch, numbers)
         traces.append(epoch_traces)
     results = []
-    for f, (row, valid_n, i) in enumerate(zip(model_mod.members(params), valids, numbers)):
+    for f, (norm, seeded_cfg, valid_n, i) in enumerate(zip(norms, seeded, valids, numbers)):
         pairs = []
-        for v, one in enumerate(model_mod.members(row)):
+        for v in range(len(cfgs)):
+            one = ModelParams(params.theta[f, v], params.running[f, v], norm, seeded_cfg)
             preds = forward_batch(one, valid_n, "eval")
             reg = regression_metrics(preds.y_eda, valid_n.y)
             cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)

@@ -1,4 +1,4 @@
-"""Ridge and logistic baselines: exact solves, optimality, descent behavior."""
+"""Ridge and logistic baselines: exact solves and optimality."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, s
 from edapinn.evaluation import classification_metrics
 from edapinn.model import ModelConfig
 from edapinn.errors import ContractError, NumericError
-from edapinn.objective import bce
 from edapinn.reporting import ablation_table
 from edapinn.rng import Pcg32
 from edapinn.trainer import TrainRunConfig
@@ -146,24 +145,6 @@ def test_logistic_one_class_labels_give_finite_weights(label):
 def test_logistic_bad_labels_or_shapes_raise_contract_error(x, labels):
     with pytest.raises(ContractError):
         logistic_fit(x, labels)
-
-
-def test_logistic_descent_monotone_bce():
-    rng = Pcg32(9)
-    x = rng.normal(200).reshape(50, 4)
-    x = (x - x.mean(axis=0)) / x.std(axis=0)
-    labels = (rng.random(50) < 0.5).astype(float)
-    losses = []
-    w = np.zeros(4)
-    b = 0.0
-    for _ in range(200):
-        z = x @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        losses.append(bce(z, labels))
-        err = (p - labels) / 50
-        w = w - 0.1 * (x.T @ err)
-        b = b - 0.1 * float(err.sum())
-    assert all(a >= b_ for a, b_ in zip(losses, losses[1:]))
 
 
 def test_baseline_rows_shapes_and_sanity():

@@ -317,14 +317,16 @@ UNUSABLE_CSV = {
     "header_only": CSV_HEAD.encode(),
     "one_class": (CSV_HEAD + csv_rows([0] * 20)).encode(),
     "non_utf8": (CSV_HEAD + csv_rows([0, 1] * 10)).encode() + b"0.5,2,5,3,\xff,1\n",
+    "tiny_split": (CSV_HEAD + csv_rows([0, 1] * 3)).encode(),  # 4 training rows per fold at k 3
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNUSABLE_CSV))
 @pytest.mark.parametrize("command", ["train", "kfold", "ablate"])
 def test_unusable_csv_exits_2(tmp_path, capsys, command, case):
-    """No rows, a missing class and undecodable bytes are data errors under
-    every training command, never a traceback or a silent one-class fit."""
+    """No rows, a missing class, undecodable bytes and a training split
+    smaller than one batch are data errors under every training command,
+    never a traceback, a silent one-class fit or a fit on a few rows."""
     csv_path = tmp_path / "d.csv"
     csv_path.write_bytes(UNUSABLE_CSV[case])
     cfg_path = write_config(tmp_path, {"data": {"input": str(csv_path)}, "train": SMALL_TRAIN})

@@ -69,10 +69,8 @@ def test_gradient_below_fd_resolution_passes_and_a_small_error_is_still_caught(m
 
 def test_zero_network_zero_targets_regression_gradients_vanish():
     params = init_model(ModelConfig(hidden=[8, 8], seed=15, dropout=0.0))
-    for layer in params.layers:
-        layer.w[:] = 0.0
-    params.head_reg.w[:] = 0.0
-    params.head_cls.w[:] = 0.0
+    for name in ("layer0.w", "layer1.w", "head_reg.w", "head_cls.w"):
+        params.views[name][:] = 0.0
     batch = make_batch(12, 15)
     batch.y[:] = 0.0  # targets match the zero network's output exactly
 

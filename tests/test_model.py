@@ -26,6 +26,7 @@ from edapinn.model import (
     forward,
     forward_batch,
     init_model,
+    running_shapes,
 )
 from edapinn.rng import Pcg32
 
@@ -39,12 +40,12 @@ def test_init_deterministic_and_shapes():
     cfg = ModelConfig(hidden=[64, 64], seed=4)
     a = init_model(cfg)
     b = init_model(cfg)
-    assert a.layers[0].w.shape == (4, 64)
-    assert a.layers[1].w.shape == (64, 64)
-    assert a.head_reg.w.shape == (64, 1)
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.w, lb.w)
-    assert np.array_equal(a.head_cls.w, b.head_cls.w)
+    assert a.views["layer0.w"].shape == (4, 64)
+    assert a.views["layer1.w"].shape == (64, 64)
+    assert a.views["head_reg.w"].shape == (64, 1)
+    for i in range(2):
+        assert np.array_equal(a.views[f"layer{i}.w"], b.views[f"layer{i}.w"])
+    assert np.array_equal(a.views["head_cls.w"], b.views["head_cls.w"])
 
 
 def test_initial_lambda_is_point_one():
@@ -79,10 +80,8 @@ def test_invalid_config_cannot_be_built():
 
 def test_zero_weight_network_outputs():
     params = init_model(ModelConfig(hidden=[8, 8], seed=2, dropout=0.0))
-    for layer in params.layers:
-        layer.w[:] = 0.0
-    params.head_reg.w[:] = 0.0
-    params.head_cls.w[:] = 0.0
+    for name in ("layer0.w", "layer1.w", "head_reg.w", "head_cls.w"):
+        params.views[name][:] = 0.0
     t, e = random_inputs(12, 3)
     preds = forward(params, t, e, "eval")
     assert not np.any(preds.y_eda)
@@ -107,12 +106,12 @@ def test_head_sharing_isolation():
     t, e = random_inputs(10, 8)
     base = forward(init_model(cfg), t, e, "eval")
     bumped = init_model(cfg)
-    bumped.head_reg.w[...] += 0.37
+    bumped.views["head_reg.w"][...] += 0.37
     after = forward(bumped, t, e, "eval")
     assert np.array_equal(after.p_emotion, base.p_emotion)
     assert not np.array_equal(after.y_eda, base.y_eda)
     bumped2 = init_model(cfg)
-    bumped2.head_cls.w[...] += 0.37
+    bumped2.views["head_cls.w"][...] += 0.37
     after2 = forward(bumped2, t, e, "eval")
     assert np.array_equal(after2.y_eda, base.y_eda)
     assert np.array_equal(after2.dydt, base.dydt)
@@ -170,12 +169,14 @@ def test_blocks_pack_unpack_roundtrip():
     assert list(views) == list(block_shapes(params.config))
     assert [v.shape for v in views.values()] == list(block_shapes(params.config).values())
     assert params.theta.size == sum(v.size for v in views.values())
-    assert np.shares_memory(views["layer1.bn_shift"], params.layers[1].bn_shift)
+    assert np.shares_memory(views["layer1.bn_shift"], params.views["layer1.bn_shift"])
     assert np.shares_memory(views["physics.rho"], params.physics.rho)
-    # constructing from the parts packs the same theta into a new buffer
-    rebuilt = ModelParams(
-        params.layers, params.head_reg, params.head_cls, params.physics, None, params.config
-    )
+    running = [params.views[name] for name in running_shapes(params.config)]
+    assert all(np.shares_memory(view, params.running) for view in running)
+    assert params.running.size == sum(v.size for v in running)
+    # construction copies nothing; a model built on copies owns a new theta
+    assert ModelParams(params.theta, params.running, None, params.config).views["layer0.w"].base is params.theta
+    rebuilt = ModelParams(params.theta.copy(), params.running.copy(), None, params.config)
     assert np.array_equal(rebuilt.theta, params.theta)
     assert not np.shares_memory(rebuilt.theta, params.theta)
     t, e = random_inputs(6, 16)
@@ -187,49 +188,56 @@ def test_blocks_pack_unpack_roundtrip():
 
 def test_writes_through_views_reach_theta_and_rebinding_raises():
     params = init_model(ModelConfig(hidden=[8, 4], seed=15))
-    params.head_reg.w[2, 0] = 7.5
+    params.views["head_reg.w"][2, 0] = 7.5
     params.physics.rho[...] = -3.0
     params.physics.beta[1] = 0.25
+    params.views["layer1.bn_running_var"][3] = 2.5
     views = blocks(params.theta, params.config)
     assert views["head_reg.w"][2, 0] == 7.5
     assert views["physics.rho"] == -3.0 and params.physics.lambda_eff() == softplus(-3.0)
     assert views["physics.beta"][1] == 0.25
+    assert params.running[8 + 8 + 4 + 3] == 2.5  # layer0's mean and var, then layer1's mean
     params.theta[:] = 0.5
-    assert np.all(params.layers[0].w == 0.5) and params.physics.alpha0 == 0.5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        params.head_reg.w = np.zeros((4, 1))
+    assert np.all(params.views["layer0.w"] == 0.5) and params.physics.alpha0 == 0.5
+    with pytest.raises(TypeError):
+        params.views["head_reg.w"] = np.zeros((4, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.physics.rho = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        params.layers[0].bn_running_mean = np.zeros(8)
+        params.running = np.zeros_like(params.running)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.views = {}
 
 
 def test_unpickled_model_keeps_its_parts_on_theta():
-    params = init_model(ModelConfig(hidden=[8, 4], seed=15))
-    params.normalizer = fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0])
+    norm = fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0])
+    params = init_model(ModelConfig(hidden=[8, 4], seed=15), norm)
     copy = pickle.loads(pickle.dumps(params))
     assert checkpoint_text(copy) == checkpoint_text(params)
-    copy.layers[0].w[0, 0] = 7.5
+    copy.views["layer0.w"][0, 0] = 7.5
     copy.physics.rho[...] = -3.0
+    copy.views["layer0.bn_running_mean"][0] = 4.5
     assert copy.theta[0] == 7.5
     assert blocks(copy.theta, copy.config)["physics.rho"] == -3.0
+    assert copy.running[0] == 4.5
     assert params.theta[0] != 7.5  # the copy owns a new theta
+    assert params.running[0] != 4.5  # and new running statistics
 
 
 def test_bn_momentum_sets_the_committed_running_statistics():
     for m in (0.0, 0.9):
         params = init_model(ModelConfig(hidden=[8], seed=3, dropout=0.0, bn_momentum=m))
-        layer = params.layers[0]
-        layer.bn_running_mean[...] = np.linspace(-1.0, 1.0, 8)
-        layer.bn_running_var[...] = np.linspace(0.5, 2.0, 8)
-        old_mean, old_var = layer.bn_running_mean.copy(), layer.bn_running_var.copy()
-        running_mean = layer.bn_running_mean
+        mean, var = params.views["layer0.bn_running_mean"], params.views["layer0.bn_running_var"]
+        mean[...] = np.linspace(-1.0, 1.0, 8)
+        var[...] = np.linspace(0.5, 2.0, 8)
+        old_mean, old_var = mean.copy(), var.copy()
+        running = params.running
         t, e = random_inputs(32, 4)
         commit_batchnorm(params, forward(params, t, e, "train").caches)
-        x = np.column_stack([t, e]) @ layer.w + np.zeros(8)
-        assert layer.bn_running_mean is running_mean  # committed in place
-        assert np.array_equal(layer.bn_running_mean, m * old_mean + (1.0 - m) * x.mean(axis=0))
-        assert np.array_equal(layer.bn_running_var, m * old_var + (1.0 - m) * x.var(axis=0))
+        x = np.column_stack([t, e]) @ params.views["layer0.w"] + np.zeros(8)
+        assert params.running is running and params.views["layer0.bn_running_mean"] is mean  # in place
+        assert np.array_equal(mean, m * old_mean + (1.0 - m) * x.mean(axis=0))
+        assert np.array_equal(var, m * old_var + (1.0 - m) * x.var(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +256,10 @@ def test_checkpoint_roundtrip_fresh_model():
     norm = fit_normalizer(data)
     params = init_model(ModelConfig(hidden=[8, 8], seed=19), norm)
     doc = json.loads(checkpoint_text(params))
-    for entry, layer in zip(doc["layers"], params.layers, strict=True):
-        exact(entry["w"], layer.w)
-        exact(entry["bn_running_var"], layer.bn_running_var)
+    assert len(doc["layers"]) == 2
+    for i, entry in enumerate(doc["layers"]):
+        exact(entry["w"], params.views[f"layer{i}.w"])
+        exact(entry["bn_running_var"], params.views[f"layer{i}.bn_running_var"])
     exact(doc["physics"]["rho"], params.physics.rho)
     exact(doc["normalizer"]["input_mean"], params.normalizer.input_mean)
     assert ModelConfig(**doc["config"]) == params.config
@@ -272,9 +281,9 @@ def checkpointed_models(draw):
         norm = Normalizer(draw(arrays(np.float64, 4, elements=FINITE)), draw(std), y_min, y_max)
     params = init_model(cfg, norm)
     params.theta[:] = draw(arrays(np.float64, params.theta.size, elements=FINITE))
-    for layer in params.layers:
-        layer.bn_running_mean[:] = draw(arrays(np.float64, layer.w.shape[1], elements=FINITE))
-        layer.bn_running_var[:] = draw(arrays(np.float64, layer.w.shape[1], elements=FINITE))
+    for i, width in enumerate(cfg.hidden):
+        params.views[f"layer{i}.bn_running_mean"][:] = draw(arrays(np.float64, width, elements=FINITE))
+        params.views[f"layer{i}.bn_running_var"][:] = draw(arrays(np.float64, width, elements=FINITE))
     return params
 
 
@@ -288,10 +297,11 @@ def test_any_checkpoint_round_trips_bitwise(params):
     for name, view in blocks(params.theta, params.config).items():
         part, key = name.split(".")
         exact((doc["layers"][int(part[len("layer"):])] if part.startswith("layer") else doc[part])[key], view)
-    for entry, layer in zip(doc["layers"], params.layers, strict=True):
-        exact(entry["bn_running_mean"], layer.bn_running_mean)
-        exact(entry["bn_running_var"], layer.bn_running_var)
-        assert entry["w_shape"] == list(layer.w.shape)
+    assert len(doc["layers"]) == len(params.config.hidden)
+    for i, entry in enumerate(doc["layers"]):
+        exact(entry["bn_running_mean"], params.views[f"layer{i}.bn_running_mean"])
+        exact(entry["bn_running_var"], params.views[f"layer{i}.bn_running_var"])
+        assert entry["w_shape"] == list(params.views[f"layer{i}.w"].shape)
     if params.normalizer is None:
         assert doc["normalizer"] is None
     else:
@@ -307,7 +317,7 @@ def test_checkpoint_byte_determinism(tmp_path):
     small = init_model(ModelConfig(hidden=[8, 8], seed=23))
     digest = hashlib.sha256(checkpoint_text(small).encode()).hexdigest()
     assert digest == "ba6b0e3d5a8efb0eba97943ede1b42f7261e22c2b586d0198967cc240996237c"
-    small.normalizer = fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0])
+    small = dataclasses.replace(small, normalizer=fit_normalizer(synth_generate(SynthSpec(n=50, seed=3))[0]))
     digest = hashlib.sha256(checkpoint_text(small).encode()).hexdigest()
     assert digest == "a2b6291dc4c70be9be03a4321d0fe8b3dd8570d6f817bfc35486ffd32dda4c16"
 
@@ -316,7 +326,7 @@ def test_nonfinite_activation_names_layer():
     from edapinn.errors import NumericError
 
     params = init_model(ModelConfig(hidden=[8, 8], seed=27, dropout=0.0))
-    params.layers[1].w[0, 0] = np.inf
+    params.views["layer1.w"][0, 0] = np.inf
     t, e = random_inputs(6, 28)
     with pytest.raises(NumericError) as exc:
         forward(params, t, e, "eval")

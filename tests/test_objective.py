@@ -1,6 +1,6 @@
 """Loss components: point values, breakdown identity, algebraic properties."""
 
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,7 +36,9 @@ def objective_on(preds, y, labels, e, phys, variant="full", lambda_floor=0.0):
     as the model's physics and ``lambda_floor`` as its floor."""
     batch = Dataset(np.zeros(len(y)), np.asarray(e, dtype=float), np.asarray(y, dtype=float),
                     np.asarray(labels).astype(np.int64))
-    params = replace(init_model(ModelConfig(hidden=[1], lambda_floor=lambda_floor)), physics=phys)
+    params = init_model(ModelConfig(hidden=[1], lambda_floor=lambda_floor))
+    for f in fields(PhysicsParams):
+        params.views[f"physics.{f.name}"][...] = getattr(phys, f.name)
     return loss_gradients(preds, batch, params, variant)
 
 

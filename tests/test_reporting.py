@@ -1,5 +1,8 @@
 """Aggregation math, CSV layouts, atomic writes."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,21 @@ def test_atomic_write_no_temp_left_behind(tmp_path):
     # overwrite is atomic too
     write_text_atomic(target, "a,b\n3,4\n")
     assert target.read_text() == "a,b\n3,4\n"
+
+
+def test_atomic_write_follows_the_umask(tmp_path):
+    """A new file and an overwritten one get the mode ``open`` would give
+    them, not the temp file's 0o600."""
+    target = tmp_path / "table.csv"
+    old = os.umask(0o022)
+    try:
+        write_text_atomic(target, "a\n1\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        target.chmod(0o600)
+        write_text_atomic(target, "a\n2\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
 
 
 def test_render_table_alignment():

@@ -16,7 +16,7 @@ import edapinn.trainer as trainer_mod
 from edapinn.autodiff import make_dropout_mask
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError, ContractError, DataFormatError, NumericError
-from edapinn.model import ModelConfig, blocks, checkpoint_text, init_model, members, stack
+from edapinn.model import ModelConfig, ModelParams, blocks, checkpoint_text, init_model, stack
 from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
@@ -60,7 +60,7 @@ def train_one_fold(net, data, cfg, epochs=1):
     for epoch in range(epochs):
         opt, epoch_traces = train_epoch(params, opt, [data], [cfg], [rng], epoch, [1])
         traces.append(epoch_traces[0][0])
-    return members(members(params)[0])[0], traces
+    return ModelParams(params.theta[0, 0], params.running[0, 0], net.normalizer, net.config), traces
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +163,10 @@ def test_variant_containment_classification_head_frozen_under_eda_only():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
-    before = params.head_cls.w.copy()
+    before = params.views["head_cls.w"].copy()
     params, _ = train_one_fold(params, nd, quick_cfg(variant="eda_only"), epochs=3)
-    assert np.array_equal(params.head_cls.w, before)
-    assert np.array_equal(params.head_cls.b, np.zeros(1))
+    assert np.array_equal(params.views["head_cls.w"], before)
+    assert np.array_equal(params.views["head_cls.b"], np.zeros(1))
 
 
 def test_emotion_only_moves_the_regression_head_through_physics():
@@ -176,9 +176,9 @@ def test_emotion_only_moves_the_regression_head_through_physics():
     norm = fit_normalizer(data)
     nd = apply_normalizer(norm, data)
     params = init_model(quick_model(), norm)
-    before_w = params.head_reg.w.copy()
+    before_w = params.views["head_reg.w"].copy()
     params, _ = train_one_fold(params, nd, quick_cfg(variant="emotion_only"))
-    assert not np.array_equal(params.head_reg.w, before_w)
+    assert not np.array_equal(params.views["head_reg.w"], before_w)
 
 
 def test_saturated_wrong_classifier_keeps_its_gradient():
@@ -189,7 +189,7 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     nd = apply_normalizer(fit_normalizer(data), data)
     nd.label[:] = 0
     params = init_model(quick_model(dropout=0.0))
-    params.head_cls.b[:] = 20.0
+    params.views["head_cls.b"][:] = 20.0
     breakdown, grad, preds = batch_gradients(params, nd, "emotion_only", None)
     assert blocks(grad, params.config)["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
     assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
@@ -245,8 +245,8 @@ def test_batch_loss_on_fresh_streams_repeats_and_masks_in_layer_order():
     second, _, _ = batch_loss(params, nd, "full", stream())
     assert np.float64(first.total).tobytes() == np.float64(second.total).tobytes()
     rng = stream()
-    for layer, cache in zip(params.layers, preds.caches.layers):
-        expected = make_dropout_mask((len(nd), layer.w.shape[1]), 0.3, rng)
+    for width, cache in zip(params.config.hidden, preds.caches.layers):
+        expected = make_dropout_mask((len(nd), width), 0.3, rng)
         assert np.array_equal(cache.dropout_mask, expected)
     breakdown, _, _ = batch_gradients(params, nd, "full", stream())
     assert np.float64(breakdown.total).tobytes() == np.float64(first.total).tobytes()
@@ -276,7 +276,6 @@ def test_single_step_descent_probability():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_noiseless_benchmark_fit_below_1e3():
     # 50 epochs, full variant, N=2000 noiseless: the deterministic network
     # (dropout off; dropout only adds sampling noise around this fit) drives
@@ -297,7 +296,6 @@ def test_noiseless_benchmark_fit_below_1e3():
     assert fit < 1e-3
 
 
-@pytest.mark.slow
 def test_full_variant_beats_no_physics_on_residual():
     # on residual-free data the full variant's converged physics loss stays
     # at or below the residual a physics-blind run leaves behind
@@ -367,9 +365,7 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
         alone_report, alone = run_fold(train, valid, cfg, model_cfg, 2)
         assert params.theta.shape == alone.theta.shape
         assert params.theta.tobytes() == alone.theta.tobytes()
-        for layer, alone_layer in zip(params.layers, alone.layers):
-            assert layer.bn_running_mean.tobytes() == alone_layer.bn_running_mean.tobytes()
-            assert layer.bn_running_var.tobytes() == alone_layer.bn_running_var.tobytes()
+        assert params.running.tobytes() == alone.running.tobytes()  # every layer's mean and var
         assert len(report.traces) == 3
         assert pickle.dumps(report.traces) == pickle.dumps(alone_report.traces)
         assert pickle.dumps(report) == pickle.dumps(alone_report)
@@ -394,9 +390,7 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit():
             alone_report, alone = run_fold(train, valid, cfg, model_cfg, number)
             assert params.theta.shape == alone.theta.shape
             assert params.theta.tobytes() == alone.theta.tobytes()
-            for layer, alone_layer in zip(params.layers, alone.layers):
-                assert layer.bn_running_mean.tobytes() == alone_layer.bn_running_mean.tobytes()
-                assert layer.bn_running_var.tobytes() == alone_layer.bn_running_var.tobytes()
+            assert params.running.tobytes() == alone.running.tobytes()  # every layer's mean and var
             assert report.fold == number and len(report.traces) == 3
             assert pickle.dumps(report.traces) == pickle.dumps(alone_report.traces)
             assert pickle.dumps(report) == pickle.dumps(alone_report)
@@ -431,14 +425,14 @@ def test_numeric_failure_in_a_stack_names_its_variant():
     nd = apply_normalizer(norm, data)
     cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics", "eda_only")]
     params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
-    params.layers[1].w[0, 1, 0, 0] = np.inf
+    params.views["layer1.w"][0, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
         train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 4, [1])
     expected = "epoch 4, batch 0, fold 1, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 1
     params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
-    params.head_reg.b[0, 2] = 1e200  # finite outputs whose squared error overflows
+    params.views["head_reg.b"][0, 2] = 1e200  # finite outputs whose squared error overflows
     with pytest.raises(NumericError) as caught:
         train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 0, [1])
     assert str(caught.value).startswith("epoch 0, batch 0, fold 1, variant eda_only: non-finite loss (l_eda=inf")
@@ -452,7 +446,7 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics")]
     inits = [init_model(quick_model(dropout=0.2, seed=s)) for s in (7, 8)]
     params = stack(inits, 2)
-    params.layers[1].w[1, 1, 0, 0] = np.inf
+    params.views["layer1.w"][1, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
         train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 3, (4, 5))
     expected = "epoch 3, batch 0, fold 5, variant no_physics: non-finite activations after hidden layer 1"
@@ -463,7 +457,7 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     nds[1] = nds[1].subset(np.arange(120))
     cfgs = [quick_cfg(batch_size=128, variant=v) for v in ("full", "no_physics", "eda_only")]
     params = stack([init_model(quick_model(dropout=0.0, seed=s)) for s in (7, 8)], 3)
-    params.head_reg.b[1, 2] = 1e200
+    params.views["head_reg.b"][1, 2] = 1e200
     with pytest.raises(NumericError) as caught:
         train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 0, (4, 5))
     assert str(caught.value).startswith("epoch 0, batch 0, fold 5, variant eda_only: non-finite loss (l_eda=inf")
