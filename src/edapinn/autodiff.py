@@ -6,10 +6,10 @@ derivatives with respect to the scalar time input (the tangents). Leading
 axes index a stack of models: every primitive reduces over the rows (axis
 -2), builds its output on axis -3 and broadcasts a parameter vector ``p``
 over the rows as ``p[..., None, :]``, so one code path serves one model,
-with parameters of shape ``(width,)``, a stack of V variants of one fold,
-with parameters of shape ``(V, width)``, and a stack over F folds, with
-parameters of shape ``(F, V, width)``, whose input ``(F, 1, 2, n, 4)`` holds
-one batch per fold and broadcasts over the variants. Every forward takes one such array
+with parameters of shape ``(width,)``, and a stack of F folds of V
+variants, with parameters of shape ``(F, V, width)``, whose input
+``(F, 1, 2, n, 4)`` holds one batch per fold and broadcasts over the
+variants. Every forward takes one such array
 and returns one; every backward takes the adjoint of its output, an array of
 the same shape, and returns the adjoint of its input,
 

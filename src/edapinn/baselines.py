@@ -21,6 +21,7 @@ from .autodiff import sigmoid
 from .data import Dataset, apply_normalizer, fit_normalizer
 from .errors import ContractError, NumericError
 from .evaluation import classification_metrics, regression_metrics
+from .trainer import require_fold_rows
 
 
 @dataclass
@@ -113,12 +114,15 @@ def baseline_rows(
     """The mean (eda_rmse, emotion_f1, pearson_r) of each named baseline over
     the given folds, in one pass: every fold is normalized once, on its
     training part, for all of them. ``threshold`` classifies the logistic
-    probabilities, as ``model.threshold`` does the network's."""
+    probabilities, as ``model.threshold`` does the network's. Folds are
+    numbered from 1; a split too small to score raises ``ConfigError``, as
+    in training (``trainer.require_fold_rows``)."""
     scores: dict[str, list[tuple[float, float, float]]] = {name: [] for name in names}
-    for tr_idx, va_idx in folds:
+    for i, (tr_idx, va_idx) in enumerate(folds, start=1):
         train, valid = data.subset(tr_idx), data.subset(va_idx)
         norm = fit_normalizer(train)
         train_n, valid_n = apply_normalizer(norm, train), apply_normalizer(norm, valid)
+        require_fold_rows(train, valid, i)
         for name in names:
             scores[name].append(BASELINES[name](train_n, valid_n, threshold))
     return {name: tuple(float(np.mean(col)) for col in zip(*s)) for name, s in scores.items()}

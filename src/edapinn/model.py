@@ -35,9 +35,10 @@ of shape ``(F, V, P)`` and ``running`` of shape ``(F, V, R)``, so every view
 carries the leading axes. Its batch holds one batch per fold, ``t`` of shape
 ``(F, 1, n)``, so the input is ``(F, 1, 2, n, 4)`` and broadcasts over the
 variants; each fold draws its own dropout masks from its own stream,
-``(F, 1, n, width)``, and the outputs are ``(F, V, n)``. A row of a stack,
-``ModelParams(p.theta[f], p.running[f], normalizer, config)``, is a view of
-its memory.
+``(F, 1, n, width)``, and the outputs are ``(F, V, n)``. A slice of a
+stack's folds, ``ModelParams(p.theta[s], p.running[s], normalizer,
+config)``, is a stack on a view of its memory, which training steps on a
+batch that only those folds share.
 
 A checkpoint (``checkpoint_text``) is a write-only record of one network:
 versioned JSON of every part, the normalizer and the config, identical for

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,12 +39,20 @@ if TYPE_CHECKING:  # avoid runtime import cycles with data.py and model.py
     from .data import Dataset
     from .model import ModelParams, Predictions
 
-# the network variants and the loss terms each trains: (use_eda, use_emotion, use_physics)
+class Terms(NamedTuple):
+    """Which loss terms a network variant trains."""
+
+    eda: bool
+    emotion: bool
+    physics: bool
+
+
+# the network variants and the loss terms each trains
 VARIANTS = {
-    "full": (True, True, True),
-    "no_physics": (True, True, False),
-    "eda_only": (True, False, True),
-    "emotion_only": (False, True, True),
+    "full": Terms(eda=True, emotion=True, physics=True),
+    "no_physics": Terms(eda=True, emotion=True, physics=False),
+    "eda_only": Terms(eda=True, emotion=False, physics=True),
+    "emotion_only": Terms(eda=False, emotion=True, physics=True),
 }
 
 

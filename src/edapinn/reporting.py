@@ -119,7 +119,7 @@ def ablation_table(
         rmse = float(np.mean([r.regression.rmse for r in reports]))
         r_mean = float(np.mean([r.regression.pearson_r for r in reports]))
         f1 = float(np.mean([r.classification.f1 for r in reports]))
-        rows.append(AblationRow(v, rmse, f1 if VARIANTS[v][1] else 0.0, r_mean))
+        rows.append(AblationRow(v, rmse, f1 if VARIANTS[v].emotion else 0.0, r_mean))
     return rows, fold_reports
 
 
@@ -130,7 +130,7 @@ def ablation_csv(rows: list[AblationRow]) -> str:
 def comparison_csv(rows: list[AblationRow]) -> str:
     """Multi-task vs single-task comparison data: the network variants whose
     ``VARIANTS`` entry keeps the physics term (full, eda_only, emotion_only)."""
-    return ablation_csv([r for r in rows if VARIANTS.get(r.variant, (False,) * 3)[2]])
+    return ablation_csv([r for r in rows if r.variant in VARIANTS and VARIANTS[r.variant].physics])
 
 
 # ---------------------------------------------------------------------------

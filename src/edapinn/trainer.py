@@ -6,7 +6,9 @@ the loss terms each variant trains (``objective.VARIANTS``).
 Training has one shape: a stack of networks (``model.stack``) with leading
 axes (folds, variants), ``theta`` of shape ``(F, V, P)``. ``run_folds``
 trains several folds, each with every variant of the run, as one stack:
-one forward, one backward and one Adam step per batch serve them all. The
+one forward, one backward and one Adam step per batch serve them all, or,
+where the folds' batches differ in size, one per run of adjacent folds
+whose batches agree, on a slice of the stack (``train_epoch``). The
 variants of a fold share its normalizer, init, shuffles and dropout masks,
 and the objective gives each its own terms; each fold keeps its own
 normalizer, init and streams. So every network of the stack gets the
@@ -219,11 +221,12 @@ def train_epoch(
 
     Each fold shuffles its rows and draws its masks from its own stream and
     cuts contiguous batches, a final batch of fewer than ``MIN_FINAL_BATCH``
-    rows joined to the one before it; so every network steps as it does
-    alone. A batch that every fold has, at one size, is one step of the
-    whole stack; any other (a tail, or a batch some folds lack) steps fold
-    by fold on the stack's rows. A numeric failure names the epoch, batch,
-    fold and variant.
+    rows joined to the one before it. For each batch number, every run of
+    adjacent folds whose batches have one size steps as one slice of the
+    stack, ``theta[s]`` with ``opt``'s rows and streams ``rngs[s]``; a fold
+    without that batch takes no step. Where every fold's batch has one
+    size, the run is the whole stack. So every network steps as it does
+    alone. A numeric failure names the epoch, batch, fold and variant.
     """
     if params.theta.shape[:-1] != (len(data), len(cfgs)) or not len(data) == len(rngs) == len(folds):
         raise ContractError(
@@ -236,21 +239,27 @@ def train_epoch(
     bounds = [_batch_bounds(len(d), cfgs[0].batch_size) for d in data]
     sums = np.zeros((3,) + params.theta.shape[:-1])
 
-    def step(batch_no, fold, net, state, batch, masks) -> np.ndarray:
-        """One step of ``net``, the whole stack (``fold`` None) or one fold's
-        row of it; returns the loss components, shaped (3,) + its leading axes."""
+    def step(batch_no: int, s: slice) -> None:
+        """One step of folds ``s``, a slice of the stack and of ``opt`` (views
+        of their memory), on their batch ``batch_no``; adds each network's
+        loss components times the rows to ``sums``."""
 
         def failure(model, message):
+            model += s.start * len(variants)  # its index in the whole stack
             f, v = divmod(model, len(variants))
-            f = f if fold is None else fold
             where = f"epoch {epoch}, batch {batch_no}, fold {folds[f]}, variant {variants[v]}"
-            return NumericError(f"{where}: {message}", model=f * len(variants) + v)
+            return NumericError(f"{where}: {message}", model=model)
 
+        net = ModelParams(params.theta[s], params.running[s], params.normalizer, params.config)
+        state = AdamState(opt.m[s], opt.v[s], opt.t[s], opt.lr)
+        batch = _fold_batch([
+            data[f].subset(orders[f][bounds[f][batch_no] : bounds[f][batch_no + 1]]) for f in range(s.start, s.stop)
+        ])
         # non-finites are detected explicitly (per-layer and on the loss), so
         # numpy's overflow chatter on an already-diverged step is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                breakdown, grad, preds = batch_gradients(net, batch, variants, masks)
+                breakdown, grad, preds = batch_gradients(net, batch, variants, dropout[s])
             except NumericError as exc:
                 raise failure(exc.model, exc) from exc
             losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
@@ -263,25 +272,16 @@ def train_epoch(
                 )
             adam_step(state, net, grad)
         model_mod.commit_batchnorm(net, preds.caches)
-        return losses
+        sums[:, s] += len(batch) * losses
 
     for batch_no in range(max(map(len, bounds)) - 1):
-        parts = {
-            f: data[f].subset(orders[f][b[batch_no] : b[batch_no + 1]])
-            for f, b in enumerate(bounds)
-            if batch_no + 1 < len(b)
-        }
-        if len(parts) == len(data) and len({len(part) for part in parts.values()}) == 1:
-            steps = [(None, params, opt, _fold_batch(list(parts.values())), dropout)]
-        else:
-            steps = [  # each fold on its rows of the stack and of ``opt``, views of their memory
-                (f, ModelParams(params.theta[f], params.running[f], params.normalizer, params.config),
-                 AdamState(opt.m[f], opt.v[f], opt.t[f], opt.lr), part, dropout[f])
-                for f, part in parts.items()
-            ]
-        for fold, net, state, batch, masks in steps:
-            fold_sums = sums if fold is None else sums[:, fold]
-            fold_sums += len(batch) * step(batch_no, fold, net, state, batch, masks)
+        # a fold without this batch has size 0; each run of folds whose
+        # batches share a size steps as one slice of the stack
+        sizes = [b[batch_no + 1] - b[batch_no] if batch_no + 1 < len(b) else 0 for b in bounds]
+        edges = [f for f in range(1, len(sizes)) if sizes[f] != sizes[f - 1]]
+        for s in map(slice, [0] + edges, edges + [len(sizes)]):
+            if sizes[s.start]:
+                step(batch_no, s)
 
     means = sums / np.array([len(d) for d in data])[:, None]
     phys, floor = params.physics, params.config.lambda_floor
@@ -291,7 +291,7 @@ def train_epoch(
         for v, variant in enumerate(variants):
             # one network's scalars, so its lambda is computed as it is alone
             one = PhysicsParams(phys.alpha0[f, v], phys.beta[f, v], phys.gamma[f, v], phys.rho[f, v])
-            lambda_eff = float(one.lambda_eff(floor)) if VARIANTS[variant][2] else 0.0
+            lambda_eff = float(one.lambda_eff(floor)) if VARIANTS[variant].physics else 0.0
             l_eda, l_emotion, l_physics = (float(m) for m in means[:, f, v])
             fold_traces.append(EpochTrace(
                 epoch, l_eda, l_emotion, l_physics, lambda_eff, float(one.alpha0), one.beta.copy(), float(one.gamma)
@@ -308,6 +308,19 @@ def train_epoch(
 Fold = tuple[Dataset, Dataset, int]
 
 
+def require_fold_rows(train: Dataset, valid: Dataset, number: int) -> None:
+    """Raise ``ConfigError``, naming fold ``number`` and the row count, when
+    either split has fewer than ``MIN_FINAL_BATCH`` rows: training needs a
+    batch, and metrics of a few validation rows read as a result that is
+    none (the Pearson r of two rows is always 1 or -1)."""
+    if len(train) < MIN_FINAL_BATCH:
+        raise ConfigError(f"fold {number} has {len(train)} training rows; a batch needs at least {MIN_FINAL_BATCH}")
+    if len(valid) < MIN_FINAL_BATCH:
+        raise ConfigError(
+            f"fold {number} has {len(valid)} validation rows; its metrics need at least {MIN_FINAL_BATCH}"
+        )
+
+
 def run_folds(
     folds: Sequence[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig
 ) -> list[list[tuple[FoldReport, ModelParams]]]:
@@ -320,23 +333,21 @@ def run_folds(
     flows through it unchanged; targets may leave [0, 1]), inits its
     networks from its own derived seed and shuffles and draws masks from its
     own stream, so every network gets, byte for byte, the numbers it gets
-    when trained alone. A training split of fewer than ``MIN_FINAL_BATCH``
-    rows raises ``ConfigError`` before any training. Returns, per fold in
-    order, the report and the trained model of each config, in order: a
+    when trained alone. A training or validation split of fewer than
+    ``MIN_FINAL_BATCH`` rows raises ``ConfigError`` before any training
+    (``require_fold_rows``), once the columns have normalized. Returns, per
+    fold in order, the report and the trained model of each config, in order: a
     view of the stack's memory with its fold's normalizer and seeded config.
     """
     if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
         raise ContractError("a stack needs configs that differ in their variant alone")
     if not folds:
         raise ContractError("a stack needs at least one fold")
-    for train, _, i in folds:
-        if len(train) < MIN_FINAL_BATCH:
-            raise ConfigError(
-                f"fold {i} has {len(train)} training rows; a batch needs at least {MIN_FINAL_BATCH}"
-            )
     norms = [fit_normalizer(train) for train, _, _ in folds]
     trains = [apply_normalizer(norm, train) for norm, (train, _, _) in zip(norms, folds)]
     valids = [apply_normalizer(norm, valid) for norm, (_, valid, _) in zip(norms, folds)]
+    for fold in folds:  # after the column checks: a faulty column stays faulty at any k
+        require_fold_rows(*fold)
     numbers = [i for _, _, i in folds]
     seeded = [replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{i}")) for i in numbers]
     params = model_mod.stack([init_model(c, norm) for c, norm in zip(seeded, norms)], len(cfgs))

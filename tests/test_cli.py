@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from edapinn import suites
 from edapinn.cli import main
 from edapinn.config import RunConfig, load_config, parse_config
-from edapinn.data import SynthSpec
+from edapinn.data import SynthSpec, synth_generate, write_csv
 from edapinn.errors import ConfigError
 from edapinn.model import ModelConfig
 from edapinn.trainer import TrainRunConfig
@@ -332,6 +332,24 @@ def test_unusable_csv_exits_2(tmp_path, capsys, command, case):
     cfg_path = write_config(tmp_path, {"data": {"input": str(csv_path)}, "train": SMALL_TRAIN})
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, variants",
+    [("train", None), ("kfold", None), ("ablate", ["full", "ridge"]), ("ablate", ["ridge"])],
+)
+def test_tiny_validation_split_exits_2(tmp_path, capsys, command, variants):
+    """20 rows at k 10 leave 2 validation rows per fold, whose Pearson r is
+    always 1 or -1: networks and baselines alike refuse to score them."""
+    data, _ = synth_generate(SynthSpec(n=20, seed=10))
+    assert np.bincount(data.label).tolist() == [10, 10]
+    csv_path = tmp_path / "d.csv"
+    write_csv(data, csv_path)
+    doc = {"data": {"input": str(csv_path)}, "train": {**SMALL_TRAIN, "k": 10}}
+    if variants:
+        doc["ablate"] = {"variants": variants}
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: fold 1 has 2 validation rows; its metrics need at least 8\n"
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):

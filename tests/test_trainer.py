@@ -372,17 +372,28 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
         assert checkpoint_text(params) == checkpoint_text(alone)
 
 
-def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit():
+def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypatch):
     # 135/136/137 training rows in batches of 64: batch 0 steps the whole
-    # stack; batch 1 is 71/64/64 rows (fold 1's 7-row tail joins it) and
-    # batch 2 only folds 2 and 3 have, so both step fold by fold, and from
-    # then on the folds' Adam step counts differ
+    # stack; batch 1 is 71/64/64 rows (fold 1's 7-row tail joins it), so
+    # fold 1 steps alone and folds 2-3 as one slice; batch 2, 8/9 rows, only
+    # folds 2 and 3 have, each alone; from then on the folds' Adam step
+    # counts differ
     data = small_synth(n=480, seed=21)
     folds = [(data.subset(np.arange(160 * i, 160 * i + 135 + i)),
               data.subset(np.arange(160 * i + 135 + i, 160 * (i + 1))), i + 1) for i in range(3)]
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in ("full", "emotion_only")]
     model_cfg = quick_model(dropout=0.2)
-    stacked = run_folds(folds, cfgs, model_cfg)
+    real, steps = trainer_mod.batch_gradients, []
+
+    def recording(params, batch, variant, rng):
+        steps.append((params.theta.shape[:-1], batch.t.shape[:-1], np.shape(rng)))
+        return real(params, batch, variant, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer_mod, "batch_gradients", recording)
+        stacked = run_folds(folds, cfgs, model_cfg)
+    # every step is a slice of the stack: (F_s, V) networks, one (F_s, 1) batch, F_s streams
+    assert steps == [((f, 2), (f, 1), (f,)) for f in [3, 1, 2, 1, 1]] * 3
     assert len(stacked) == 3
     for (train, valid, number), pairs in zip(folds, stacked):
         assert len(pairs) == 2
@@ -452,8 +463,8 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     expected = "epoch 3, batch 0, fold 5, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 3
-    # 128 and 120 rows in one batch each: the folds step one by one, and fold 5's
-    # third variant has finite outputs whose squared error overflows
+    # 128 and 120 rows in one batch each: the folds step as two slices of one
+    # fold, and fold 5's third variant has finite outputs whose squared error overflows
     nds[1] = nds[1].subset(np.arange(120))
     cfgs = [quick_cfg(batch_size=128, variant=v) for v in ("full", "no_physics", "eda_only")]
     params = stack([init_model(quick_model(dropout=0.0, seed=s)) for s in (7, 8)], 3)
