@@ -1,10 +1,11 @@
 """Classical comparators: ridge regression, an exact solve, and logistic
 regression, fitted by Newton's method to its penalized optimum.
 
-Both consume the same normalized design block (time column + emotion
-features) and the same fold splits as the network, so ablation rows are
-directly comparable. ``BASELINES`` maps each name, in table order, to its
-(eda_rmse, emotion_f1, pearson_r) on one normalized split. A baseline fills
+Both score the networks' own prepared folds (``trainer.prepare_folds``):
+the same splits, normalized by the same normalizers, fitted on the
+normalized design block (time column + emotion features), so ablation rows
+are directly comparable. ``BASELINES`` maps each name, in table order, to
+its (eda_rmse, emotion_f1, pearson_r) on one normalized split. A baseline fills
 only its own task's columns; the other task reports 0.0 (no trained
 predictor), the convention of the single-task network variants. The
 logistic row is a linear classifier of the stress label; its F1 thresholds
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import sigmoid
-from .data import Dataset, apply_normalizer, fit_normalizer
+from .data import Dataset
 from .errors import ContractError, NumericError
 from .evaluation import classification_metrics, regression_metrics
-from .trainer import require_fold_rows
+from .trainer import Fold
 
 
 @dataclass
@@ -108,21 +109,10 @@ def _logistic_scores(train: Dataset, valid: Dataset, threshold: float) -> tuple[
 BASELINES = {"ridge": _ridge_scores, "logistic": _logistic_scores}
 
 
-def baseline_rows(
-    data: Dataset, folds: list[tuple[np.ndarray, np.ndarray]], names: list[str], threshold: float
-) -> dict[str, tuple[float, float, float]]:
+def baseline_rows(folds: list[Fold], names: list[str], threshold: float) -> dict[str, tuple[float, float, float]]:
     """The mean (eda_rmse, emotion_f1, pearson_r) of each named baseline over
-    the given folds, in one pass: every fold is normalized once, on its
-    training part, for all of them. ``threshold`` classifies the logistic
-    probabilities, as ``model.threshold`` does the network's. Folds are
-    numbered from 1; a split too small to score raises ``ConfigError``, as
-    in training (``trainer.require_fold_rows``)."""
-    scores: dict[str, list[tuple[float, float, float]]] = {name: [] for name in names}
-    for i, (tr_idx, va_idx) in enumerate(folds, start=1):
-        train, valid = data.subset(tr_idx), data.subset(va_idx)
-        norm = fit_normalizer(train)
-        train_n, valid_n = apply_normalizer(norm, train), apply_normalizer(norm, valid)
-        require_fold_rows(train, valid, i)
-        for name in names:
-            scores[name].append(BASELINES[name](train_n, valid_n, threshold))
+    the prepared folds, each fitted on a fold's normalized training part and
+    scored on its normalized validation part. ``threshold`` classifies the
+    logistic probabilities, as ``model.threshold`` does the network's."""
+    scores = {name: [BASELINES[name](fold.train, fold.valid, threshold) for fold in folds] for name in names}
     return {name: tuple(float(np.mean(col)) for col in zip(*s)) for name, s in scores.items()}

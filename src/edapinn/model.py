@@ -231,8 +231,11 @@ def _require_finite(a: np.ndarray, models: tuple[int, ...], where: str) -> None:
 def init_model(config: ModelConfig, normalizer: Normalizer | None = None) -> ModelParams:
     """Glorot-uniform weights, unit batch-norm, softplus(rho) = 0.1."""
     rng = Pcg32(config.seed).derive("init")
-    theta = np.zeros(sum(map(math.prod, block_shapes(config).values())))
-    running = np.zeros(sum(map(math.prod, running_shapes(config).values())))
+    try:
+        theta = np.zeros(sum(map(math.prod, block_shapes(config).values())))
+    except ValueError as exc:  # numpy's refusal of a length or byte count past its index type
+        raise MemoryError(f"hidden widths {config.hidden} need more numbers than numpy can hold in one array") from exc
+    running = np.zeros(sum(map(math.prod, running_shapes(config).values())))  # fewer than theta
     params = ModelParams(theta, running, normalizer, config)
     views = params.views
     widths = [INPUT_WIDTH] + list(config.hidden)

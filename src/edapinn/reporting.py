@@ -21,7 +21,7 @@ from .errors import ContractError, DataFormatError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
 from .objective import VARIANTS
-from .trainer import FoldReport, TrainRunConfig, fold_jobs, run_fold_jobs
+from .trainer import FoldReport, TrainRunConfig, fold_jobs, prepare_folds, run_fold_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,8 @@ def ablation_table(
 
     A variant is a baseline of ``baselines.BASELINES`` or else a network
     variant of ``objective.VARIANTS``, which ``TrainRunConfig`` checks.
+    Every fold is prepared once, before any training
+    (``trainer.prepare_folds``), and serves the networks and the baselines.
     Network variants run the full k-fold protocol, all of them as one stack
     of networks per fold (see ``trainer.run_folds``); with every variant,
     each fold is a job of its own (see ``trainer.fold_jobs``). The jobs run
@@ -103,13 +105,13 @@ def ablation_table(
     the per-variant fold reports so callers can reuse them without
     retraining.
     """
-    folds = stratified_kfold(data, cfg.k, cfg.seed)
+    folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, cfg.k, cfg.seed))
     cfgs = {v: replace(cfg, variant=v) for v in variants if v not in BASELINES}
-    jobs = fold_jobs(data, folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
+    jobs = fold_jobs(folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
     stacks = run_fold_jobs(jobs, threads)
     fold_reports = {v: [stack[i][0] for stack in stacks] for i, v in enumerate(cfgs)}
     names = [v for v in variants if v in BASELINES]
-    baseline = baseline_rows(data, folds, names, model_cfg.threshold)
+    baseline = baseline_rows(folds, names, model_cfg.threshold)
     rows: list[AblationRow] = []
     for v in variants:
         if v in baseline:

@@ -59,7 +59,10 @@ def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """``powers[i] = A^i`` and ``sums[i] = sum_{j<i} A^j`` (mod 2^64) for
     ``i < n``, read-only, and the n-step jump ``(a_n, b_n)``: advancing n
     steps maps ``s`` to ``a_n * s + b_n * inc``."""
-    powers = np.empty(n, dtype=np.uint64)
+    try:
+        powers = np.empty(n, dtype=np.uint64)
+    except ValueError as exc:  # numpy's refusal of a length or byte count past its index type
+        raise MemoryError(f"{n} random draws are more than numpy can hold in one array") from exc
     powers[0] = np.uint64(1)
     powers[1:] = np.cumprod(np.full(n - 1, np.uint64(_MULT), dtype=np.uint64))
     sums = np.zeros(n, dtype=np.uint64)

@@ -15,11 +15,13 @@ normalizer, init and streams. So every network of the stack gets the
 numbers, byte for byte, that it gets when trained alone (``run_fold``, the
 stack of one fold and one variant). Each fold trains in one process, so
 accumulation order is deterministic; (seed, data, config) fully determine
-every recorded trace value. ``fold_jobs`` deals the folds into as few jobs
-as fill ``threads`` worker processes without a job holding more networks
-than one fold of every variant; since every fold has its own derived RNG
-streams, the results are identical, byte for byte, however the folds are
-dealt and wherever the jobs run.
+every recorded trace value. Every fold is prepared once, before any
+training (``prepare_folds``), for the stacks and the baselines alike.
+``fold_jobs`` deals the folds into as few jobs as fill ``threads`` worker
+processes without a job holding more networks than one fold of every
+variant; since every fold has its own derived RNG streams, the results are
+identical, byte for byte, however the folds are dealt and wherever the
+jobs run.
 
 ``run_fold_jobs`` also keeps the process's heap steady: it raises glibc's
 trim and mmap thresholds once, so that the step's arrays, which a stack
@@ -31,14 +33,14 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import model as model_mod
 from . import objective as obj
-from .data import Dataset, apply_normalizer, fit_normalizer, stratified_kfold
+from .data import Dataset, Normalizer, apply_normalizer, fit_normalizer, stratified_kfold
 from .errors import ConfigError, ContractError, NumericError
 from .evaluation import (
     ClassificationMetrics,
@@ -134,9 +136,9 @@ def _bias_correction(beta: float, t: np.ndarray) -> np.ndarray:
     return np.array([1.0 - beta ** int(k) for k in t.flat]).reshape(t.shape + (1,))
 
 
-def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamState:
+def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> None:
     """Bias-corrected Adam on all of ``params.theta`` in place, the moments
-    and step counts of ``state`` too; returns ``state``.
+    and step counts of ``state`` too.
 
     Every network of a stack counts its own steps, so stacked folds that
     have taken different numbers of steps still step as one. A number whose
@@ -154,7 +156,6 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> AdamSt
     c2 = _bias_correction(ADAM_BETA2, state.t)
     theta = params.theta  # a field of a frozen model, updated in place
     theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +212,12 @@ def train_epoch(
     rngs: Sequence[Pcg32],
     epoch: int,
     folds: Sequence[int],
-) -> tuple[AdamState, list[list[EpochTrace]]]:
+) -> list[list[EpochTrace]]:
     """One pass that trains a stack over folds, ``params`` with ``theta`` of
-    shape ``(F, V, P)``, and ``opt`` in place. Fold f trains on the
-    normalized split ``data[f]`` with stream ``rngs[f]`` and is numbered
-    ``folds[f]``; variant v trains under ``cfgs[v]``, the batch size coming
-    from the first config. Returns the optimizer state and the epoch's
-    traces, per fold, then per variant.
+    shape ``(F, V, P)``, and ``opt`` in place; returns the epoch's traces,
+    per fold, then per variant. Fold f trains on the normalized split
+    ``data[f]`` with stream ``rngs[f]`` and is numbered ``folds[f]``;
+    variant v trains under ``cfgs[v]``, the batch size from the first config.
 
     Each fold shuffles its rows and draws its masks from its own stream and
     cuts contiguous batches, a final batch of fewer than ``MIN_FINAL_BATCH``
@@ -297,75 +297,79 @@ def train_epoch(
                 epoch, l_eda, l_emotion, l_physics, lambda_eff, float(one.alpha0), one.beta.copy(), float(one.gamma)
             ))
         traces.append(fold_traces)
-    return opt, traces
+    return traces
 
 
 # ---------------------------------------------------------------------------
 # folds
 # ---------------------------------------------------------------------------
 
-# a fold to train: its training split, its validation split and its number
-Fold = tuple[Dataset, Dataset, int]
+
+@dataclass(frozen=True)
+class Fold:
+    """A fold ready to train and score: its number, the normalizer fitted on
+    its training rows, and its training and validation parts scaled by it."""
+
+    number: int
+    normalizer: Normalizer
+    train: Dataset
+    valid: Dataset
 
 
-def require_fold_rows(train: Dataset, valid: Dataset, number: int) -> None:
-    """Raise ``ConfigError``, naming fold ``number`` and the row count, when
-    either split has fewer than ``MIN_FINAL_BATCH`` rows: training needs a
-    batch, and metrics of a few validation rows read as a result that is
-    none (the Pearson r of two rows is always 1 or -1)."""
-    if len(train) < MIN_FINAL_BATCH:
-        raise ConfigError(f"fold {number} has {len(train)} training rows; a batch needs at least {MIN_FINAL_BATCH}")
-    if len(valid) < MIN_FINAL_BATCH:
-        raise ConfigError(
-            f"fold {number} has {len(valid)} validation rows; its metrics need at least {MIN_FINAL_BATCH}"
-        )
+def prepare_folds(splits: Iterable[tuple[Dataset, Dataset]], first: int = 1) -> list[Fold]:
+    """The (train, valid) splits as folds numbered from ``first``. Each
+    normalizes on its training part (validation targets may leave [0, 1])
+    wholly before the next, so a faulty column raises one ``ConfigError``
+    however the folds are later dealt into jobs. Then a split of fewer than
+    ``MIN_FINAL_BATCH`` rows raises ``ConfigError``: training needs a batch,
+    and the metrics of a few rows read as a result that is none (the
+    Pearson r of two rows is always 1 or -1)."""
+    folds = []
+    for number, (train, valid) in enumerate(splits, start=first):
+        norm = fit_normalizer(train)
+        folds.append(Fold(number, norm, apply_normalizer(norm, train), apply_normalizer(norm, valid)))
+    needs = {"train": "training rows; a batch needs", "valid": "validation rows; its metrics need"}
+    for fold in folds:  # after the column checks: a faulty column stays faulty at any k
+        for part, need in needs.items():
+            if (rows := len(getattr(fold, part))) < MIN_FINAL_BATCH:
+                raise ConfigError(f"fold {fold.number} has {rows} {need} at least {MIN_FINAL_BATCH}")
+    return folds
 
 
 def run_folds(
     folds: Sequence[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig
 ) -> list[list[tuple[FoldReport, ModelParams]]]:
-    """Train on each fold's split and evaluate on its validation part, every
-    fold and every config as one stack of networks, ``theta`` of shape
-    ``(F, V, P)`` (see ``train_epoch``); the configs may differ in their
-    variant alone.
+    """Train on each prepared fold's training part and evaluate on its
+    validation part, every fold and every config as one stack of networks,
+    ``theta`` of shape ``(F, V, P)`` (see ``train_epoch``); the configs may
+    differ in their variant alone.
 
-    Each fold fits its normalizer on its training split only (validation
-    flows through it unchanged; targets may leave [0, 1]), inits its
-    networks from its own derived seed and shuffles and draws masks from its
-    own stream, so every network gets, byte for byte, the numbers it gets
-    when trained alone. A training or validation split of fewer than
-    ``MIN_FINAL_BATCH`` rows raises ``ConfigError`` before any training
-    (``require_fold_rows``), once the columns have normalized. Returns, per
-    fold in order, the report and the trained model of each config, in order: a
-    view of the stack's memory with its fold's normalizer and seeded config.
+    Each fold inits its networks from its own derived seed and shuffles and
+    draws masks from its own stream, so every network gets, byte for byte,
+    the numbers it gets when trained alone. Returns, per fold in order, the
+    report and the trained model of each config, in order: a view of the
+    stack's memory with its fold's normalizer and seeded config.
     """
     if not cfgs or len({replace(c, variant="full") for c in cfgs}) != 1:
         raise ContractError("a stack needs configs that differ in their variant alone")
     if not folds:
         raise ContractError("a stack needs at least one fold")
-    norms = [fit_normalizer(train) for train, _, _ in folds]
-    trains = [apply_normalizer(norm, train) for norm, (train, _, _) in zip(norms, folds)]
-    valids = [apply_normalizer(norm, valid) for norm, (_, valid, _) in zip(norms, folds)]
-    for fold in folds:  # after the column checks: a faulty column stays faulty at any k
-        require_fold_rows(*fold)
-    numbers = [i for _, _, i in folds]
+    numbers = [fold.number for fold in folds]
     seeded = [replace(model_cfg, seed=derive_seed(model_cfg.seed, f"fold:{i}")) for i in numbers]
-    params = model_mod.stack([init_model(c, norm) for c, norm in zip(seeded, norms)], len(cfgs))
+    params = model_mod.stack([init_model(c, fold.normalizer) for c, fold in zip(seeded, folds)], len(cfgs))
     opt = init_adam(params, lr=cfgs[0].lr)
     rngs = [Pcg32(cfgs[0].seed).derive(f"fold:{i}") for i in numbers]
-    traces = []
-    for epoch in range(cfgs[0].epochs):
-        opt, epoch_traces = train_epoch(params, opt, trains, cfgs, rngs, epoch, numbers)
-        traces.append(epoch_traces)
+    trains = [fold.train for fold in folds]
+    traces = [train_epoch(params, opt, trains, cfgs, rngs, epoch, numbers) for epoch in range(cfgs[0].epochs)]
     results = []
-    for f, (norm, seeded_cfg, valid_n, i) in enumerate(zip(norms, seeded, valids, numbers)):
+    for f, (fold, seeded_cfg) in enumerate(zip(folds, seeded)):
         pairs = []
         for v in range(len(cfgs)):
-            one = ModelParams(params.theta[f, v], params.running[f, v], norm, seeded_cfg)
-            preds = forward_batch(one, valid_n, "eval")
-            reg = regression_metrics(preds.y_eda, valid_n.y)
-            cls = classification_metrics(preds.p_emotion, valid_n.label, model_cfg.threshold)
-            report = FoldReport(i, reg, cls, one.physics.copy(), [t[f][v] for t in traces])
+            one = ModelParams(params.theta[f, v], params.running[f, v], fold.normalizer, seeded_cfg)
+            preds = forward_batch(one, fold.valid, "eval")
+            reg = regression_metrics(preds.y_eda, fold.valid.y)
+            cls = classification_metrics(preds.p_emotion, fold.valid.label, model_cfg.threshold)
+            report = FoldReport(fold.number, reg, cls, one.physics.copy(), [t[f][v] for t in traces])
             pairs.append((report, one))
         results.append(pairs)
     return results
@@ -379,22 +383,18 @@ def run_fold(
     fold_index: int = 1,
 ) -> tuple[FoldReport, ModelParams]:
     """Train on one split and evaluate on its validation part: the stack of
-    one fold and one config (``run_folds``). Returns the report and the
-    trained model."""
-    return run_folds([(train, valid, fold_index)], [cfg], model_cfg)[0][0]
+    one fold, prepared as fold ``fold_index`` (``prepare_folds``), and one
+    config (``run_folds``). Returns the report and the trained model."""
+    return run_folds(prepare_folds([(train, valid)], fold_index), [cfg], model_cfg)[0][0]
 
 
 FoldJob = tuple[list[Fold], Sequence[TrainRunConfig], ModelConfig]
 
 
 def fold_jobs(
-    data: Dataset,
-    splits: list[tuple[np.ndarray, np.ndarray]],
-    cfgs: Sequence[TrainRunConfig],
-    model_cfg: ModelConfig,
-    threads: int,
+    folds: list[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig, threads: int
 ) -> list[FoldJob]:
-    """The ``run_folds`` arguments of every split, folds numbered from 1.
+    """The ``run_folds`` arguments that train every prepared fold.
 
     The k folds are dealt, in order, into
     ``max(min(threads, k), ceil(k * V / len(VARIANTS)))`` jobs whose sizes
@@ -402,7 +402,6 @@ def fold_jobs(
     ``threads`` workers, and no job holds more networks than one fold of
     every variant: a larger stack costs more per network and more memory.
     """
-    folds = [(data.subset(tr), data.subset(va), i) for i, (tr, va) in enumerate(splits, start=1)]
     k = len(folds)
     jobs = max(min(threads, k), math.ceil(k * len(cfgs) / len(VARIANTS)))
     return [([folds[i] for i in job], cfgs, model_cfg) for job in np.array_split(np.arange(k), jobs)]
@@ -515,13 +514,14 @@ def run_kfold(
 ) -> tuple[list[FoldReport], list[ModelParams]]:
     """Stratified ``cfg.k``-fold driver; fold indices are 1-based as reported.
 
-    The folds train as a few stacks (``fold_jobs``), on ``threads`` worker
-    processes when threads > 1 (see ``run_fold_jobs``); every fold owns
-    derived RNG streams and results are collected in fold order, so the
-    output is identical, byte for byte, to that of one fold at a time.
+    Every fold is prepared (``prepare_folds``) before any trains. The folds
+    train as a few stacks (``fold_jobs``), on ``threads`` worker processes
+    when threads > 1 (see ``run_fold_jobs``); every fold owns derived RNG
+    streams and results are collected in fold order, so the output is
+    identical, byte for byte, to that of one fold at a time.
     """
-    splits = stratified_kfold(data, cfg.k, cfg.seed)
-    jobs = fold_jobs(data, splits, [cfg], model_cfg, threads)
+    folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, cfg.k, cfg.seed))
+    jobs = fold_jobs(folds, [cfg], model_cfg, threads)
     results = [pairs[0] for pairs in run_fold_jobs(jobs, threads)]
     return [r for r, _ in results], [m for _, m in results]
 

@@ -10,7 +10,7 @@ from edapinn.model import ModelConfig
 from edapinn.errors import ContractError, NumericError
 from edapinn.reporting import ablation_table
 from edapinn.rng import Pcg32
-from edapinn.trainer import TrainRunConfig
+from edapinn.trainer import TrainRunConfig, prepare_folds
 
 
 def test_ridge_exact_interpolation_no_intercept():
@@ -149,15 +149,15 @@ def test_logistic_bad_labels_or_shapes_raise_contract_error(x, labels):
 
 def test_baseline_rows_shapes_and_sanity():
     data, _ = synth_generate(SynthSpec(n=600, seed=11))
-    folds = stratified_kfold(data, 3, seed=1)
-    rows = baseline_rows(data, folds, list(BASELINES), 0.5)
+    folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, 3, seed=1))
+    rows = baseline_rows(folds, list(BASELINES), 0.5)
     assert list(rows) == ["ridge", "logistic"]
     (ridge_rmse, ridge_f1, ridge_r), (logistic_rmse, logistic_f1, logistic_r) = rows.values()
     assert ridge_rmse > 0 and ridge_f1 == 0.0 and 0.0 < ridge_r <= 1.0
     assert 0.0 < logistic_f1 < 1.0
     assert logistic_rmse == 0.0 and logistic_r == 0.0
     # one pass over the folds gives each baseline the row it gets alone
-    assert baseline_rows(data, folds, ["logistic"], 0.5)["logistic"] == rows["logistic"]
+    assert baseline_rows(folds, ["logistic"], 0.5)["logistic"] == rows["logistic"]
 
 
 def test_ridge_exact_on_affine_truth():
@@ -172,8 +172,8 @@ def test_ridge_exact_on_affine_truth():
     exact = ridge_fit(x, y, 0.0)
     assert np.max(np.abs(exact.predict(x) - y)) <= 1e-12
     data = Dataset(t, e, y, (rng.random(n) < 0.5).astype(np.int64))
-    folds = stratified_kfold(data, 3, seed=2)
-    rmse, _, r = baseline_rows(data, folds, ["ridge"], 0.5)["ridge"]
+    folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, 3, seed=2))
+    rmse, _, r = baseline_rows(folds, ["ridge"], 0.5)["ridge"]
     assert rmse <= 1e-8
     assert r == pytest.approx(1.0, abs=1e-12)
 

@@ -499,7 +499,7 @@ def test_dead_worker_process_exits_2(tmp_path, capsys, monkeypatch, command):
     real = trainer_mod.run_folds
 
     def dying(folds, cfg, model_cfg):
-        if 2 in [number for _, _, number in folds]:  # only ever in a worker: two threads, three folds
+        if 2 in [fold.number for fold in folds]:  # only ever in a worker: two threads, three folds
             os.kill(os.getpid(), signal.SIGKILL)
         return real(folds, cfg, model_cfg)
 
@@ -565,6 +565,40 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc):
     assert str(exc) in err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"model": {"hidden": [10**20]}}, {"data": {"synth": {"n": 10**20}}}], ids=["hidden", "synth_n"]
+)
+def test_size_past_numpys_largest_array_exits_2(tmp_path, capsys, doc):
+    """numpy refuses such a size with a ValueError, not a MemoryError; the
+    run does not fit in memory either way."""
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "than numpy can hold in one array" in err
+
+
+@pytest.mark.parametrize("command", ["kfold", "ablate"])
+def test_small_later_fold_exits_2_before_any_training(tmp_path, capsys, monkeypatch, command):
+    """Synth n 37 at seed 20 gives validation splits of 8/8/8/6/7 rows: fold 4
+    is refused before any fold trains, also when one process runs them all."""
+    import edapinn.trainer as trainer_mod
+
+    real, calls = trainer_mod.train_epoch, []
+
+    def counting(*args):
+        calls.append(args[-2])
+        return real(*args)
+
+    monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+    doc = {"data": {"synth": {"n": 37}}, "train": {"epochs": 3}, "ablate": {"variants": ["full", "ridge"]}}
+    cfg_path = write_config(tmp_path, doc)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", "20", "--threads", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: fold 4 has 6 validation rows; its metrics need at least 8\n"
+    assert calls == []
+
+
 def alternating_csv(column: str) -> str:
     """20 rows whose ``column`` alternates between +1e308 and -1e308: finite
     cells whose spread overflows float64."""
@@ -597,7 +631,7 @@ def one_cell_csv(column: str, value: str) -> str:
 
 
 @pytest.mark.parametrize("column", ["t", "eda_mean"])
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate"])
 def test_validation_cell_overflowing_once_normalized_exits_2(tmp_path, capsys, command, column):
     """Row 0 lands in fold 1's validation split, so the training rows fit a
     normalizer under which its 1e308 leaves float64 (t) or squares past it

@@ -6,6 +6,7 @@ import glob
 import multiprocessing
 import pickle
 import resource
+import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 import edapinn.trainer as trainer_mod
 from edapinn.autodiff import make_dropout_mask
+from edapinn.baselines import BASELINES
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError, ContractError, DataFormatError, NumericError
 from edapinn.model import ModelConfig, ModelParams, blocks, checkpoint_text, init_model, stack
@@ -27,6 +29,7 @@ from edapinn.trainer import (
     batch_loss,
     init_adam,
     physics_least_squares,
+    prepare_folds,
     recover_physics,
     fold_jobs,
     run_fold,
@@ -58,7 +61,7 @@ def train_one_fold(net, data, cfg, epochs=1):
     params = stack([net], 1)
     opt, rng, traces = init_adam(params, cfg.lr), Pcg32(cfg.seed), []
     for epoch in range(epochs):
-        opt, epoch_traces = train_epoch(params, opt, [data], [cfg], [rng], epoch, [1])
+        epoch_traces = train_epoch(params, opt, [data], [cfg], [rng], epoch, [1])
         traces.append(epoch_traces[0][0])
     return ModelParams(params.theta[0, 0], params.running[0, 0], net.normalizer, net.config), traces
 
@@ -71,7 +74,8 @@ def train_one_fold(net, data, cfg, epochs=1):
 def test_adam_zero_gradient_no_move():
     params = init_model(quick_model())
     before = params.theta.copy()
-    opt = adam_step(init_adam(params), params, np.zeros_like(params.theta))
+    opt = init_adam(params)
+    adam_step(opt, params, np.zeros_like(params.theta))
     assert np.array_equal(params.theta, before)
     assert opt.t == 1
 
@@ -103,7 +107,7 @@ def test_adam_reference_recurrence_on_quadratic():
     for _ in range(100):
         grad = np.zeros_like(params.theta)
         blocks(grad, params.config)["physics.alpha0"][...] = 2.0 * params.physics.alpha0
-        opt = adam_step(opt, params, grad)
+        adam_step(opt, params, grad)
     assert params.physics.alpha0 == pytest.approx(w, abs=1e-12)
     moved = params.theta != others
     assert moved.sum() == 1 and blocks(moved, params.config)["physics.alpha0"]
@@ -359,7 +363,7 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
     train, valid = data.subset(np.arange(132)), data.subset(np.arange(132, 200))
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in VARIANTS]
     model_cfg = quick_model(dropout=0.2)
-    stacked = run_folds([(train, valid, 2)], cfgs, model_cfg)[0]
+    stacked = run_folds(prepare_folds([(train, valid)], 2), cfgs, model_cfg)[0]
     assert len(stacked) == len(cfgs)
     for cfg, (report, params) in zip(cfgs, stacked):
         alone_report, alone = run_fold(train, valid, cfg, model_cfg, 2)
@@ -379,8 +383,8 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypat
     # folds 2 and 3 have, each alone; from then on the folds' Adam step
     # counts differ
     data = small_synth(n=480, seed=21)
-    folds = [(data.subset(np.arange(160 * i, 160 * i + 135 + i)),
-              data.subset(np.arange(160 * i + 135 + i, 160 * (i + 1))), i + 1) for i in range(3)]
+    splits = [(data.subset(np.arange(160 * i, 160 * i + 135 + i)),
+               data.subset(np.arange(160 * i + 135 + i, 160 * (i + 1)))) for i in range(3)]
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in ("full", "emotion_only")]
     model_cfg = quick_model(dropout=0.2)
     real, steps = trainer_mod.batch_gradients, []
@@ -391,11 +395,11 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypat
 
     with monkeypatch.context() as m:
         m.setattr(trainer_mod, "batch_gradients", recording)
-        stacked = run_folds(folds, cfgs, model_cfg)
+        stacked = run_folds(prepare_folds(splits), cfgs, model_cfg)
     # every step is a slice of the stack: (F_s, V) networks, one (F_s, 1) batch, F_s streams
     assert steps == [((f, 2), (f, 1), (f,)) for f in [3, 1, 2, 1, 1]] * 3
     assert len(stacked) == 3
-    for (train, valid, number), pairs in zip(folds, stacked):
+    for number, ((train, valid), pairs) in enumerate(zip(splits, stacked), start=1):
         assert len(pairs) == 2
         for cfg, (report, params) in zip(cfgs, pairs):
             alone_report, alone = run_fold(train, valid, cfg, model_cfg, number)
@@ -417,17 +421,35 @@ def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(k, variants, threads,
     data = small_synth(n=200, seed=13)
     splits = trainer_mod.stratified_kfold(data, k, 5)
     cfgs = [quick_cfg(variant=v) for v in list(VARIANTS)[:variants]]
-    jobs = fold_jobs(data, splits, cfgs, quick_model(), threads)
+    prepared = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in splits)
+    jobs = fold_jobs(prepared, cfgs, quick_model(), threads)
     assert [len(folds) for folds, _, _ in jobs] == sizes
-    assert [number for folds, _, _ in jobs for _, _, number in folds] == list(range(1, k + 1))
+    assert [fold.number for folds, _, _ in jobs for fold in folds] == list(range(1, k + 1))
+
+
+def test_ablation_normalizes_each_fold_once(monkeypatch):
+    """The networks and the baselines share the prepared folds: one
+    ``fit_normalizer`` per fold, wherever the name was imported."""
+    real, calls = fit_normalizer, []
+
+    def counting(train):
+        calls.append(len(train))
+        return real(train)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("edapinn")]:
+        if getattr(module, "fit_normalizer", None) is real:
+            monkeypatch.setattr(module, "fit_normalizer", counting)
+    variants = [*VARIANTS, *BASELINES]
+    ablation_table(small_synth(n=400), variants, quick_model(), quick_cfg(epochs=1, k=5), threads=1)
+    assert len(calls) == 5
 
 
 def test_stack_configs_may_differ_in_their_variant_alone():
     data = small_synth(n=120)
     with pytest.raises(ContractError):
-        run_folds([(data, data, 1)], [quick_cfg(), quick_cfg(epochs=4)], quick_model())
+        run_folds(prepare_folds([(data, data)]), [quick_cfg(), quick_cfg(epochs=4)], quick_model())
     with pytest.raises(ContractError):
-        run_folds([(data, data, 1)], [], quick_model())
+        run_folds(prepare_folds([(data, data)]), [], quick_model())
 
 
 def test_numeric_failure_in_a_stack_names_its_variant():
@@ -567,7 +589,7 @@ def test_worker_failure_keeps_its_type_and_leaves_no_process(monkeypatch, error,
     real = trainer_mod.run_folds
 
     def failing(folds, cfg, model_cfg):
-        if 2 in [number for _, _, number in folds]:
+        if 2 in [fold.number for fold in folds]:
             raise error
         return real(folds, cfg, model_cfg)
 
