@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -118,6 +119,11 @@ def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
     _write_fold_tables(out, reports)
     for report, params in zip(reports, models):
         write_text_atomic(out / f"fold_{report.fold}.ckpt.json", checkpoint_text(params))
+    # a reused --out keeps only this run's checkpoints: fold_<n> outside 1..k goes
+    for path in out.glob("fold_*.ckpt.json"):
+        index = re.fullmatch(r"fold_([0-9]+)\.ckpt\.json", path.name)
+        if index and not 1 <= int(index[1]) <= cfg.train.k:
+            path.unlink()
     print(f"{cfg.train.k}-fold run complete -> {out}")
     print(render_csv_file(out / "metrics.csv"))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Self-contained verification suites behind the ``check`` command.
+"""Self-contained verification suites: the one implementation of each oracle.
 
 Each suite pits an implementation path against an independent oracle:
 analytic gradients vs central finite differences, the dual tangent channel
@@ -7,6 +7,11 @@ synthetic data vs the residual definition, gradient-descent recovery vs the
 normal-equations solution, and the metric implementations vs brute-force
 recounts. Results carry a measured figure plus the pass verdict; nothing
 raises on failure.
+
+Two callers run them, each with nothing but a seed. The ``check`` command
+runs every suite at the given seed. The acceptance gate (criteria 2-6, 8 and
+9 of ``tests/test_acceptance.py``) runs one suite per criterion at the
+criterion's seed and adds its own tolerance and time bound.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .data import (
     stratified_kfold,
     synth_generate,
 )
-from .evaluation import classification_metrics, regression_metrics
+from .evaluation import ClassificationMetrics, classification_metrics, regression_metrics
 from .gradcheck import check_gradients
 from .model import ModelConfig, init_model
 from .objective import PhysicsParams, mse, physics_residual
@@ -40,6 +45,7 @@ class SuiteResult:
     passed: bool
     detail: str
     seconds: float = 0.0  # wall time, set by run_all_suites
+    figure: float = math.nan  # the measured number the verdict rests on
 
 
 def _random_batch(n: int, seed: int) -> Dataset:
@@ -59,6 +65,7 @@ def suite_gradient_check(seed: int = 1) -> SuiteResult:
         "gradient-check",
         report.passed,
         f"max rel error {report.max_rel_error:.3e} (worst block {report.worst_block}, tol 1e-6)",
+        figure=report.max_rel_error,
     )
 
 
@@ -85,6 +92,7 @@ def suite_tangent_check(seed: int = 1) -> SuiteResult:
         "tangent-check",
         worst <= tol,
         f"max rel error {worst:.3e} over {n} samples (tol {tol:g})",
+        figure=worst,
     )
 
 
@@ -119,6 +127,7 @@ def suite_ode_oracle(seed: int = 1) -> SuiteResult:
         "ode-oracle",
         ok,
         f"max abs error {worst:.3e} over 20 draws (tol 1e-8); halving ratio {ratio:.1f}x (need >= 12)",
+        figure=worst,
     )
 
 
@@ -131,6 +140,7 @@ def suite_residual_free(seed: int = 1) -> SuiteResult:
         "residual-free-synthesis",
         worst <= 1e-10,
         f"max |residual| {worst:.3e} over 10000 noise-free samples (tol 1e-10)",
+        figure=worst,
     )
 
 
@@ -146,14 +156,17 @@ def suite_recovery(seed: int = 1) -> SuiteResult:
         "physics-recovery",
         result.converged and worst <= 0.01,
         f"max component deviation from least-squares oracle {worst:.2%} (tol 1%)",
+        figure=worst,
     )
 
 
 def suite_metric_oracles(seed: int = 1) -> SuiteResult:
-    """Metrics vs brute-force recounts; rmse^2 vs the objective's mse."""
+    """Metrics vs brute-force recounts; rmse^2 vs the objective's mse.
+
+    The figure counts the mismatching instances; the detail names the first.
+    """
     rng = Pcg32(seed).derive("metrics")
-    ok = True
-    detail = "all brute-force recounts matched"
+    mismatches, detail = 0, "all brute-force recounts matched"
     for i in range(200):
         n = 2 + int(rng.next_u32() % 40)
         prob = rng.random(n)
@@ -167,26 +180,22 @@ def suite_metric_oracles(seed: int = 1) -> SuiteResult:
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        if (m.tp, m.tn, m.fp, m.fn) != (tp, tn, fp, fn) or (
-            m.accuracy,
-            m.precision,
-            m.recall,
-            m.f1,
-        ) != (acc, prec, rec, f1):
-            ok, detail = False, f"classification mismatch on instance {i}"
-            break
         pred = rng.normal(n)
         target = rng.normal(n)
         rm = regression_metrics(pred, target)
-        if abs(rm.rmse**2 - mse(pred, target)) > 1e-12:
-            ok, detail = False, f"rmse^2 != mse on instance {i}"
-            break
         brute_rmse = (sum((pred[j] - target[j]) ** 2 for j in range(n)) / n) ** 0.5
         brute_mae = sum(abs(pred[j] - target[j]) for j in range(n)) / n
-        if abs(rm.rmse - brute_rmse) > 1e-12 or abs(rm.mae - brute_mae) > 1e-12:
-            ok, detail = False, f"regression mismatch on instance {i}"
-            break
-    return SuiteResult("metric-oracles", ok, f"{detail} (200 instances)")
+        if m != ClassificationMetrics(acc, prec, rec, f1, tn, fp, fn, tp):
+            what = "classification mismatch"
+        elif abs(rm.rmse**2 - mse(pred, target)) > 1e-12:
+            what = "rmse^2 != mse"
+        elif abs(rm.rmse - brute_rmse) > 1e-12 or abs(rm.mae - brute_mae) > 1e-12:
+            what = "regression mismatch"
+        else:
+            continue
+        detail = detail if mismatches else f"{what} on instance {i}"
+        mismatches += 1
+    return SuiteResult("metric-oracles", mismatches == 0, f"{detail} (200 instances)", figure=mismatches)
 
 
 def suite_stratification(seed: int = 1) -> SuiteResult:
@@ -209,6 +218,7 @@ def suite_stratification(seed: int = 1) -> SuiteResult:
         "stratification",
         worst <= 1.0,
         f"max deviation from exact proportionality {worst:.2f} samples (tol 1)",
+        figure=worst,
     )
 
 

@@ -1,9 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines with the measured figures. The synthetic end-to-end mirror
-(criterion 7) trains 4 network variants x 5 folds x 50 epochs and dominates
-the runtime (a few minutes); everything else finishes in seconds.
+PASS lines with the measured figures. Criteria 2-6, 8 and 9 run the
+verification suites of ``edapinn check`` (``edapinn.suites``), each at its own
+seed, tolerance and time bound. The synthetic end-to-end mirror (criterion 7) trains
+4 network variants x 5 folds x 50 epochs and dominates the runtime (about
+15 s at one thread on a 2-core VM); everything else finishes in seconds.
 """
 
 import json
@@ -13,33 +15,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import edapinn.model as model_mod
+from edapinn import suites
 from edapinn.cli import main as cli_main
-from edapinn.data import (
-    Dataset,
-    SynthSpec,
-    ode_solution,
-    rk4_integrate,
-    stratified_kfold,
-    synth_generate,
-)
-from edapinn.evaluation import classification_metrics, regression_metrics
-from edapinn.gradcheck import check_gradients
-from edapinn.model import ModelConfig, commit_batchnorm, forward, init_model
-from edapinn.objective import PhysicsParams, mse, physics_residual
-from edapinn.rng import Pcg32
-from edapinn.trainer import (
-    TrainRunConfig,
-    recover_physics,
-    run_fold,
-)
+from edapinn.data import SynthSpec, synth_generate
+from edapinn.model import ModelConfig
 from edapinn.reporting import ablation_table
+from edapinn.trainer import TrainRunConfig, run_fold
 
 
 def record(num: int, passed: bool, detail: str, seconds: float | None = None) -> None:
     stamp = f" [{seconds:.2f}s]" if seconds is not None else ""
     print(f"ACCEPTANCE {num}: {'PASS' if passed else 'FAIL'}{stamp} - {detail}")
     assert passed, f"criterion {num}: {detail}"
+
+
+def timed(suite, seed: int) -> tuple[suites.SuiteResult, float]:
+    t0 = time.perf_counter()
+    result = suite(seed)
+    return result, time.perf_counter() - t0
 
 
 def test_criterion_1_paper_scale_out_of_reach():
@@ -52,92 +45,31 @@ def test_criterion_1_paper_scale_out_of_reach():
 
 
 def test_criterion_2_gradient_correctness():
-    t0 = time.perf_counter()
-    params = init_model(ModelConfig(hidden=[8, 8], seed=1))
-    rng = Pcg32(1).derive("acceptance-grad")
-    n = 16
-    batch = Dataset(
-        rng.normal(n),
-        rng.normal(3 * n).reshape(n, 3),
-        0.5 + 0.25 * rng.normal(n),
-        (rng.random(n) < 0.5).astype(np.int64),
-    )
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
-    dt = time.perf_counter() - t0
-    record(
-        2,
-        report.passed and dt < 5.0,
-        f"max rel error {report.max_rel_error:.3e} <= 1e-6 across {len(report.block_errors)} blocks",
-        dt,
-    )
+    r, dt = timed(suites.suite_gradient_check, 1)
+    record(2, r.passed and r.figure <= 1e-6 and dt < 5.0, r.detail, dt)
 
 
 def test_criterion_3_tangent_correctness():
-    t0 = time.perf_counter()
-    params = init_model(ModelConfig(seed=2))
-    rng = Pcg32(2).derive("acceptance-tangent")
-    n = 100
-    t = rng.normal(n)
-    e = rng.normal(3 * n).reshape(n, 3)
-    warm = forward(params, t, e, "train", rng.derive("warm"))
-    commit_batchnorm(params, warm.caches)
-    preds = forward(params, t, e, "eval")
-    h = 1e-6
-    fd = (forward(params, t + h, e, "eval").y_eda - forward(params, t - h, e, "eval").y_eda) / (2 * h)
-    rel = np.abs(preds.dydt - fd) / np.maximum.reduce([np.abs(preds.dydt), np.abs(fd), np.full(n, 1e-8)])
-    worst = float(rel.max())
-    dt = time.perf_counter() - t0
-    record(3, worst <= 1e-5 and dt < 1.0, f"max rel error {worst:.3e} <= 1e-5 on {n} samples", dt)
+    r, dt = timed(suites.suite_tangent_check, 2)
+    record(3, r.passed and r.figure <= 1e-5 and dt < 1.0, r.detail, dt)
 
 
 def test_criterion_4_ode_oracle():
-    t0 = time.perf_counter()
-    rng = Pcg32(3).derive("acceptance-ode")
-    e_mix = np.array([0.5, 0.3, 0.2])
-    grid = np.linspace(0.0, 1.0, 1001)
-    worst = 0.0
-    for _ in range(20):
-        phys = PhysicsParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0, 3), rng.uniform(0.1, 10.0))
-        y0 = rng.uniform(0.1, 10.0)
-        err = float(np.max(np.abs(rk4_integrate(phys, e_mix, y0, grid) - ode_solution(phys, e_mix, y0, grid))))
-        worst = max(worst, err)
-    # halving check where truncation dominates roundoff
-    stiff = PhysicsParams(8.0, np.array([4.0, 3.0, 3.0]), 0.4)
-    e1 = float(np.max(np.abs(rk4_integrate(stiff, e_mix, 0.1, grid) - ode_solution(stiff, e_mix, 0.1, grid))))
-    fine = np.linspace(0.0, 1.0, 2001)
-    e2 = float(np.max(np.abs(rk4_integrate(stiff, e_mix, 0.1, fine) - ode_solution(stiff, e_mix, 0.1, fine))))
-    ratio = e1 / e2
-    dt = time.perf_counter() - t0
-    record(
-        4,
-        worst <= 1e-8 and e1 <= 1e-8 and ratio >= 12.0 and dt < 5.0,
-        f"max abs error {worst:.3e} <= 1e-8 over 20 draws; halving ratio {ratio:.1f}x >= 12",
-        dt,
-    )
+    r, dt = timed(suites.suite_ode_oracle, 3)
+    record(4, r.passed and r.figure <= 1e-8 and dt < 5.0, r.detail, dt)
 
 
 def test_criterion_5_residual_free_synthesis():
-    t0 = time.perf_counter()
-    spec = SynthSpec(n=10000, noise=0.0, seed=4)
-    data, dydt = synth_generate(spec)
-    worst = float(np.max(np.abs(physics_residual(dydt, data.y, data.e, spec.physics()))))
-    dt = time.perf_counter() - t0
-    record(5, worst <= 1e-10 and dt < 2.0, f"max |residual| {worst:.3e} <= 1e-10 on 10000 samples", dt)
+    r, dt = timed(suites.suite_residual_free, 4)
+    record(5, r.passed and r.figure <= 1e-10 and dt < 2.0, r.detail, dt)
 
 
 def test_criterion_6_physics_recovery():
-    t0 = time.perf_counter()
-    spec = SynthSpec(n=2000, noise=0.0, seed=5)
-    data, dydt = synth_generate(spec)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.5, steps=5000)
-    rec = np.concatenate([[result.params.alpha0], result.params.beta])
-    ora = np.concatenate([[result.oracle.alpha0], result.oracle.beta])
-    worst = float(np.max(np.abs(rec - ora) / np.abs(ora)))
-    dt = time.perf_counter() - t0
+    r, dt = timed(suites.suite_recovery, 5)
     record(
         6,
-        result.converged and worst <= 0.01 and dt < 30.0,
-        f"max rel deviation from normal-equations oracle {worst:.3e} <= 1% after +50% perturbation",
+        r.passed and r.figure <= 0.01 and dt < 30.0,
+        f"max rel deviation from normal-equations oracle {r.figure:.3e} <= 1% after +50% perturbation",
         dt,
     )
 
@@ -195,54 +127,19 @@ def test_criterion_7_synthetic_end_to_end(benchmark_run):
 
 
 def test_criterion_8_metric_oracles():
-    t0 = time.perf_counter()
-    rng = Pcg32(6).derive("acceptance-metrics")
-    mismatches = 0
-    for _ in range(200):
-        n = 2 + int(rng.next_u32() % 40)
-        prob = rng.random(n)
-        label = (rng.random(n) < 0.5).astype(np.int64)
-        m = classification_metrics(prob, label, 0.5)
-        tp = sum(1 for j in range(n) if prob[j] >= 0.5 and label[j] == 1)
-        tn = sum(1 for j in range(n) if prob[j] < 0.5 and label[j] == 0)
-        fp = sum(1 for j in range(n) if prob[j] >= 0.5 and label[j] == 0)
-        fn = n - tp - tn - fp
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        expected = (
-            (tp + tn) / n,
-            prec,
-            rec,
-            2 * prec * rec / (prec + rec) if prec + rec else 0.0,
-        )
-        if (m.accuracy, m.precision, m.recall, m.f1) != expected or (m.tp, m.tn, m.fp, m.fn) != (
-            tp, tn, fp, fn,
-        ):
-            mismatches += 1
-        pred = rng.normal(n)
-        target = rng.normal(n)
-        rm = regression_metrics(pred, target)
-        if abs(rm.rmse**2 - mse(pred, target)) > 1e-12:
-            mismatches += 1
-    dt = time.perf_counter() - t0
-    record(8, mismatches == 0 and dt < 1.0, f"{mismatches} mismatches in 200 brute-force recounts; rmse^2 == mse to 1e-12", dt)
+    r, dt = timed(suites.suite_metric_oracles, 6)
+    record(
+        8,
+        r.passed and r.figure == 0 and dt < 1.0,
+        f"{r.figure:.0f} mismatches in 200 brute-force recounts of the confusion counts, "
+        "accuracy, precision, recall, F1, RMSE and MAE; rmse^2 == mse to 1e-12",
+        dt,
+    )
 
 
 def test_criterion_9_stratification():
-    t0 = time.perf_counter()
-    rng = Pcg32(7).derive("acceptance-strat")
-    worst = 0.0
-    for _ in range(50):
-        n = 60 + int(rng.next_u32() % 400)
-        frac = 0.25 + 0.5 * rng.random()
-        label = (rng.random(n) < frac).astype(np.int64)
-        label[:5], label[5:10] = 1, 0  # both classes populated
-        data = Dataset(np.arange(n, dtype=float), np.zeros((n, 3)), np.zeros(n), label)
-        for _, va in stratified_kfold(data, 5, int(rng.next_u32())):
-            for cls in (0, 1):
-                worst = max(worst, abs(np.sum(label[va] == cls) - np.sum(label == cls) / 5))
-    dt = time.perf_counter() - t0
-    record(9, worst <= 1.0 and dt < 1.0, f"max deviation from proportionality {worst:.2f} <= 1 sample over 50 datasets", dt)
+    r, dt = timed(suites.suite_stratification, 7)
+    record(9, r.passed and r.figure <= 1.0 and dt < 1.0, r.detail, dt)
 
 
 def test_criterion_10_kfold_determinism(tmp_path):

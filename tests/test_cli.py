@@ -299,6 +299,20 @@ def test_kfold_on_csv_input(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+def test_kfold_into_a_reused_out_removes_stale_fold_checkpoints(tmp_path):
+    out = tmp_path / "out"
+    for k in (5, 3):
+        cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": {**SMALL_TRAIN, "k": k}})
+        assert main(["kfold", "--config", str(cfg_path), "--out", str(out)]) == 0
+        if k == 5:
+            for name in ("notes.txt", "fold_x.ckpt.json", "fold_2.json"):
+                (out / name).write_text("kept")
+    assert sorted(p.name for p in out.glob("fold_*.ckpt.json")) == [
+        "fold_1.ckpt.json", "fold_2.ckpt.json", "fold_3.ckpt.json", "fold_x.ckpt.json",
+    ]
+    assert all((out / name).read_text() == "kept" for name in ("notes.txt", "fold_x.ckpt.json", "fold_2.json"))
+
+
 def test_kfold_missing_input_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, {"data": {"input": str(tmp_path / "nope.csv")}})
     assert main(["kfold", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -448,11 +462,19 @@ def test_report_empty_dir_exits_2(tmp_path):
 
 
 def test_check_command_passes(capsys):
-    assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "gradient-check" in out
-    assert "max rel error" in out  # numeric value surfaced in the report
-    assert "all suites passed" in out
+    """check's draws and formats, byte for byte at seed 1."""
+    assert main(["check", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "gradient-check           PASS  max rel error 5.590e-08 (worst block layer1.w, tol 1e-6)\n"
+        "tangent-check            PASS  max rel error 1.543e-07 over 100 samples (tol 1e-05)\n"
+        "ode-oracle               PASS  max abs error 4.640e-12 over 20 draws (tol 1e-8); "
+        "halving ratio 16.1x (need >= 12)\n"
+        "residual-free-synthesis  PASS  max |residual| 2.665e-15 over 10000 noise-free samples (tol 1e-10)\n"
+        "physics-recovery         PASS  max component deviation from least-squares oracle 0.00% (tol 1%)\n"
+        "metric-oracles           PASS  all brute-force recounts matched (200 instances)\n"
+        "stratification           PASS  max deviation from exact proportionality 0.80 samples (tol 1)\n"
+        "all suites passed\n"
+    )
 
 
 def test_check_keeps_suite_seconds_off_stdout(capsys, monkeypatch):
