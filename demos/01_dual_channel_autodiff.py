@@ -58,7 +58,7 @@ batch = Dataset(
     0.5 + 0.2 * rng.normal(16),
     (rng.random(16) < 0.5).astype(np.int64),
 )
-report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+report = check_gradients(params, batch)
 print(f"  analytic vs central differences across {len(report.block_errors)} parameter blocks")
 print(f"  max relative error = {report.max_rel_error:.3e}  (worst: {report.worst_block})")
 print(f"  passed at 1e-6: {report.passed}")

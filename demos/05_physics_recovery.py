@@ -30,7 +30,7 @@ print("  every joint rescaling is residual-free, hence gamma is pinned below")
 
 print()
 print("=== gradient-descent recovery from a +50% perturbation ===")
-result = recover_physics(dydt, data.y, data.e, gamma=spec.gamma, init_perturbation=0.5)
+result = recover_physics(dydt, data.y, data.e, gamma=spec.gamma)
 oracle = physics_least_squares(dydt, data.y, data.e, spec.gamma)
 print(f"  start:     alpha0={1.5 * oracle.alpha0:.4f}, beta={(1.5 * oracle.beta).round(4).tolist()}")
 print(f"  recovered: alpha0={result.params.alpha0:.6f}, beta={result.params.beta.round(6).tolist()}")

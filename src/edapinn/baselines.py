@@ -1,5 +1,6 @@
-"""Classical comparators: ridge regression, an exact solve, and logistic
-regression, fitted by Newton's method to its penalized optimum.
+"""Classical comparators: ridge regression, an exact solve at the fixed
+``RIDGE_LAMBDA``, and logistic regression, fitted by Newton's method to its
+optimum under the same penalty.
 
 Both score the networks' own prepared folds (``trainer.prepare_folds``):
 the same splits, normalized by the same normalizers, fitted on the
@@ -37,33 +38,24 @@ class LinearModel:
         return sigmoid(self.predict(x))
 
 
-def ridge_fit(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 0.0) -> LinearModel:
-    """Exact solve of (Xc'Xc + lambda I) w = Xc'yc on the centered Xc, yc;
-    the intercept is unpenalized (centering is equivalent for an
+RIDGE_LAMBDA = 1e-6  # keeps ridge solvable on collinear folds and gives logistic a finite optimum
+
+
+def ridge_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Exact solve of (Xc'Xc + ``RIDGE_LAMBDA`` I) w = Xc'yc on the centered
+    Xc, yc; the intercept is unpenalized (centering is equivalent for an
     unpenalized offset)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ContractError("ridge_fit needs X of shape (n, d) and y of shape (n,)")
-    if ridge_lambda < 0:
-        raise ContractError("ridge lambda must be >= 0")
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc + ridge_lambda * np.eye(x.shape[1])
-    if ridge_lambda == 0.0:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericError(
-                f"singular or near-singular normal equations (condition {cond:.3e}); "
-                "use ridge_lambda > 0"
-            )
-    w = np.linalg.solve(gram, xc.T @ yc)
+    w = np.linalg.solve(xc.T @ xc + RIDGE_LAMBDA * np.eye(x.shape[1]), xc.T @ (y - y_mean))
     return LinearModel(w, y_mean - float(x_mean @ w))
 
 
-RIDGE_LAMBDA = 1e-6  # keeps ridge solvable on collinear folds and gives logistic a finite optimum
 NEWTON_TOL = 1e-10  # a step below this fraction of the coefficients' size ends the fit
 NEWTON_MAX_ITER = 50  # benchmark folds take about 10, separable or one-class inputs about 17
 
@@ -95,7 +87,7 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray) -> LinearModel:
 
 
 def _ridge_scores(train: Dataset, valid: Dataset, threshold: float) -> tuple[float, float, float]:
-    fitted = ridge_fit(train.inputs, train.y, RIDGE_LAMBDA)
+    fitted = ridge_fit(train.inputs, train.y)
     m = regression_metrics(fitted.predict(valid.inputs), valid.y)
     return m.rmse, 0.0, m.pearson_r
 

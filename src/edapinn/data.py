@@ -337,7 +337,7 @@ class SynthSpec:
         if self.n < 1:
             raise ConfigError("sample count must be >= 1", "n")
         if self.t_max <= self.t_min:
-            raise ConfigError("t range must be increasing")
+            raise ConfigError(f"t range must be increasing, got t_min {self.t_min} and t_max {self.t_max}", "t_max")
 
     def physics(self) -> PhysicsParams:
         return PhysicsParams(self.alpha0, self.beta.copy(), self.gamma)

@@ -10,9 +10,11 @@ the checked function is deterministic; batch-norm runs in train mode, so the
 finite differences see the batch statistics' dependence on the perturbed
 weights, exactly as the analytic backward does. Each coordinate is perturbed
 in place through the named views ``model.blocks`` gives of ``params.theta``
-and restored after its evaluations. The verification suites check a
-single network; a stack is checked as one function, the sum of its
-networks' losses, whose gradient is each network's own.
+and restored after its evaluations; the step is ``STEP`` and the relative
+tolerance ``TOL``, one setting for every check. The
+verification suites check a single network; a stack is checked as one
+function, the sum of its networks' losses, whose gradient is each
+network's own.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .rng import Pcg32
 from .trainer import batch_gradients, batch_loss
 
 EPS = float(np.finfo(np.float64).eps)
+STEP = 1e-5  # the central difference's step; the Richardson estimate takes twice it
+TOL = 1e-6  # the relative error a coordinate may show beyond what FD can resolve
 
 
 @dataclass
@@ -39,21 +43,16 @@ class GradCheckReport:
     passed: bool
 
 
-def check_gradients(
-    params: ModelParams,
-    batch: Dataset,
-    step: float = 1e-5,
-    tol: float = 1e-6,
-) -> GradCheckReport:
+def check_gradients(params: ModelParams, batch: Dataset) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Each coordinate's FD value f carries an error of its own, estimated as
     e = |f - f2| / 3 (truncation: the Richardson difference against f2, the
-    FD at twice ``step``) + eps * |loss| / ``step`` (round-off). The error
-    of a coordinate is |a - f| / (max(|a|, |f|, 1e-8) + e / tol), so it
-    passes when |a - f| <= tol * max(|a|, |f|, 1e-8) + e: a difference FD
+    FD at twice ``STEP``) + eps * |loss| / ``STEP`` (round-off). The error
+    of a coordinate is |a - f| / (max(|a|, |f|, 1e-8) + e / TOL), so it
+    passes when |a - f| <= TOL * max(|a|, |f|, 1e-8) + e: a difference FD
     cannot resolve fails no coordinate, and any larger one is held to the
-    relative ``tol``. The report carries the per-block maximum. Never raises
+    relative ``TOL``. The report carries the per-block maximum. Never raises
     on mismatch - the pass flag carries the verdict. ``params`` is left as
     it was passed in.
     """
@@ -74,18 +73,18 @@ def check_gradients(
         for i in np.ndindex(view.shape):
             orig = view[i]
             losses = []
-            for h in (step, -step, 2.0 * step, -2.0 * step):
+            for h in (STEP, -STEP, 2.0 * STEP, -2.0 * STEP):
                 view[i] = orig + h
                 losses.append(np.sum(batch_loss(params, batch, "full", mask_stream())[0].total))
             view[i] = orig
             lp, lm, lp2, lm2 = losses
             a = grads[name][i]
-            fd = (lp - lm) / (2.0 * step)
-            fd2 = (lp2 - lm2) / (4.0 * step)
-            fd_error = abs(fd - fd2) / 3.0 + EPS * max(abs(lp), abs(lm)) / step
-            rel = abs(a - fd) / (max(abs(a), abs(fd), 1e-8) + fd_error / tol)
+            fd = (lp - lm) / (2.0 * STEP)
+            fd2 = (lp2 - lm2) / (4.0 * STEP)
+            fd_error = abs(fd - fd2) / 3.0 + EPS * max(abs(lp), abs(lm)) / STEP
+            rel = abs(a - fd) / (max(abs(a), abs(fd), 1e-8) + fd_error / TOL)
             worst = max(worst, rel)
         block_errors[name] = worst
     worst_block = max(block_errors, key=block_errors.get)
     max_rel = block_errors[worst_block]
-    return GradCheckReport(block_errors, max_rel, worst_block, max_rel <= tol)
+    return GradCheckReport(block_errors, max_rel, worst_block, max_rel <= TOL)

@@ -60,7 +60,7 @@ def _random_batch(n: int, seed: int) -> Dataset:
 def suite_gradient_check(seed: int = 1) -> SuiteResult:
     params = init_model(ModelConfig(hidden=[8, 8], seed=seed))
     batch = _random_batch(16, seed)
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    report = check_gradients(params, batch)
     return SuiteResult(
         "gradient-check",
         report.passed,
@@ -148,7 +148,7 @@ def suite_recovery(seed: int = 1) -> SuiteResult:
     """+50% perturbed (alpha0, beta) must return to the least-squares oracle."""
     spec = SynthSpec(n=2000, noise=0.0, seed=seed)
     data, dydt = synth_generate(spec)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.5)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma)
     rec = np.concatenate([[result.params.alpha0], result.params.beta])
     ora = np.concatenate([[result.oracle.alpha0], result.oracle.beta])
     worst = float(np.max(np.abs(rec - ora) / np.abs(ora)))

@@ -113,10 +113,14 @@ def test_bad_types_rejected():
         ({"train": {"batch_size": 1}}, "config key 'train.batch_size': batch size must be >= 8, got 1"),
         ({"model": {"dropout": 1.5}}, "config key 'model.dropout': dropout rate must lie in [0, 1)"),
         ({"data": {"synth": {"stress": {"std": [1, 0, 1]}}}}, "config key 'data.synth.stress.std'"),
+        (
+            {"data": {"synth": {"t_min": 1.0, "t_max": 0.0}}},
+            "config key 'data.synth.t_max': t range must be increasing, got t_min 1.0 and t_max 0.0",
+        ),
     ],
     ids=[
         "lambda_floor_negative", "lambda_floor_nan", "lr_nan", "noise_inf", "beta_nan", "synth_null",
-        "batch_size_1", "dropout_1_5", "cluster_std_0",
+        "batch_size_1", "dropout_1_5", "cluster_std_0", "t_range_decreasing",
     ],
 )
 def test_negative_lambda_floor_rejected_before_running(tmp_path, capsys, doc, named):
@@ -609,7 +613,7 @@ def test_small_later_fold_exits_2_before_any_training(tmp_path, capsys, monkeypa
     real, calls = trainer_mod.train_epoch, []
 
     def counting(*args):
-        calls.append(args[-2])
+        calls.append(args[-1])
         return real(*args)
 
     monkeypatch.setattr(trainer_mod, "train_epoch", counting)

@@ -24,7 +24,7 @@ def make_batch(n, seed):
 
 def test_seeded_net_passes_at_tolerance():
     params = init_model(ModelConfig(hidden=[8, 8], seed=11))
-    report = check_gradients(params, make_batch(16, 11), step=1e-5, tol=1e-6)
+    report = check_gradients(params, make_batch(16, 11))
     assert report.passed
     assert report.max_rel_error <= 1e-6
     assert set(report.block_errors) == {
@@ -45,7 +45,7 @@ def test_corrupted_gradient_is_caught(monkeypatch):
         return breakdown, grad, preds
 
     monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
-    report = check_gradients(params, make_batch(16, 13), step=1e-5, tol=1e-6)
+    report = check_gradients(params, make_batch(16, 13))
     assert not report.passed
     assert report.worst_block == "layer1.w"
 
@@ -91,7 +91,7 @@ def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
     params = stack([init_model(ModelConfig(hidden=[6, 5], seed=17))], 3)
     params.theta[0, 1:] += 0.1 * Pcg32(18).normal(2 * params.theta.shape[-1]).reshape(2, -1)
     batch = make_batch(12, 17)
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    report = check_gradients(params, batch)
     assert report.passed and len(report.block_errors) == 14
     real = gradcheck_mod.batch_gradients
 
@@ -101,7 +101,7 @@ def test_stack_passes_and_a_wrong_member_gradient_is_caught(monkeypatch):
         return breakdown, grad, preds
 
     monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    report = check_gradients(params, batch)
     assert not report.passed and report.worst_block == "head_cls.w"
 
 
@@ -110,7 +110,7 @@ def test_stack_over_folds_passes_and_a_wrong_member_gradient_is_caught(monkeypat
     params = stack(inits, 2)
     params.theta[:, 1] += 0.1 * Pcg32(23).normal(2 * params.theta.shape[-1]).reshape(2, -1)
     batch = make_batch(10, 21)
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    report = check_gradients(params, batch)
     assert report.passed and len(report.block_errors) == 14
     real = gradcheck_mod.batch_gradients
 
@@ -120,7 +120,7 @@ def test_stack_over_folds_passes_and_a_wrong_member_gradient_is_caught(monkeypat
         return breakdown, grad, preds
 
     monkeypatch.setattr(gradcheck_mod, "batch_gradients", corrupted)
-    report = check_gradients(params, batch, step=1e-5, tol=1e-6)
+    report = check_gradients(params, batch)
     assert not report.passed and report.worst_block == "layer1.bn_shift"
 
 
@@ -133,7 +133,7 @@ def test_small_batch_rejected():
 def test_frozen_lambda_drops_rho_from_blocks():
     params = init_model(ModelConfig(hidden=[4, 4], seed=19, lambda_frozen=True))
     before = params.theta.copy()
-    report = check_gradients(params, make_batch(8, 19), step=1e-5, tol=1e-6)
+    report = check_gradients(params, make_batch(8, 19))
     assert report.passed
     assert "physics.rho" not in report.block_errors
     assert params.theta.tobytes() == before.tobytes()  # every perturbation undone

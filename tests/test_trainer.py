@@ -23,6 +23,7 @@ from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
 from edapinn.trainer import (
+    Fold,
     TrainRunConfig,
     adam_step,
     batch_gradients,
@@ -57,11 +58,12 @@ def quick_model(**kw):
 
 def train_one_fold(net, data, cfg, epochs=1):
     """``epochs`` epochs of ``net`` as a one-fold, one-variant stack on the
-    normalized split ``data``: the trained network and its epoch traces."""
+    normalized split ``data``, as fold 1: the trained network and its epoch
+    traces."""
     params = stack([net], 1)
-    opt, rng, traces = init_adam(params, cfg.lr), Pcg32(cfg.seed), []
+    opt, fold, traces = init_adam(params, cfg.lr), Fold(1, net.normalizer, data, data), []
     for epoch in range(epochs):
-        epoch_traces = train_epoch(params, opt, [data], [cfg], [rng], epoch, [1])
+        epoch_traces = train_epoch(params, opt, [fold], [cfg], epoch)
         traces.append(epoch_traces[0][0])
     return ModelParams(params.theta[0, 0], params.running[0, 0], net.normalizer, net.config), traces
 
@@ -363,10 +365,10 @@ def test_stacked_fold_equals_one_run_fold_per_variant_bit_for_bit():
     train, valid = data.subset(np.arange(132)), data.subset(np.arange(132, 200))
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in VARIANTS]
     model_cfg = quick_model(dropout=0.2)
-    stacked = run_folds(prepare_folds([(train, valid)], 2), cfgs, model_cfg)[0]
+    stacked = run_folds(prepare_folds([(train, valid)]), cfgs, model_cfg)[0]
     assert len(stacked) == len(cfgs)
     for cfg, (report, params) in zip(cfgs, stacked):
-        alone_report, alone = run_fold(train, valid, cfg, model_cfg, 2)
+        alone_report, alone = run_fold(train, valid, cfg, model_cfg)
         assert params.theta.shape == alone.theta.shape
         assert params.theta.tobytes() == alone.theta.tobytes()
         assert params.running.tobytes() == alone.running.tobytes()  # every layer's mean and var
@@ -387,6 +389,7 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypat
                data.subset(np.arange(160 * i + 135 + i, 160 * (i + 1)))) for i in range(3)]
     cfgs = [quick_cfg(epochs=3, batch_size=64, variant=v) for v in ("full", "emotion_only")]
     model_cfg = quick_model(dropout=0.2)
+    prepared = prepare_folds(splits)
     real, steps = trainer_mod.batch_gradients, []
 
     def recording(params, batch, variant, rng):
@@ -395,14 +398,15 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypat
 
     with monkeypatch.context() as m:
         m.setattr(trainer_mod, "batch_gradients", recording)
-        stacked = run_folds(prepare_folds(splits), cfgs, model_cfg)
+        stacked = run_folds(prepared, cfgs, model_cfg)
     # every step is a slice of the stack: (F_s, V) networks, one (F_s, 1) batch, F_s streams
     assert steps == [((f, 2), (f, 1), (f,)) for f in [3, 1, 2, 1, 1]] * 3
     assert len(stacked) == 3
-    for number, ((train, valid), pairs) in enumerate(zip(splits, stacked), start=1):
+    for number, pairs in enumerate(stacked, start=1):
         assert len(pairs) == 2
         for cfg, (report, params) in zip(cfgs, pairs):
-            alone_report, alone = run_fold(train, valid, cfg, model_cfg, number)
+            # the stack of this fold alone, prepared with its number
+            alone_report, alone = run_folds(prepared[number - 1 : number], [cfg], model_cfg)[0][0]
             assert params.theta.shape == alone.theta.shape
             assert params.theta.tobytes() == alone.theta.tobytes()
             assert params.running.tobytes() == alone.running.tobytes()  # every layer's mean and var
@@ -454,20 +458,20 @@ def test_stack_configs_may_differ_in_their_variant_alone():
 
 def test_numeric_failure_in_a_stack_names_its_variant():
     data = small_synth(n=128)
-    norm = fit_normalizer(data)
-    nd = apply_normalizer(norm, data)
+    [fold] = prepare_folds([(data, data)])
+    norm = fold.normalizer
     cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics", "eda_only")]
     params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
     params.views["layer1.w"][0, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 4, [1])
+        train_epoch(params, init_adam(params), [fold], cfgs, 4)
     expected = "epoch 4, batch 0, fold 1, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 1
     params = stack([init_model(quick_model(dropout=0.0), norm)], 3)
     params.views["head_reg.b"][0, 2] = 1e200  # finite outputs whose squared error overflows
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), [nd], cfgs, [Pcg32(5)], 0, [1])
+        train_epoch(params, init_adam(params), [fold], cfgs, 0)
     assert str(caught.value).startswith("epoch 0, batch 0, fold 1, variant eda_only: non-finite loss (l_eda=inf")
     assert caught.value.model == 2
 
@@ -475,37 +479,26 @@ def test_numeric_failure_in_a_stack_names_its_variant():
 def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     data = small_synth(n=256)
     parts = [data.subset(np.arange(128)), data.subset(np.arange(128, 256))]
-    nds = [apply_normalizer(fit_normalizer(part), part) for part in parts]
+    folds = [replace(fold, number=n) for n, fold in zip((4, 5), prepare_folds([(p, p) for p in parts]))]
     cfgs = [quick_cfg(variant=v) for v in ("full", "no_physics")]
     inits = [init_model(quick_model(dropout=0.2, seed=s)) for s in (7, 8)]
     params = stack(inits, 2)
     params.views["layer1.w"][1, 1, 0, 0] = np.inf
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 3, (4, 5))
+        train_epoch(params, init_adam(params), folds, cfgs, 3)
     expected = "epoch 3, batch 0, fold 5, variant no_physics: non-finite activations after hidden layer 1"
     assert str(caught.value) == expected
     assert caught.value.model == 3
     # 128 and 120 rows in one batch each: the folds step as two slices of one
     # fold, and fold 5's third variant has finite outputs whose squared error overflows
-    nds[1] = nds[1].subset(np.arange(120))
+    folds[1] = replace(folds[1], train=folds[1].train.subset(np.arange(120)))
     cfgs = [quick_cfg(batch_size=128, variant=v) for v in ("full", "no_physics", "eda_only")]
     params = stack([init_model(quick_model(dropout=0.0, seed=s)) for s in (7, 8)], 3)
     params.views["head_reg.b"][1, 2] = 1e200
     with pytest.raises(NumericError) as caught:
-        train_epoch(params, init_adam(params), nds, cfgs, [Pcg32(5), Pcg32(6)], 0, (4, 5))
+        train_epoch(params, init_adam(params), folds, cfgs, 0)
     assert str(caught.value).startswith("epoch 0, batch 0, fold 5, variant eda_only: non-finite loss (l_eda=inf")
     assert caught.value.model == 5
-
-
-def test_train_epoch_needs_one_split_stream_and_number_per_fold_and_one_config_per_variant():
-    data = small_synth(n=128)
-    nd = apply_normalizer(fit_normalizer(data), data)
-    params = stack([init_model(quick_model())] * 2, 2)
-    good = [[nd] * 2, [quick_cfg(), quick_cfg(variant="no_physics")], [Pcg32(1)] * 2, [1, 2]]
-    for i in range(len(good)):
-        splits, cfgs, rngs, folds = good[:i] + [good[i][:1]] + good[i + 1 :]
-        with pytest.raises(ContractError, match="one split, stream and number per fold"):
-            train_epoch(params, init_adam(params), splits, cfgs, rngs, 0, folds)
 
 
 def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
@@ -730,18 +723,20 @@ def recovery_inputs(seed=29, n=1500):
     return spec, data, dydt
 
 
-def test_recovery_fixed_point_at_truth():
+def test_recovery_fixed_point_at_truth(monkeypatch):
     # unperturbed, descent starts at the least-squares solution, which on
     # noise-free data is the truth
     spec, data, dydt = recovery_inputs()
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.0, steps=50)
+    monkeypatch.setattr(trainer_mod, "RECOVERY_PERTURBATION", 0.0)
+    monkeypatch.setattr(trainer_mod, "RECOVERY_STEPS", 50)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma)
     assert result.final_loss <= 1e-18
     assert result.params.alpha0 == pytest.approx(spec.alpha0, rel=1e-6)
 
 
 def test_recovery_from_fifty_percent_perturbation():
     spec, data, dydt = recovery_inputs()
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=0.5, steps=5000)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma)
     assert result.converged
     rec = np.concatenate([[result.params.alpha0], result.params.beta])
     ora = np.concatenate([[result.oracle.alpha0], result.oracle.beta])
@@ -763,9 +758,11 @@ def test_recovery_gauge_respecting_rescale_leaves_params_unchanged():
     assert np.allclose(scaled.beta, base.beta, rtol=1e-9)
 
 
-def test_recovery_reports_nonconvergence():
+def test_recovery_reports_nonconvergence(monkeypatch):
     spec, data, dydt = recovery_inputs(seed=37, n=400)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma, init_perturbation=5.0, steps=3)
+    monkeypatch.setattr(trainer_mod, "RECOVERY_PERTURBATION", 5.0)
+    monkeypatch.setattr(trainer_mod, "RECOVERY_STEPS", 3)
+    result = recover_physics(dydt, data.y, data.e, spec.gamma)
     assert not result.converged
     assert result.final_loss > result.oracle_loss
 
