@@ -183,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=1,
-                help="worker processes (default 1); the folds train as a few stacks of networks, "
-                "one job each: enough jobs to fill the workers, none with more networks than "
-                "one fold of every variant",
+                help="worker processes (default 1); the folds train as a few stacks of networks: "
+                "enough to fill the workers, none with more networks than one fold of every variant",
             )
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")

@@ -21,7 +21,7 @@ from .errors import ContractError, DataFormatError
 from .evaluation import normalized_confusion
 from .model import ModelConfig
 from .objective import VARIANTS
-from .trainer import FoldReport, TrainRunConfig, fold_jobs, prepare_folds, run_fold_jobs
+from .trainer import FoldReport, TrainRunConfig, prepare_folds, train_folds
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +95,11 @@ def ablation_table(
     Every fold is prepared once, before any training
     (``trainer.prepare_folds``), and serves the networks and the baselines.
     Network variants run the full k-fold protocol, all of them as one stack
-    of networks per fold (see ``trainer.run_folds``); with every variant,
-    each fold is a job of its own (see ``trainer.fold_jobs``). The jobs run
-    on ``threads`` worker processes when threads > 1 (see
-    ``trainer.run_fold_jobs``), so more threads than folds gain nothing.
-    The default of 1 trains in this process. The F1 of a
+    of networks per fold (see ``trainer.run_folds``): with every variant,
+    each fold is a stack of its own. The stacks train on ``threads`` worker
+    processes when threads > 1 (see ``trainer.train_folds``), so more
+    threads than folds gain nothing. The default of 1 trains in this
+    process. The F1 of a
     variant whose ``VARIANTS`` row leaves out the emotion term (eda_only)
     reports 0.0, as its classifier is never trained. Returns the table plus
     the per-variant fold reports so callers can reuse them without
@@ -107,9 +107,8 @@ def ablation_table(
     """
     folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, cfg.k, cfg.seed))
     cfgs = {v: replace(cfg, variant=v) for v in variants if v not in BASELINES}
-    jobs = fold_jobs(folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
-    stacks = run_fold_jobs(jobs, threads)
-    fold_reports = {v: [stack[i][0] for stack in stacks] for i, v in enumerate(cfgs)}
+    trained = train_folds(folds, list(cfgs.values()), model_cfg, threads) if cfgs else []
+    fold_reports = {v: [r for r, _ in pairs] for v, pairs in zip(cfgs, trained)}
     names = [v for v in variants if v in BASELINES]
     baseline = baseline_rows(folds, names, model_cfg.threshold)
     rows: list[AblationRow] = []

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gradcheck
 from . import model as model_mod
 from .data import (
     Dataset,
@@ -32,7 +33,6 @@ from .data import (
     synth_generate,
 )
 from .evaluation import ClassificationMetrics, classification_metrics, regression_metrics
-from .gradcheck import check_gradients
 from .model import ModelConfig, init_model
 from .objective import PhysicsParams, mse, physics_residual
 from .rng import Pcg32
@@ -60,11 +60,12 @@ def _random_batch(n: int, seed: int) -> Dataset:
 def suite_gradient_check(seed: int = 1) -> SuiteResult:
     params = init_model(ModelConfig(hidden=[8, 8], seed=seed))
     batch = _random_batch(16, seed)
-    report = check_gradients(params, batch)
+    report = gradcheck.check_gradients(params, batch)
+    tol = np.format_float_scientific(gradcheck.TOL, trim="-", exp_digits=1)
     return SuiteResult(
         "gradient-check",
         report.passed,
-        f"max rel error {report.max_rel_error:.3e} (worst block {report.worst_block}, tol 1e-6)",
+        f"max rel error {report.max_rel_error:.3e} (worst block {report.worst_block}, tol {tol})",
         figure=report.max_rel_error,
     )
 

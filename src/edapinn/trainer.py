@@ -18,13 +18,13 @@ accumulation order is deterministic; (seed, data, config) fully determine
 every recorded trace value. Every fold is prepared once, before any
 training (``prepare_folds``), for the stacks and the baselines alike, and
 its number keys its init and streams wherever it trains.
-``fold_jobs`` deals the folds into as few jobs as fill ``threads`` worker
-processes without a job holding more networks than one fold of every
-variant; since every fold has its own derived RNG streams, the results are
+``train_folds`` is the one way prepared folds train, for ``train``,
+``kfold`` and ``ablate`` alike. It deals the folds into as few stacks as
+fill ``threads`` worker processes without a stack holding more networks
+than one fold of every variant, and runs them in this process or on a
+pool; since every fold has its own derived RNG streams, the results are
 identical, byte for byte, however the folds are dealt and wherever the
-jobs run.
-
-``run_fold_jobs`` also keeps the process's heap steady: it raises glibc's
+stacks run. It also keeps the process's heap steady: it raises glibc's
 trim and mmap thresholds once, so that the step's arrays, which a stack
 makes larger, are reused instead of being mapped and faulted in anew.
 """
@@ -317,7 +317,7 @@ def prepare_folds(splits: Iterable[tuple[Dataset, Dataset]]) -> list[Fold]:
     """The (train, valid) splits as folds numbered from 1. Each
     normalizes on its training part (validation targets may leave [0, 1])
     wholly before the next, so a faulty column raises one ``ConfigError``
-    however the folds are later dealt into jobs. Then a split of fewer than
+    however the folds are later dealt into stacks. Then a split of fewer than
     ``MIN_FINAL_BATCH`` rows raises ``ConfigError``: training needs a batch,
     and the metrics of a few rows read as a result that is none (the
     Pearson r of two rows is always 1 or -1)."""
@@ -374,35 +374,11 @@ def run_fold(
     train: Dataset, valid: Dataset, cfg: TrainRunConfig, model_cfg: ModelConfig
 ) -> tuple[FoldReport, ModelParams]:
     """Train on one split and evaluate on its validation part: the stack of
-    one fold, prepared as fold 1 (``prepare_folds``), and one config
-    (``run_folds``). Returns the report and the trained model."""
-    return run_folds(prepare_folds([(train, valid)]), [cfg], model_cfg)[0][0]
-
-
-FoldJob = tuple[list[Fold], Sequence[TrainRunConfig], ModelConfig]
-
-
-def fold_jobs(
-    folds: list[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig, threads: int
-) -> list[FoldJob]:
-    """The ``run_folds`` arguments that train every prepared fold.
-
-    The k folds are dealt, in order, into
-    ``max(min(threads, k), ceil(k * V / len(VARIANTS)))`` jobs whose sizes
-    differ by at most one, V being the number of configs. So the jobs fill
-    ``threads`` workers, and no job holds more networks than one fold of
-    every variant. The cap bounds memory, not time: a network-epoch costs
-    the same in a larger stack (21.3 ms at one fold of 4 variants, 20.1 ms
-    at 5 folds of 4), but a process's peak RSS grows with it (40.6 MB
-    against 59.6 MB at 3 epochs).
-    """
-    k = len(folds)
-    jobs = max(min(threads, k), math.ceil(k * len(cfgs) / len(VARIANTS)))
-    return [([folds[i] for i in job], cfgs, model_cfg) for job in np.array_split(np.arange(k), jobs)]
-
-
-def _run_job(job: FoldJob):
-    return run_folds(*job)
+    one fold, prepared as fold 1 (``prepare_folds``), and one config, in
+    this process under the heap setting (``train_folds``). Returns the
+    report and the trained model."""
+    [[pair]] = train_folds(prepare_folds([(train, valid)]), [cfg], model_cfg)
+    return pair
 
 
 # the thread-count setter of OpenBLAS, under each name its builds export
@@ -472,32 +448,54 @@ def _steady_heap() -> None:
     mallopt(M_MMAP_THRESHOLD, 4 << 20)
 
 
-def run_fold_jobs(jobs: list[FoldJob], threads: int = 1) -> list:
-    """``run_folds`` over every job, its results in fold order.
+def _run_stack(*task):  # the pool's task: looks ``run_folds`` up when it runs
+    return run_folds(*task)
+
+
+def train_folds(
+    folds: list[Fold], cfgs: Sequence[TrainRunConfig], model_cfg: ModelConfig, threads: int = 1
+) -> list[list[tuple[FoldReport, ModelParams]]]:
+    """Train every prepared fold under every config (``run_folds``) and
+    return, per config in order, the (report, model) of every fold, in
+    fold order. The heap setting of ``_steady_heap`` is made first.
+
+    The k folds are dealt, in order, into
+    ``max(min(threads, k), ceil(k * V / len(VARIANTS)))`` stacks whose
+    sizes differ by at most one, V being the number of configs. So the
+    stacks fill ``threads`` workers, and no stack holds more networks than
+    one fold of every variant. The cap bounds memory, not time: a
+    network-epoch costs the same in a larger stack (21.3 ms at one fold of
+    4 variants, 20.1 ms at 5 folds of 4), but a process's peak RSS grows
+    with it (40.6 MB against 59.6 MB at 3 epochs).
 
     ``threads`` is the number of worker processes, capped at the number of
-    jobs; with one, the jobs run in this process, in order. Each worker
-    runs OpenBLAS on one thread. The pool lives inside this call: every
-    worker has exited when it returns or raises, and a job's exception
-    reaches the caller with its type and message (a worker that dies
-    raises ``concurrent.futures.process.BrokenProcessPool``). The heap
-    setting of ``_steady_heap`` is made first.
+    stacks; with one, the stacks train in this process, in order. Each
+    worker runs OpenBLAS on one thread. The pool lives inside this call:
+    every worker has exited when it returns or raises, and a stack's
+    exception reaches the caller with its type and message (a worker that
+    dies raises ``concurrent.futures.process.BrokenProcessPool``).
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     _steady_heap()
-    workers = min(threads, len(jobs))
+    k = len(folds)
+    count = max(min(threads, k), math.ceil(k * len(cfgs) / len(VARIANTS)))
+    stacks = [[folds[i] for i in stack] for stack in np.array_split(np.arange(k), count)]
+    tasks = (stacks, [cfgs] * count, [model_cfg] * count)
+    workers = min(threads, count)
     if workers <= 1:
-        return [fold for job in jobs for fold in _run_job(job)]
-    # imported here: the pool's modules add about 30 ms to every cold start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        results = list(map(_run_stack, *tasks))
+    else:
+        # imported here: the pool's modules add about 30 ms to every cold start
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a worker inherits the loaded package instead of importing it, and
-    # the method starts no resource tracker or forkserver that outlives the pool
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
-        return [fold for folds in pool.map(_run_job, jobs) for fold in folds]
+        # fork: a worker inherits the loaded package instead of importing it, and
+        # the method starts no resource tracker or forkserver that outlives the pool
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
+            results = list(pool.map(_run_stack, *tasks))
+    return [list(pairs) for pairs in zip(*(fold for stack in results for fold in stack))]
 
 
 def run_kfold(
@@ -509,15 +507,14 @@ def run_kfold(
     """Stratified ``cfg.k``-fold driver; fold indices are 1-based as reported.
 
     Every fold is prepared (``prepare_folds``) before any trains. The folds
-    train as a few stacks (``fold_jobs``), on ``threads`` worker processes
-    when threads > 1 (see ``run_fold_jobs``); every fold owns derived RNG
-    streams and results are collected in fold order, so the output is
-    identical, byte for byte, to that of one fold at a time.
+    train as a few stacks, on ``threads`` worker processes when threads > 1
+    (``train_folds``); every fold owns derived RNG streams and results are
+    collected in fold order, so the output is identical, byte for byte, to
+    that of one fold at a time.
     """
     folds = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in stratified_kfold(data, cfg.k, cfg.seed))
-    jobs = fold_jobs(folds, [cfg], model_cfg, threads)
-    results = [pairs[0] for pairs in run_fold_jobs(jobs, threads)]
-    return [r for r, _ in results], [m for _, m in results]
+    [pairs] = train_folds(folds, [cfg], model_cfg, threads)
+    return [r for r, _ in pairs], [m for _, m in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -529,7 +529,7 @@ def test_dead_worker_process_exits_2(tmp_path, capsys, monkeypatch, command):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(folds, cfg, model_cfg)
 
-    # every pool job of kfold and ablate is one run_folds call; forked workers inherit the patch
+    # every stack of kfold and ablate is one run_folds call; forked workers inherit the patch
     monkeypatch.setattr(trainer_mod, "run_folds", dying)
     cfg_path = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN})
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "2"]

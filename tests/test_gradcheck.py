@@ -67,6 +67,12 @@ def test_gradient_below_fd_resolution_passes_and_a_small_error_is_still_caught(m
     assert "layer0.bn_shift" in result.detail
 
 
+def test_gradient_suite_states_the_tolerance_it_runs_at(monkeypatch):
+    assert suite_gradient_check(1).detail.endswith(", tol 1e-6)")
+    monkeypatch.setattr(gradcheck_mod, "TOL", 3e-6)
+    assert suite_gradient_check(1).detail.endswith(", tol 3e-6)")
+
+
 def test_zero_network_zero_targets_regression_gradients_vanish():
     params = init_model(ModelConfig(hidden=[8, 8], seed=15, dropout=0.0))
     for name in ("layer0.w", "layer1.w", "head_reg.w", "head_cls.w"):

@@ -32,11 +32,11 @@ from edapinn.trainer import (
     physics_least_squares,
     prepare_folds,
     recover_physics,
-    fold_jobs,
     run_fold,
     run_folds,
     run_kfold,
     train_epoch,
+    train_folds,
 )
 
 
@@ -421,14 +421,22 @@ def test_folds_and_variants_stack_equals_one_run_fold_each_bit_for_bit(monkeypat
     [(5, 1, 1, [3, 2]), (5, 1, 2, [3, 2]), (5, 4, 1, [1] * 5), (5, 4, 2, [1] * 5),
      (3, 1, 64, [1, 1, 1]), (3, 2, 2, [2, 1]), (4, 1, 1, [4])],
 )
-def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(k, variants, threads, sizes):
+def test_fold_jobs_deal_the_folds_in_order_into_few_stacks(monkeypatch, k, variants, threads, sizes):
+    """``train_folds`` deals the folds into stacks, one ``run_folds`` call each."""
     data = small_synth(n=200, seed=13)
     splits = trainer_mod.stratified_kfold(data, k, 5)
     cfgs = [quick_cfg(variant=v) for v in list(VARIANTS)[:variants]]
     prepared = prepare_folds((data.subset(tr), data.subset(va)) for tr, va in splits)
-    jobs = fold_jobs(prepared, cfgs, quick_model(), threads)
-    assert [len(folds) for folds, _, _ in jobs] == sizes
-    assert [fold.number for folds, _, _ in jobs for fold in folds] == list(range(1, k + 1))
+
+    def stack_numbers(folds, cfgs, model_cfg):
+        """Each fold's result, for every config: the fold numbers of its stack."""
+        return [[[fold.number for fold in folds]] * len(cfgs)] * len(folds)
+
+    monkeypatch.setattr(trainer_mod, "run_folds", stack_numbers)  # forked workers inherit the patch
+    ends = np.cumsum([0] + sizes)
+    stacks = [list(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])]
+    assert stacks[-1][-1] == k
+    assert train_folds(prepared, cfgs, quick_model(), threads) == [[s for s in stacks for _ in s]] * variants
 
 
 def test_ablation_normalizes_each_fold_once(monkeypatch):
@@ -501,8 +509,14 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     assert caught.value.model == 5
 
 
+def test_train_runs_under_the_heap_setting():
+    trainer_mod._steady_heap.cache_clear()
+    data = small_synth(n=200)
+    run_fold(data.subset(np.arange(160)), data.subset(np.arange(160, 200)), quick_cfg(epochs=1), quick_model())
+    assert trainer_mod._steady_heap.cache_info().currsize == 1
+
+
 def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
-    trainer_mod._steady_heap()
     real, faults = trainer_mod.train_epoch, []
 
     def counting(*args):
@@ -603,7 +617,7 @@ def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, runs jobs in-process."""
+        """Stands in for the process pool: records its size, runs stacks in-process."""
 
         def __init__(self, max_workers, mp_context, initializer):
             assert mp_context.get_start_method() == "fork"
@@ -615,8 +629,8 @@ def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     data = small_synth(n=200, seed=13)
@@ -624,8 +638,8 @@ def test_pool_gets_one_worker_per_job_at_most(monkeypatch):
     run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=2)
     run_kfold(data, quick_cfg(epochs=1, k=3), quick_model(), threads=1)  # in-process, no pool
     ablation_table(data, ["full", "eda_only", "ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)
-    ablation_table(data, ["ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)  # no jobs, no pool
-    assert sizes == [3, 2, 3]  # an ablation job is a fold that trains its variants as one stack
+    ablation_table(data, ["ridge"], quick_model(), quick_cfg(epochs=1, k=3), 64)  # no stacks, no pool
+    assert sizes == [3, 2, 3]  # an ablation stack is a fold that trains its variants together
 
 
 def blas_threads() -> list[int]:
