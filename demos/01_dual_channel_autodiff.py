@@ -50,7 +50,7 @@ print(f"  dual-channel dydt vs finite differences over 200 samples:")
 print(f"  max relative error = {rel.max():.3e}")
 
 print()
-print("=== 3. Full-objective gradient check ===")
+print("=== 3. Every variant's objective, gradient-checked ===")
 params = init_model(ModelConfig(hidden=[8, 8], seed=3))
 batch = Dataset(
     rng.normal(16),
@@ -59,6 +59,6 @@ batch = Dataset(
     (rng.random(16) < 0.5).astype(np.int64),
 )
 report = check_gradients(params, batch)
-print(f"  analytic vs central differences across {len(report.block_errors)} parameter blocks")
+print(f"  analytic vs central differences across {len(report.block_errors)} parameter blocks of 4 variants")
 print(f"  max relative error = {report.max_rel_error:.3e}  (worst: {report.worst_block})")
 print(f"  passed at 1e-6: {report.passed}")

@@ -24,14 +24,14 @@ their output. The affine backward also returns ``dw`` (summed over the
 channel axis, -3) and batch-norm's ``(d_scale, d_shift)``;
 ``affine_weight_grad`` gives ``dw`` alone, for the first layer, whose input
 needs no adjoint. The affine map has no bias (the model adds the regression
-head's own), and dropout's cache is the mask it applied, one
-``(n, width)`` draw shared by every model of a stack, or one per fold,
-``(F, 1, n, width)``. Swish evaluates its sigmoid once per forward call, in
-its output's buffer, and caches s'(x) and s''(x) times the input's tangent,
-both built from it; batch-norm caches a copy of its input's tangent rather
-than the input, twice its size. Both keep a stack's step small, and in eval
-mode, which never trains, neither builds what only a backward reads.
-``sigmoid`` is the package's one logistic function.
+head's own), and dropout's cache is its mask, one draw per fold from the
+fold's stream: ``(n, width)`` for one network, ``(F, 1, n, width)`` for a
+stack. Swish evaluates its sigmoid once per forward call, in its output's
+buffer, and caches s'(x) and s''(x) times the input's tangent, both built
+from it; batch-norm caches a copy of its input's tangent rather than the
+input, twice its size. Both keep a stack's step small, and in eval mode,
+which never trains, neither builds what only a backward reads.
+``sigmoid``, of arrays, is the package's one logistic function.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ from .errors import ContractError
 from .rng import Pcg32
 
 
-def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)) of a scalar or an array, as 0.5 * (1 + tanh(x / 2)):
+def sigmoid(x: np.ndarray, out=None):
+    """1 / (1 + exp(-x)) of an array, elementwise, as 0.5 * (1 + tanh(x / 2)):
     no masks, no overflow, exactly 0 and 1 far out in the tails. Built in
     one array, ``out`` when given, with no temporaries."""
-    if np.ndim(x) == 0 and out is None:
-        return 0.5 * (1.0 + np.tanh(0.5 * x))
     s = np.multiply(x, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
@@ -59,10 +57,7 @@ def sigmoid(x, out=None):
 
 
 def softplus(x):
-    """log(1 + exp(x)), exactly x above 30: a float of a scalar, elementwise of an array."""
-    if np.ndim(x) == 0:
-        return float(x) if x > 30.0 else float(np.log1p(np.exp(x)))
-    x = np.asarray(x, dtype=np.float64)
+    """log(1 + exp(x)) elementwise, exactly x above 30; a number gives a 0-d array."""
     return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
@@ -261,27 +256,25 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
     by ``1 / (1 - rate)``; ``Pcg32.random_ge`` decides the comparison without
     forming the uniforms, with the same result and draw count as ``random``."""
     keep = rng.random_ge(shape[0] * shape[1], rate).reshape(shape)
-    return np.where(keep, 1.0 / (1.0 - rate), 0.0)
+    return keep * (1.0 / (1.0 - rate))
 
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Pcg32 | Sequence[Pcg32] | None = None):
-    """The batch masked by a fresh ``(n, width)`` draw from ``rng``, the same
-    for every model of a stack, and the mask applied, or ``x`` itself and
-    ``None`` when dropout is off (eval mode or a zero rate).
-
-    A sequence of streams, one per index of the stack's first axis (one per
-    fold), draws one mask from each, in order: the mask has shape
-    ``(F, 1, ..., n, width)`` and is shared along the stack's other axes.
+def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Sequence[Pcg32] | None = None):
+    """The batch masked by a fresh ``(n, width)`` draw from each stream of
+    ``rng``, one per fold (a single network is one fold), and the mask
+    applied, or ``x`` itself and ``None`` when dropout is off (eval mode or
+    a zero rate). A stack's mask, ``(F, 1, ..., n, width)``, is shared
+    along its axes after the first.
     """
     if mode == "eval" or rate == 0.0:
         return x, None
     if rng is None:
         raise ContractError("train-mode dropout needs an rng")
-    if isinstance(rng, Pcg32):
-        mask = make_dropout_mask(x.shape[-2:], rate, rng)
-    else:
-        shape = (len(rng),) + (1,) * (x.ndim - 4) + x.shape[-2:]
-        mask = np.stack([make_dropout_mask(x.shape[-2:], rate, r) for r in rng]).reshape(shape)
+    models = x.shape[:-3]
+    if len(rng) != (models[0] if models else 1):
+        raise ContractError(f"dropout needs one stream per fold, got {len(rng)} for a stack of {models}")
+    mask = np.stack([make_dropout_mask(x.shape[-2:], rate, r) for r in rng])
+    mask = mask.reshape(models[:1] + (1,) * (len(models) - 1) + x.shape[-2:])
     return x * mask[..., None, :, :], mask
 
 

@@ -28,9 +28,9 @@ by ``running_shapes``). Every part is named once, ``layerI.key`` or
 holds a view of each, ``blocks`` names a gradient's parts alike, and every
 function here reads and writes the parts by those names.
 
-One ``forward`` and one ``backward`` serve a single network, which the
-gradient checker and evaluation run, and the stack of networks that
-training runs (``stack``): F folds of V variants of one config, ``theta``
+One ``forward`` and one ``backward`` serve a single network, which
+evaluation runs, and the stack of networks that training and the gradient
+checker run (``stack``): F folds of V variants of one config, ``theta``
 of shape ``(F, V, P)`` and ``running`` of shape ``(F, V, R)``, so every view
 carries the leading axes. Its batch holds one batch per fold, ``t`` of shape
 ``(F, 1, n)``, so the input is ``(F, 1, 2, n, 4)`` and broadcasts over the
@@ -257,17 +257,17 @@ def forward(
     t: np.ndarray,
     e: np.ndarray,
     mode: str = "eval",
-    rng: Pcg32 | None = None,
+    rng: Sequence[Pcg32] | None = None,
 ) -> Predictions:
     """Dual-channel forward pass over a normalized batch, of one model or of
     a stack.
 
     Train mode uses batch statistics and draws one dropout mask per hidden
-    layer from ``rng``, in layer order, so two streams in the same state
-    give the same masks; eval mode uses running statistics, disables
-    dropout, never consumes randomness and keeps no caches. A stack over
-    folds takes ``t`` of shape ``(F, 1, n)``, ``e`` of shape ``(F, 1, n, 3)``
-    and one stream per fold.
+    layer, in layer order, from each stream of ``rng``, one per fold (a
+    single network is one fold), so streams in the same state give the
+    same masks; eval mode uses running statistics, disables dropout, never
+    consumes randomness and keeps no caches. A stack over folds takes ``t``
+    of shape ``(F, 1, n)`` and ``e`` of shape ``(F, 1, n, 3)``.
     """
     t = np.asarray(t, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -304,7 +304,7 @@ def forward(
     return Predictions(y, dydt, z, ad.sigmoid(z), caches)
 
 
-def forward_batch(params: ModelParams, batch, mode: str = "eval", rng: Pcg32 | None = None) -> Predictions:
+def forward_batch(params: ModelParams, batch, mode: str = "eval", rng: Sequence[Pcg32] | None = None) -> Predictions:
     """Forward over a (normalized) Dataset."""
     return forward(params, batch.t, batch.e, mode, rng)
 

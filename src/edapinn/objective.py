@@ -80,9 +80,8 @@ class PhysicsParams:
             raise ContractError(f"beta must be a 3-vector, got shape {self.beta.shape}")
 
     def lambda_eff(self, floor: float = 0.0):
-        """max(softplus(rho), floor): a float, or one per model of a stack."""
-        lam = softplus(self.rho)
-        return max(lam, floor) if np.ndim(lam) == 0 else np.maximum(lam, floor)
+        """max(softplus(rho), floor), one per model of a stack."""
+        return np.maximum(softplus(self.rho), floor)
 
     def copy(self) -> "PhysicsParams":
         return PhysicsParams(float(self.alpha0), self.beta.copy(), float(self.gamma), float(self.rho))
@@ -90,11 +89,11 @@ class PhysicsParams:
 
 @dataclass
 class LossBreakdown:
-    l_eda: float
-    l_emotion: float
-    l_physics: float
-    lambda_eff: float
-    total: float
+    l_eda: np.ndarray  # one per network of the stack
+    l_emotion: np.ndarray
+    l_physics: np.ndarray
+    lambda_eff: np.ndarray
+    total: np.ndarray
 
 
 def _row_mean(a: np.ndarray):
@@ -165,28 +164,30 @@ class LossGrads:
     adj_y: np.ndarray
     adj_dydt: np.ndarray
     adj_z: np.ndarray
-    d_alpha0: float | np.ndarray
+    d_alpha0: np.ndarray
     d_beta: np.ndarray
-    d_gamma: float | np.ndarray
-    d_rho: float | np.ndarray
+    d_gamma: np.ndarray
+    d_rho: np.ndarray
 
 
 def loss_gradients(
-    preds: "Predictions", batch: "Dataset", params: "ModelParams", variant: str | Sequence[str]
+    preds: "Predictions", batch: "Dataset", params: "ModelParams", variants: Sequence[str]
 ) -> tuple[LossBreakdown, LossGrads]:
     """The loss breakdown of ``preds`` on one normalized ``batch`` and the
     exact gradients of the terms of L_eda + L_emotion + lambda*L_physics that
-    the ``VARIANTS`` row of ``variant`` trains, from one residual.
+    each network's ``VARIANTS`` row trains, from one residual.
 
+    ``variants`` names one per index of the stack's last model axis (another
+    count, or a network with no model axis, raises ``ContractError``), and
     lambda, its floor and its freeze come from ``params``. Every component is
     always computed, and the breakdown is the unweighted one, so
     total == l_eda + l_emotion + lambda_eff * l_physics holds by definition.
-    For a stack, ``variant`` may name one variant per index of its last
-    model axis, and every field carries the stack's leading axes; each
-    model's numbers are those it gets alone, bit for bit.
+    Every field carries the stack's leading axes, and each model's numbers
+    are those it gets alone, bit for bit.
     """
-    use = VARIANTS[variant] if isinstance(variant, str) else [VARIANTS[v] for v in variant]
-    use_eda, use_emotion, use_physics = np.array(use).T  # a flag, or one per model
+    if params.theta.shape[:-1][-1:] != (len(variants),):
+        raise ContractError(f"{len(variants)} variants for a stack of {params.theta.shape[:-1]} networks")
+    use_eda, use_emotion, use_physics = np.array([VARIANTS[v] for v in variants]).T  # one flag per model
     phys, floor = params.physics, params.config.lambda_floor
     n = len(batch)
     y = np.asarray(preds.y_eda, dtype=np.float64)

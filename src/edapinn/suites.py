@@ -78,7 +78,7 @@ def suite_tangent_check(seed: int = 1) -> SuiteResult:
     t = rng.normal(n)
     e = rng.normal(3 * n).reshape(n, 3)
     # populate running statistics so eval mode is nontrivial
-    warm = model_mod.forward(params, t, e, "train", rng.derive("warm"))
+    warm = model_mod.forward(params, t, e, "train", [rng.derive("warm")])
     model_mod.commit_batchnorm(params, warm.caches)
     preds = model_mod.forward(params, t, e, "eval")
     h = 1e-6

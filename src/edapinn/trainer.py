@@ -165,28 +165,23 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> None:
 
 
 def batch_loss(
-    params: ModelParams, batch: Dataset, variant: str | Sequence[str], rng: Pcg32 | Sequence[Pcg32] | None
+    params: ModelParams, batch: Dataset, variants: Sequence[str], rng: Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, obj.LossGrads, model_mod.Predictions]:
-    """The objective of ``variant`` on the train-mode forward of one
-    normalized batch, dropout masks drawn from ``rng`` (None at a zero rate):
-    the loss, its adjoints and the predictions, for training and the
-    gradient checker.
-
-    A stack may name one variant per index of its last model axis (see
-    ``objective.loss_gradients``); its loss and adjoints carry the stack's
-    leading axes.
-    """
+    """The objective of ``variants`` (see ``objective.loss_gradients``) on the
+    train-mode forward of a stack on one normalized batch, dropout masks
+    drawn from ``rng``, one stream per fold (None at a zero rate): the loss
+    and its adjoints, with the stack's leading axes, and the predictions."""
     preds = forward_batch(params, batch, "train", rng)
-    return *obj.loss_gradients(preds, batch, params, variant), preds
+    return *obj.loss_gradients(preds, batch, params, variants), preds
 
 
 def batch_gradients(
-    params: ModelParams, batch: Dataset, variant: str | Sequence[str], rng: Pcg32 | Sequence[Pcg32] | None
+    params: ModelParams, batch: Dataset, variants: Sequence[str], rng: Sequence[Pcg32] | None
 ) -> tuple[obj.LossBreakdown, np.ndarray, model_mod.Predictions]:
-    """Forward, loss and backward for one normalized batch under the
-    objective of ``variant``: the loss, its gradient laid out as
+    """Forward, loss and backward of a stack on one normalized batch, as
+    ``batch_loss`` takes them: the loss, its gradient laid out as
     ``params.theta`` and the predictions, for Adam and the gradient checker."""
-    breakdown, lg, preds = batch_loss(params, batch, variant, rng)
+    breakdown, lg, preds = batch_loss(params, batch, variants, rng)
     return breakdown, model_mod.backward(params, preds.caches, lg), preds
 
 

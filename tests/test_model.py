@@ -27,6 +27,7 @@ from edapinn.model import (
     forward_batch,
     init_model,
     running_shapes,
+    stack,
 )
 from edapinn.rng import Pcg32
 
@@ -149,9 +150,11 @@ def test_eval_forward_keeps_no_caches_and_has_no_backward():
     # caches peaked at 7.6 of them, a layer's working set alone at 5.2
     assert peak <= 6 * (2 * 400 * 64 * 8)
     batch = Dataset(t, e, np.zeros(400), np.zeros(400, dtype=np.int64))
-    _, lg = loss_gradients(preds, batch, params, "full")
+    net = stack([params], 1)
+    preds = forward(net, t, e, "eval")
+    _, lg = loss_gradients(preds, batch, net, ["full"])
     with pytest.raises(ContractError):
-        backward(params, preds.caches, lg)
+        backward(net, preds.caches, lg)
 
 
 def test_train_mode_dropout_needs_rng():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edapinn.errors import ContractError
 from edapinn.data import Dataset, SynthSpec, synth_generate
-from edapinn.model import ModelConfig, init_model
+from edapinn.model import ModelConfig, init_model, stack
 from edapinn.objective import (
     VARIANTS,
     PhysicsParams,
@@ -24,22 +24,24 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 class FakePreds:
+    """The outputs of a one-network stack, ``(1, 1, n)``."""
+
     def __init__(self, y_eda, dydt, z_emotion):
-        self.y_eda = np.asarray(y_eda, dtype=float)
-        self.dydt = np.asarray(dydt, dtype=float)
-        self.z_emotion = np.asarray(z_emotion, dtype=float)
+        self.y_eda, self.dydt, self.z_emotion = (
+            np.asarray(a, dtype=float).reshape(1, 1, -1) for a in (y_eda, dydt, z_emotion)
+        )
         self.p_emotion = 1.0 / (1.0 + np.exp(-self.z_emotion))
 
 
 def objective_on(preds, y, labels, e, phys, variant="full", lambda_floor=0.0):
     """``loss_gradients`` of ``preds`` against these targets, with ``phys``
-    as the model's physics and ``lambda_floor`` as its floor."""
+    as the physics of a one-network stack and ``lambda_floor`` as its floor."""
     batch = Dataset(np.zeros(len(y)), np.asarray(e, dtype=float), np.asarray(y, dtype=float),
                     np.asarray(labels).astype(np.int64))
-    params = init_model(ModelConfig(hidden=[1], lambda_floor=lambda_floor))
+    params = stack([init_model(ModelConfig(hidden=[1], lambda_floor=lambda_floor))], 1)
     for f in fields(PhysicsParams):
         params.views[f"physics.{f.name}"][...] = getattr(phys, f.name)
-    return loss_gradients(preds, batch, params, variant)
+    return loss_gradients(preds, batch, params, [variant])
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +196,15 @@ def test_loss_gradient_variant_switches():
         for trained_by_physics in (lg.adj_dydt, lg.d_alpha0, lg.d_rho):
             assert np.any(trained_by_physics) == use_physics, variant
         assert lg.d_rho >= 0.0  # physics loss can only push lambda down
+
+
+@pytest.mark.parametrize(
+    "models, variants", [((), ["full"]), ((1, 2), ["full"]), ((2, 2), ["full"] * 3)], ids=["network", "fewer", "more"]
+)
+def test_loss_gradients_needs_one_variant_per_network_of_the_last_model_axis(models, variants):
+    net = init_model(ModelConfig(hidden=[2]))
+    params = stack([net] * models[0], models[1]) if models else net
+    preds = FakePreds([0.5, 0.4], [0.1, 0.2], [0.0, 1.0])
+    batch = Dataset(np.zeros(2), np.ones((2, 3)), np.array([0.4, 0.5]), np.array([0, 1]))
+    with pytest.raises(ContractError, match="variants for a stack"):
+        loss_gradients(preds, batch, params, variants)

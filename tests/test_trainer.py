@@ -143,10 +143,10 @@ def test_single_sample_epoch_equals_one_adam_step():
     nd = apply_normalizer(norm, data).subset(np.array([3]))
     cfg = quick_cfg(batch_size=8)
     stepped, _ = train_one_fold(init_model(quick_model(dropout=0.0), norm), nd, cfg)
-    manual = init_model(quick_model(dropout=0.0), norm)
-    _, grad, _ = batch_gradients(manual, nd, "full", None)
+    manual = stack([init_model(quick_model(dropout=0.0), norm)], 1)
+    _, grad, _ = batch_gradients(manual, nd, ["full"], None)
     adam_step(init_adam(manual, cfg.lr), manual, grad)
-    assert np.allclose(stepped.theta, manual.theta, atol=1e-15)
+    assert np.allclose(stepped.theta, manual.theta[0, 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("rows, sizes", [(129, [129]), (136, [128, 8]), (260, [128, 132])])
@@ -194,10 +194,10 @@ def test_saturated_wrong_classifier_keeps_its_gradient():
     data = small_synth(n=64)
     nd = apply_normalizer(fit_normalizer(data), data)
     nd.label[:] = 0
-    params = init_model(quick_model(dropout=0.0))
+    params = stack([init_model(quick_model(dropout=0.0))], 1)
     params.views["head_cls.b"][:] = 20.0
-    breakdown, grad, preds = batch_gradients(params, nd, "emotion_only", None)
-    assert blocks(grad, params.config)["head_cls.b"][0] == pytest.approx(1.0, abs=1e-6)
+    breakdown, grad, preds = batch_gradients(params, nd, ["emotion_only"], None)
+    assert blocks(grad, params.config)["head_cls.b"][0, 0, 0] == pytest.approx(1.0, abs=1e-6)
     assert breakdown.l_emotion > 17.0  # a clipped BCE would stop at -log(1e-7) = 16.1
     assert breakdown.l_emotion == pytest.approx(np.mean(np.logaddexp(0.0, preds.z_emotion)), rel=1e-12)
 
@@ -214,10 +214,10 @@ def test_training_step_evaluates_sigmoid_once_per_layer(monkeypatch):
     monkeypatch.setattr(autodiff, "sigmoid", counting)
     monkeypatch.setattr(objective, "sigmoid", counting)
     data = small_synth(n=64)
-    params = init_model(quick_model())
-    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), "full", Pcg32(1))
+    params = stack([init_model(quick_model())], 1)
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), ["full"], [Pcg32(1)])
     # one per swish layer (the backward reuses it), p = sigmoid(z), d lambda / d rho
-    assert calls == [(64, 12), (64, 12), (64,), ()]
+    assert calls == [(1, 1, 64, 12), (1, 1, 64, 12), (1, 1, 64), (1, 1)]
 
 
 def test_training_step_evaluates_the_objective_once(monkeypatch):
@@ -227,13 +227,13 @@ def test_training_step_evaluates_the_objective_once(monkeypatch):
     real, calls = objective.physics_residual, []
 
     def counting(*args):
-        calls.append(len(args[0]))
+        calls.append(args[0].shape[-1])
         return real(*args)
 
     monkeypatch.setattr(objective, "physics_residual", counting)
     data = small_synth(n=64)
-    params = init_model(quick_model())
-    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), "full", Pcg32(1))
+    params = stack([init_model(quick_model())], 1)
+    batch_gradients(params, apply_normalizer(fit_normalizer(data), data), ["full"], [Pcg32(1)])
     assert calls == [64]
 
 
@@ -242,20 +242,20 @@ def test_batch_loss_on_fresh_streams_repeats_and_masks_in_layer_order():
     # evaluation pins the dropout masks, one per hidden layer, in layer order
     data = small_synth(n=64, seed=21)
     nd = apply_normalizer(fit_normalizer(data), data)
-    params = init_model(quick_model(hidden=[12, 9, 6], dropout=0.3))
+    params = stack([init_model(quick_model(hidden=[12, 9, 6], dropout=0.3))], 1)
 
     def stream():
         return Pcg32(params.config.seed).derive("gradcheck")
 
-    first, _, preds = batch_loss(params, nd, "full", stream())
-    second, _, _ = batch_loss(params, nd, "full", stream())
-    assert np.float64(first.total).tobytes() == np.float64(second.total).tobytes()
+    first, _, preds = batch_loss(params, nd, ["full"], [stream()])
+    second, _, _ = batch_loss(params, nd, ["full"], [stream()])
+    assert first.total.tobytes() == second.total.tobytes()
     rng = stream()
     for width, cache in zip(params.config.hidden, preds.caches.layers):
         expected = make_dropout_mask((len(nd), width), 0.3, rng)
-        assert np.array_equal(cache.dropout_mask, expected)
-    breakdown, _, _ = batch_gradients(params, nd, "full", stream())
-    assert np.float64(breakdown.total).tobytes() == np.float64(first.total).tobytes()
+        assert np.array_equal(cache.dropout_mask, expected[None, None])
+    breakdown, _, _ = batch_gradients(params, nd, ["full"], [stream()])
+    assert breakdown.total.tobytes() == first.total.tobytes()
 
 
 def test_single_step_descent_probability():
@@ -269,11 +269,11 @@ def test_single_step_descent_probability():
     wins = 0
     trials = 100
     for s in range(trials):
-        params = init_model(quick_model(seed=1000 + s), norm)
-        before, grad, _ = batch_gradients(params, nd, "full", Pcg32(s).derive("mask"))
+        params = stack([init_model(quick_model(seed=1000 + s), norm)], 1)
+        before, grad, _ = batch_gradients(params, nd, ["full"], [Pcg32(s).derive("mask")])
         adam_step(init_adam(params, cfg.lr), params, grad)
-        after, _, _ = batch_loss(params, nd, "full", Pcg32(s).derive("mask"))
-        wins += after.total <= before.total
+        after, _, _ = batch_loss(params, nd, ["full"], [Pcg32(s).derive("mask")])
+        wins += bool(after.total <= before.total)
     assert wins >= 99
 
 
