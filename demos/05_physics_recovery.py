@@ -3,15 +3,15 @@
 
 The residual is linear in (alpha0, beta), but jointly rescaling
 (alpha0, beta, gamma) preserves a zero residual, so the triple is only
-identifiable up to scale. Fixing gamma breaks the gauge; gradient descent
-on the physics loss then recovers the generating parameters, and the
-normal-equations solution provides the exact answer to compare against.
+identifiable up to scale. Fixing gamma breaks the gauge; the normal
+equations of the physics loss then give (alpha0, beta) exactly, and on
+noise-free data they return the generating parameters.
 """
 
 import numpy as np
 
-from edapinn import SynthSpec, recover_physics, synth_generate
-from edapinn.objective import physics_loss, physics_residual
+from edapinn import SynthSpec, synth_generate
+from edapinn.objective import PhysicsParams, physics_loss, physics_residual
 from edapinn.trainer import physics_least_squares
 
 spec = SynthSpec(n=2000, noise=0.0, seed=33)
@@ -21,22 +21,16 @@ print(f"ground truth: alpha0={spec.alpha0}, beta={spec.beta.tolist()}, gamma={sp
 print()
 print("=== the scale gauge ===")
 for c in (1.0, 2.0, 0.5):
-    from edapinn.objective import PhysicsParams
-
     scaled = PhysicsParams(c * spec.alpha0, c * spec.beta, c * spec.gamma)
     loss = physics_loss(physics_residual(dydt, data.y, data.e, scaled))
     print(f"  (alpha0, beta, gamma) x {c}: physics loss = {loss:.3e}")
 print("  every joint rescaling is residual-free, hence gamma is pinned below")
 
 print()
-print("=== gradient-descent recovery from a +50% perturbation ===")
-result = recover_physics(dydt, data.y, data.e, gamma=spec.gamma)
-oracle = physics_least_squares(dydt, data.y, data.e, spec.gamma)
-print(f"  start:     alpha0={1.5 * oracle.alpha0:.4f}, beta={(1.5 * oracle.beta).round(4).tolist()}")
-print(f"  recovered: alpha0={result.params.alpha0:.6f}, beta={result.params.beta.round(6).tolist()}")
-print(f"  oracle:    alpha0={oracle.alpha0:.6f}, beta={oracle.beta.round(6).tolist()}")
-rec = np.concatenate([[result.params.alpha0], result.params.beta])
-ora = np.concatenate([[oracle.alpha0], oracle.beta])
-print(f"  max relative deviation from the oracle: {np.max(np.abs(rec - ora) / np.abs(ora)):.2e}")
-print(f"  converged: {result.converged} (final loss {result.final_loss:.3e} "
-      f"vs oracle loss {result.oracle_loss:.3e})")
+print("=== least squares at the true gamma ===")
+solved = physics_least_squares(dydt, data.y, data.e, spec.gamma)
+print(f"  solved: alpha0={solved.alpha0:.15f}, beta={solved.beta.tolist()}")
+print(f"  truth:  alpha0={spec.alpha0:.15f}, beta={spec.beta.tolist()}")
+got = np.concatenate([[solved.alpha0], solved.beta])
+truth = np.concatenate([[spec.alpha0], spec.beta])
+print(f"  max relative error vs the truth: {np.max(np.abs(got - truth) / np.abs(truth)):.2e}")

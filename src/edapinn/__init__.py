@@ -52,11 +52,9 @@ from .trainer import (
     AdamState,
     EpochTrace,
     FoldReport,
-    RecoveryResult,
     TrainRunConfig,
     adam_step,
     init_adam,
-    recover_physics,
     run_fold,
     run_kfold,
     train_epoch,

@@ -79,7 +79,7 @@ def check_gradients(params: ModelParams, batch: Dataset) -> GradCheckReport:
         del views["physics.rho"]
     block_errors: dict[str, float] = {}
     for name, view in views.items():
-        worst = 0.0
+        rels = []
         for i in np.ndindex(view.shape[2:]):
             i = (...,) + i  # the coordinate in every network of the stack
             orig = view[i].copy()
@@ -94,8 +94,9 @@ def check_gradients(params: ModelParams, batch: Dataset) -> GradCheckReport:
             fd2 = (lp2 - lm2) / (4.0 * STEP)
             fd_error = np.abs(fd - fd2) / 3.0 + EPS * np.maximum(np.abs(lp), np.abs(lm)) / STEP
             rel = np.abs(a - fd) / (np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8) + fd_error / TOL)
-            worst = max(worst, float(rel.max()))
-        block_errors[name] = worst
-    worst_block = max(block_errors, key=block_errors.get)
+            rels.append(rel.max())
+        block_errors[name] = float(np.max(rels))
+    # numpy's max and argmax keep a NaN, so a NaN error fails the check
+    worst_block = list(block_errors)[int(np.argmax(list(block_errors.values())))]
     max_rel = block_errors[worst_block]
     return GradCheckReport(block_errors, max_rel, worst_block, max_rel <= TOL)

@@ -1,4 +1,4 @@
-"""Adam optimization, the per-batch training loop, folds and recovery.
+"""Adam optimization, the per-batch training loop, folds, and the physics solve.
 
 A run's variant is a name the trainer hands to the objective, which owns
 the loss terms each variant trains (``objective.VARIANTS``).
@@ -513,17 +513,8 @@ def run_kfold(
 
 
 # ---------------------------------------------------------------------------
-# physics-parameter recovery on noise-free trajectories
+# the physics parameters a trajectory determines
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RecoveryResult:
-    params: PhysicsParams
-    oracle: PhysicsParams
-    final_loss: float
-    oracle_loss: float
-    converged: bool
 
 
 def physics_least_squares(
@@ -538,52 +529,3 @@ def physics_least_squares(
     rhs = -gamma * dydt
     sol = np.linalg.solve(a.T @ a, a.T @ rhs)
     return PhysicsParams(float(sol[0]), sol[1:4].copy(), gamma)
-
-
-RECOVERY_PERTURBATION = 0.5  # descent starts from the oracle scaled by 1 + this
-RECOVERY_STEPS = 5000  # the descent's step budget
-
-
-def recover_physics(dydt: np.ndarray, y: np.ndarray, e: np.ndarray, gamma: float) -> RecoveryResult:
-    """Plain gradient descent on the physics loss over (alpha0, beta) alone,
-    ``RECOVERY_STEPS`` steps started from the normal-equations oracle scaled
-    by ``1 + RECOVERY_PERTURBATION``.
-
-    gamma is gauge-fixed to break the joint scale invariance of
-    (alpha0, beta, gamma). Columns are rms-scaled (a diagonal preconditioner)
-    and the step size comes from the preconditioned quadratic's spectrum, so
-    the least-squares parameters are an exact fixed point and descent is
-    monotone. The result reports the oracle alongside; non-convergence after
-    the step budget (some component more than 1% off the oracle) is flagged,
-    not silenced.
-    """
-    oracle = physics_least_squares(dydt, y, e, gamma)
-    theta = np.concatenate([[oracle.alpha0], oracle.beta]) * (1.0 + RECOVERY_PERTURBATION)
-    a = np.column_stack([y, -e])
-    forcing = gamma * dydt
-    n = y.shape[0]
-    scale = np.sqrt(np.mean(a * a, axis=0))
-    scale[scale == 0.0] = 1.0
-    a_s = a / scale
-    eigs = np.linalg.eigvalsh(2.0 * (a_s.T @ a_s) / n)
-    lr = 2.0 / (eigs[-1] + max(eigs[0], 0.0))
-    theta_s = theta * scale
-    for _ in range(RECOVERY_STEPS):
-        r = a_s @ theta_s + forcing
-        grad = 2.0 * (a_s.T @ r) / n
-        theta_s = theta_s - lr * grad
-    theta = theta_s / scale
-    recovered = PhysicsParams(float(theta[0]), theta[1:4].copy(), gamma)
-    final_loss = float(np.mean((a @ theta + forcing) ** 2))
-    oracle_vec = np.concatenate([[oracle.alpha0], oracle.beta])
-    rel = np.abs(theta - oracle_vec) / np.maximum(np.abs(oracle_vec), 1e-12)
-    # non-convergence is reported, never silenced: the flag plus the oracle
-    # comparison make the diagnosis explicit for the caller
-    converged = bool(np.all(rel <= 0.01))
-    return RecoveryResult(
-        recovered,
-        oracle,
-        final_loss,
-        float(np.mean((a @ oracle_vec + forcing) ** 2)),
-        converged,
-    )

@@ -474,7 +474,8 @@ def test_check_command_passes(capsys):
         "ode-oracle               PASS  max abs error 4.640e-12 over 20 draws (tol 1e-8); "
         "halving ratio 16.1x (need >= 12)\n"
         "residual-free-synthesis  PASS  max |residual| 2.665e-15 over 10000 noise-free samples (tol 1e-10)\n"
-        "physics-recovery         PASS  max component deviation from least-squares oracle 0.00% (tol 1%)\n"
+        "physics-recovery         PASS  max rel error vs the generator's (alpha0, beta) 1.517e-14 "
+        "over 2000 noise-free samples (tol 1e-10)\n"
         "metric-oracles           PASS  all brute-force recounts matched (200 instances)\n"
         "stratification           PASS  max deviation from exact proportionality 0.80 samples (tol 1)\n"
         "all suites passed\n"

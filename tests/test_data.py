@@ -414,6 +414,23 @@ def test_ode_oracle_suite_passes_at_fast_decay_draws(seed):
     assert result.passed, result.detail
 
 
+def test_ode_oracle_suite_fails_a_nan_in_one_trajectory(monkeypatch):
+    import edapinn.suites as suites_mod
+
+    calls = []
+
+    def third_has_nan(*args):
+        out = rk4_integrate(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            out[500] = np.nan
+        return out
+
+    monkeypatch.setattr(suites_mod, "rk4_integrate", third_has_nan)
+    result = suites_mod.suite_ode_oracle(1)
+    assert not result.passed and np.isnan(result.figure)
+
+
 def test_rk4_grid_contracts():
     phys = PhysicsParams(1.0, np.ones(3), 1.0)
     with pytest.raises(ContractError):

@@ -1,5 +1,7 @@
 """Metric definitions against brute-force recounts and algebraic properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,18 @@ def test_brute_force_recount_200_instances():
             cells[int(label[j])][int(prob[j] >= 0.5)] += 1
         assert (m.tn, m.fp, m.fn, m.tp) == (cells[0][0], cells[0][1], cells[1][0], cells[1][1])
         assert m.tn + m.fp + m.fn + m.tp == n
+
+
+def test_metric_oracle_suite_fails_a_nan_mae(monkeypatch):
+    import edapinn.suites as suites_mod
+
+    def nan_mae(pred, target):
+        return replace(regression_metrics(pred, target), mae=float("nan"))
+
+    monkeypatch.setattr(suites_mod, "regression_metrics", nan_mae)
+    result = suites_mod.suite_metric_oracles(1)
+    assert not result.passed and result.figure == 200
+    assert result.detail == "regression mismatch on instance 0 (200 instances)"
 
 
 def test_threshold_monotonicity_of_recall():

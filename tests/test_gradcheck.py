@@ -51,6 +51,21 @@ def test_corrupted_gradient_is_caught(monkeypatch):
     assert report.worst_block == "layer1.w"
 
 
+def test_a_nan_gradient_is_caught(monkeypatch):
+    params = init_model(ModelConfig(hidden=[8, 8], seed=13))
+    real = gradcheck_mod.batch_gradients
+
+    def nan_entry(params, *args):
+        breakdown, grad, preds = real(params, *args)
+        blocks(grad, params.config)["layer1.w"][0, 1, 2, 1] = np.nan
+        return breakdown, grad, preds
+
+    monkeypatch.setattr(gradcheck_mod, "batch_gradients", nan_entry)
+    report = check_gradients(params, make_batch(16, 13))
+    assert not report.passed
+    assert report.worst_block == "layer1.w" and np.isnan(report.max_rel_error)
+
+
 def test_gradient_below_fd_resolution_passes_and_a_small_error_is_still_caught(monkeypatch):
     # seed 40's layer0.bn_shift[5] gradient is -1.13e-5; analytic and FD
     # differ by 1.2e-11, below FD's round-off floor eps * |loss| / step

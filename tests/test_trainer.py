@@ -3,7 +3,9 @@
 import concurrent.futures
 import ctypes
 import glob
+import json
 import multiprocessing
+import os
 import pickle
 import resource
 import sys
@@ -22,6 +24,7 @@ from edapinn.model import ModelConfig, ModelParams, blocks, checkpoint_text, ini
 from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
+from edapinn.suites import suite_recovery
 from edapinn.trainer import (
     Fold,
     TrainRunConfig,
@@ -31,7 +34,6 @@ from edapinn.trainer import (
     init_adam,
     physics_least_squares,
     prepare_folds,
-    recover_physics,
     run_fold,
     run_folds,
     run_kfold,
@@ -517,6 +519,7 @@ def test_train_runs_under_the_heap_setting():
 
 
 def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
+    """Counted in a freshly forked child, whose own counters no other test moves."""
     real, faults = trainer_mod.train_epoch, []
 
     def counting(*args):
@@ -527,10 +530,24 @@ def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch)
 
     monkeypatch.setattr(trainer_mod, "train_epoch", counting)
     data = small_synth(n=600)
-    run_fold(data.subset(np.arange(512)), data.subset(np.arange(512, 600)),
-             quick_cfg(epochs=6, batch_size=128), quick_model(hidden=[64, 64]))
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child trains, sends its per-epoch counts up and exits
+        code = 1
+        try:
+            run_fold(data.subset(np.arange(512)), data.subset(np.arange(512, 600)),
+                     quick_cfg(epochs=6, batch_size=128), quick_model(hidden=[64, 64]))
+            os.write(write, json.dumps(faults).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        sent = fh.read()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    faults = json.loads(sent)
     # 5 epochs of 4 steps; without the setting each step faults in 100-300 pages
-    assert sum(faults[1:]) <= 3 * 5 * 4
+    assert len(faults) == 6 and sum(faults[1:]) <= 3 * 5 * 4
 
 
 def test_kfold_shapes_and_aggregate():
@@ -737,29 +754,6 @@ def recovery_inputs(seed=29, n=1500):
     return spec, data, dydt
 
 
-def test_recovery_fixed_point_at_truth(monkeypatch):
-    # unperturbed, descent starts at the least-squares solution, which on
-    # noise-free data is the truth
-    spec, data, dydt = recovery_inputs()
-    monkeypatch.setattr(trainer_mod, "RECOVERY_PERTURBATION", 0.0)
-    monkeypatch.setattr(trainer_mod, "RECOVERY_STEPS", 50)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma)
-    assert result.final_loss <= 1e-18
-    assert result.params.alpha0 == pytest.approx(spec.alpha0, rel=1e-6)
-
-
-def test_recovery_from_fifty_percent_perturbation():
-    spec, data, dydt = recovery_inputs()
-    result = recover_physics(dydt, data.y, data.e, spec.gamma)
-    assert result.converged
-    rec = np.concatenate([[result.params.alpha0], result.params.beta])
-    ora = np.concatenate([[result.oracle.alpha0], result.oracle.beta])
-    assert np.max(np.abs(rec - ora) / np.abs(ora)) <= 0.01
-    # and the oracle itself sits at the generating parameters
-    assert result.oracle.alpha0 == pytest.approx(spec.alpha0, rel=1e-8)
-    assert np.allclose(result.oracle.beta, spec.beta, rtol=1e-8)
-
-
 def test_recovery_gauge_respecting_rescale_leaves_params_unchanged():
     # scaling e and y jointly while preserving the dynamics: multiply both
     # e and y (and dy/dt) by c; the residual scales by c, its minimizer in
@@ -772,13 +766,16 @@ def test_recovery_gauge_respecting_rescale_leaves_params_unchanged():
     assert np.allclose(scaled.beta, base.beta, rtol=1e-9)
 
 
-def test_recovery_reports_nonconvergence(monkeypatch):
-    spec, data, dydt = recovery_inputs(seed=37, n=400)
-    monkeypatch.setattr(trainer_mod, "RECOVERY_PERTURBATION", 5.0)
-    monkeypatch.setattr(trainer_mod, "RECOVERY_STEPS", 3)
-    result = recover_physics(dydt, data.y, data.e, spec.gamma)
-    assert not result.converged
-    assert result.final_loss > result.oracle_loss
+def test_recovery_suite_fails_a_solver_off_by_one_part_in_a_billion(monkeypatch):
+    assert suite_recovery(5).passed
+
+    def off(dydt, y, e, gamma):
+        p = physics_least_squares(dydt, y, e, gamma)
+        return PhysicsParams(p.alpha0, p.beta * (1.0 + 1e-9), p.gamma)
+
+    monkeypatch.setattr(trainer_mod, "physics_least_squares", off)
+    result = suite_recovery(5)
+    assert not result.passed and result.figure == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_residual_free_data_supports_recovery_premise():
