@@ -61,15 +61,6 @@ def softplus(x):
     return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
-def softplus_inv(y: float) -> float:
-    """Inverse of softplus; y must be > 0."""
-    if y <= 0:
-        raise ContractError("softplus_inv requires y > 0")
-    if y > 30.0:
-        return float(y)
-    return float(np.log(np.expm1(y)))
-
-
 # ---------------------------------------------------------------------------
 # affine: y = x @ W
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Commands: synth, train, kfold, ablate, check, report. Exit codes are a
-stable contract: 0 success, 1 verification/acceptance failure, 2
+Commands: synth, train, kfold, ablate, check, report. On noise-free
+data, ``synth --verify`` runs ``check``'s residual-free oracle
+(``suites.residual_free``) on the file it wrote. Exit codes are a stable
+contract: 0 success, 1 verification/acceptance failure, 2
 configuration or data error (an output that cannot be written, a run that
 does not fit in memory and a worker process that dies included), 3 numeric
 failure.
@@ -40,7 +42,7 @@ from .reporting import (
     params_csv,
     render_csv_file,
 )
-from .suites import run_all_suites
+from .suites import residual_free, run_all_suites
 from .trainer import run_fold, run_kfold
 
 EXIT_OK = 0
@@ -51,8 +53,8 @@ EXIT_NUMERIC = 3
 
 def _load_dataset(cfg: RunConfig):
     if cfg.input_path is not None:
-        return load_csv(cfg.input_path), None
-    return synth_generate(cfg.synth)
+        return load_csv(cfg.input_path)
+    return synth_generate(cfg.synth)[0]
 
 
 def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
@@ -77,21 +79,12 @@ def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
     print(f"wrote {csv_path} ({len(data)} rows), {ddt_sibling_path(csv_path).name}, manifest.json")
     if verify:
         reloaded = load_csv(csv_path)
-        phys = cfg.synth.physics()
-        r = physics_residual(dydt, reloaded.y, reloaded.e, phys)
-        worst = float(np.max(np.abs(r)))
         if cfg.synth.noise == 0.0:
-            # r cancels its three terms, so its rounding error scales with them
-            terms = np.abs(phys.gamma * dydt) + np.abs(phys.alpha0 * reloaded.y)
-            terms += np.abs(reloaded.e @ phys.beta)
-            ratio = float(np.max(np.abs(r) / np.maximum(terms, np.finfo(float).tiny)))
-            ok = ratio <= 1e-12
-            print(
-                f"residual-free check: max |r| = {worst:.3e}, max |r| / terms = {ratio:.3e} "
-                f"(tol 1e-12): {'PASS' if ok else 'FAIL'}"
-            )
-            return EXIT_OK if ok else EXIT_CHECK_FAILED
-        print(f"residual check (noise sigma={cfg.synth.noise}): max |r| = {worst:.3e}")
+            result = residual_free(reloaded, dydt, cfg.synth.physics())
+            print(f"residual-free check: {result.detail}: {'PASS' if result.passed else 'FAIL'}")
+            return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+        r = physics_residual(dydt, reloaded.y, reloaded.e, cfg.synth.physics())
+        print(f"residual check (noise sigma={cfg.synth.noise}): max |r| = {float(np.max(np.abs(r))):.3e}")
     return EXIT_OK
 
 
@@ -103,7 +96,7 @@ def _write_fold_tables(out: Path, reports) -> None:
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
-    data, _ = _load_dataset(cfg)
+    data = _load_dataset(cfg)
     tr_idx, va_idx = stratified_kfold(data, cfg.train.k, cfg.train.seed)[0]
     report, params = run_fold(data.subset(tr_idx), data.subset(va_idx), cfg.train, cfg.model)
     _write_fold_tables(out, [report])
@@ -114,7 +107,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
-    data, _ = _load_dataset(cfg)
+    data = _load_dataset(cfg)
     reports, models = run_kfold(data, cfg.train, cfg.model, threads=threads)
     _write_fold_tables(out, reports)
     for report, params in zip(reports, models):
@@ -130,7 +123,7 @@ def cmd_kfold(cfg: RunConfig, out: Path, threads: int) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, out: Path, threads: int) -> int:
-    data, _ = _load_dataset(cfg)
+    data = _load_dataset(cfg)
     rows, _reports = ablation_table(data, cfg.ablate_variants, cfg.model, cfg.train, threads)
     write_text_atomic(out / "ablation.csv", ablation_csv(rows))
     write_text_atomic(out / "comparison.csv", comparison_csv(rows))

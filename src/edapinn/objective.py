@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .autodiff import sigmoid, softplus, softplus_inv
+from .autodiff import sigmoid, softplus
 from .errors import ContractError
 
 if TYPE_CHECKING:  # avoid runtime import cycles with data.py and model.py
@@ -72,7 +72,7 @@ class PhysicsParams:
     alpha0: float = 1.0
     beta: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
     gamma: float = 1.0
-    rho: float = softplus_inv(0.1)
+    rho: float = float(np.log(np.expm1(0.1)))  # softplus(rho) = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))

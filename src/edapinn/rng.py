@@ -42,14 +42,12 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _tag_hash(tag: str | int) -> int:
-    if isinstance(tag, int):
-        return _splitmix64(tag & _MASK64)
+def _tag_hash(tag: str) -> int:
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def derive_seed(seed: int, tag: str | int) -> int:
+def derive_seed(seed: int, tag: str) -> int:
     """Stable 64-bit sub-seed for (seed, tag); used to key child components."""
     return _splitmix64((seed & _MASK64) ^ _tag_hash(tag))
 
@@ -191,7 +189,7 @@ class Pcg32:
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 
-    def derive(self, tag: str | int) -> "Pcg32":
+    def derive(self, tag: str) -> "Pcg32":
         """Child stream keyed by (this stream's seed, tag); independent draws."""
         h = _tag_hash(tag)
         seed = _splitmix64(self._base_seed ^ h)

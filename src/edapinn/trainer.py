@@ -143,7 +143,10 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> None:
 
     Every network of a stack counts its own steps, so stacked folds that
     have taken different numbers of steps still step as one. A number whose
-    gradient is always zero (a frozen rho) steps by exactly 0.0.
+    gradient is always zero (a frozen rho) steps by exactly 0.0. A second
+    moment that is not finite (a gradient past about 1e154 overflows its
+    square, and the number would never step again) raises ``NumericError``
+    naming the first such network of the stack, before theta steps.
     """
     if grad.shape != params.theta.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match theta {params.theta.shape}")
@@ -153,6 +156,10 @@ def adam_step(state: AdamState, params: ModelParams, grad: np.ndarray) -> None:
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * grad * grad
+    finite = np.isfinite(v).reshape(-1, v.shape[-1]).all(axis=1)
+    if not finite.all():
+        message = "non-finite Adam second moment (the squared gradient overflows)"
+        raise NumericError(message, model=int(np.argmin(finite)))
     c1 = _bias_correction(ADAM_BETA1, state.t)
     c2 = _bias_correction(ADAM_BETA2, state.t)
     theta = params.theta  # a field of a frozen model, updated in place
@@ -247,22 +254,22 @@ def train_epoch(
             folds[f].train.subset(orders[f][bounds[f][batch_no] : bounds[f][batch_no + 1]])
             for f in range(s.start, s.stop)
         ])
-        # non-finites are detected explicitly (per-layer and on the loss), so
-        # numpy's overflow chatter on an already-diverged step is suppressed
+        # non-finites are detected explicitly (per layer, on the loss and in
+        # Adam's second moment), so numpy's overflow chatter is suppressed
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 breakdown, grad, preds = batch_gradients(net, batch, variants, dropout[s])
+                losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
+                bad = ~np.isfinite(np.ravel(breakdown.total))
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    l_eda, l_emotion, l_physics = losses.reshape(3, -1)[:, i]
+                    raise NumericError(
+                        f"non-finite loss (l_eda={l_eda:g}, l_emotion={l_emotion:g}, l_physics={l_physics:g})", i
+                    )
+                adam_step(state, net, grad)
             except NumericError as exc:
                 raise failure(exc.model, exc) from exc
-            losses = np.array([breakdown.l_eda, breakdown.l_emotion, breakdown.l_physics])
-            bad = ~np.isfinite(np.ravel(breakdown.total))
-            if bad.any():
-                i = int(np.argmax(bad))
-                l_eda, l_emotion, l_physics = losses.reshape(3, -1)[:, i]
-                raise failure(
-                    i, f"non-finite loss (l_eda={l_eda:g}, l_emotion={l_emotion:g}, l_physics={l_physics:g})"
-                )
-            adam_step(state, net, grad)
         model_mod.commit_batchnorm(net, preds.caches)
         sums[:, s] += len(batch) * losses
 

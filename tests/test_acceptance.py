@@ -4,8 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS lines with the measured figures. Criteria 2-6, 8 and 9 run the
 verification suites of ``edapinn check`` (``edapinn.suites``), each at its own
 seed, tolerance and time bound. The synthetic end-to-end mirror (criterion 7) trains
-4 network variants x 5 folds x 50 epochs and dominates the runtime (about
-15 s at one thread on a 2-core VM); everything else finishes in seconds.
+4 network variants x 5 folds x 50 epochs on two worker processes and
+dominates the runtime (about 9 s on a 2-core VM); everything else finishes
+in seconds.
 """
 
 import json
@@ -61,7 +62,7 @@ def test_criterion_4_ode_oracle():
 
 def test_criterion_5_residual_free_synthesis():
     r, dt = timed(suites.suite_residual_free, 4)
-    record(5, r.passed and r.figure <= 1e-10 and dt < 2.0, r.detail, dt)
+    record(5, r.passed and r.figure <= 1e-12 and dt < 2.0, r.detail, dt)
 
 
 def test_criterion_6_physics_recovery():
@@ -88,6 +89,7 @@ def benchmark_run():
         ["full", "no_physics", "eda_only", "emotion_only", "ridge", "logistic"],
         ModelConfig(),  # hidden 64/64, dropout 0.1
         TrainRunConfig(),  # 50 epochs, batch 128, lr 0.001, k=5
+        threads=2,  # byte-identical to one thread, in about 60% of the time
     )
     return {r.variant: r for r in rows}, reports, time.perf_counter() - t0
 

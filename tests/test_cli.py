@@ -289,6 +289,20 @@ def test_kfold_params_layout(kfold_run):
     assert len(lines) == 4
 
 
+def test_kfold_writes_under_output_dir_unless_out_is_given(kfold_run):
+    _, out, _, tmp = kfold_run
+    configured, flag = tmp / "configured", tmp / "flag"
+    (tmp / "outdir").mkdir()
+    doc = {"data": {"synth": SMALL_SYNTH}, "train": SMALL_TRAIN, "output": {"dir": str(configured)}}
+    cfg_path = write_config(tmp / "outdir", doc)
+    assert main(["kfold", "--config", str(cfg_path), "--out", str(flag)]) == 0
+    assert (flag / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+    assert not configured.exists()
+    assert main(["kfold", "--config", str(cfg_path)]) == 0
+    for name in ("metrics.csv", "curves.csv", "params.csv", "confusion.csv", "fold_3.ckpt.json"):
+        assert (configured / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def test_kfold_on_csv_input(tmp_path):
     synth_cfg = write_config(tmp_path, {"data": {"synth": SMALL_SYNTH}})
     src = tmp_path / "src"
@@ -473,7 +487,7 @@ def test_check_command_passes(capsys):
         "tangent-check            PASS  max rel error 1.543e-07 over 100 samples (tol 1e-05)\n"
         "ode-oracle               PASS  max abs error 4.640e-12 over 20 draws (tol 1e-8); "
         "halving ratio 16.1x (need >= 12)\n"
-        "residual-free-synthesis  PASS  max |residual| 2.665e-15 over 10000 noise-free samples (tol 1e-10)\n"
+        "residual-free-synthesis  PASS  max |r| / terms 1.710e-16 over 10000 noise-free samples (tol 1e-12)\n"
         "physics-recovery         PASS  max rel error vs the generator's (alpha0, beta) 1.517e-14 "
         "over 2000 noise-free samples (tol 1e-10)\n"
         "metric-oracles           PASS  all brute-force recounts matched (200 instances)\n"
@@ -506,6 +520,20 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     )
     assert main(["kfold", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_adam_second_moment_overflow_exits_3(tmp_path, capsys):
+    """A physics weight of 1e300 overflows Adam's second moment on the first
+    step; the run ends with exit 3 rather than training on, frozen."""
+    cfg_path = write_config(
+        tmp_path, {"model": {"lambda_floor": 1e300}, "train": {"epochs": 2}, "data": {"synth": {"n": 300}}}
+    )
+    assert main(["kfold", "--seed", "3", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "numeric failure: epoch 0, batch 0, fold 1, variant full: "
+        "non-finite Adam second moment (the squared gradient overflows)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["kfold", "ablate"])

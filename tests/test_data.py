@@ -458,6 +458,25 @@ def test_synth_residual_free_and_labels():
         assert dydt[i] == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", [1, 4, 5, 9, 40])
+def test_residual_free_fails_one_eda_cell_off_by_a_billionth_or_nan(seed):
+    """The bound is relative to the terms the residual cancels: noise-free
+    data passes, and one eda_mean cell moved by a relative 1e-9 (a figure
+    of 6e-11 to 3e-10) fails, as does a NaN."""
+    from edapinn.suites import residual_free
+
+    spec = SynthSpec(n=10000, noise=0.0, seed=seed)
+    data, dydt = synth_generate(spec)
+    result = residual_free(data, dydt, spec.physics())
+    assert result.passed and result.figure <= 1e-15
+    assert result.detail == f"max |r| / terms {result.figure:.3e} over 10000 noise-free samples (tol 1e-12)"
+    for cell in (data.y[0] * (1.0 + 1e-9), np.nan):
+        y = data.y.copy()
+        y[0] = cell
+        result = residual_free(Dataset(data.t, data.e, y, data.label), dydt, spec.physics())
+        assert not result.passed and not result.figure <= 1e-12
+
+
 def test_synth_determinism_and_validation():
     a, da = synth_generate(SynthSpec(n=100, seed=5))
     b, db = synth_generate(SynthSpec(n=100, seed=5))

@@ -243,6 +243,15 @@ def test_bn_momentum_sets_the_committed_running_statistics():
         assert np.array_equal(var, m * old_var + (1.0 - m) * x.var(axis=0))
 
 
+def test_bn_eps_is_the_batch_norm_epsilon_of_a_train_forward():
+    params = init_model(ModelConfig(hidden=[8], seed=3, dropout=0.0, bn_eps=0.5))
+    t, e = random_inputs(32, 4)
+    bn = forward(params, t, e, "train").caches.layers[0].bn
+    x = np.column_stack([t, e]) @ params.views["layer0.w"]
+    expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 0.5)
+    np.testing.assert_allclose(bn.x_centered * bn.istd, expected, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import ctypes
 import glob
 import json
 import multiprocessing
-import os
 import pickle
 import resource
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -511,6 +511,24 @@ def test_numeric_failure_in_a_stack_over_folds_names_its_fold_and_variant():
     assert caught.value.model == 5
 
 
+def test_an_overflowing_adam_second_moment_names_its_network():
+    """A gradient past about 1e154 squares to inf in Adam's v, which would
+    freeze its number for the rest of the run; the step fails instead,
+    naming the first such network, and no network of the stack steps."""
+    data = small_synth(n=128)
+    [fold] = prepare_folds([(data, data)])
+    net = init_model(quick_model(hidden=[8, 8], lambda_floor=1e300), fold.normalizer)
+    for variants, model in ((("full", "no_physics", "eda_only"), 0), (("no_physics", "eda_only"), 1)):
+        params = stack([net], len(variants))
+        before = params.theta.copy()
+        with pytest.raises(NumericError) as caught:
+            train_epoch(params, init_adam(params), [fold], [quick_cfg(variant=v) for v in variants], 0)
+        where = f"epoch 0, batch 0, fold 1, variant {variants[model]}"
+        assert str(caught.value) == f"{where}: non-finite Adam second moment (the squared gradient overflows)"
+        assert caught.value.model == model
+        assert np.array_equal(params.theta, before)
+
+
 def test_train_runs_under_the_heap_setting():
     trainer_mod._steady_heap.cache_clear()
     data = small_synth(n=200)
@@ -518,8 +536,10 @@ def test_train_runs_under_the_heap_setting():
     assert trainer_mod._steady_heap.cache_info().currsize == 1
 
 
-def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch):
-    """Counted in a freshly forked child, whose own counters no other test moves."""
+def _epoch_minor_faults() -> list[int]:
+    """The minor page faults of each epoch of a 6-epoch ``run_fold``, counted
+    in the calling process, whose ``trainer.train_epoch`` it replaces for
+    good: a process of its own runs it."""
     real, faults = trainer_mod.train_epoch, []
 
     def counting(*args):
@@ -528,24 +548,27 @@ def test_training_steps_fault_no_fresh_pages_after_the_heap_setting(monkeypatch)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         return out
 
-    monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+    trainer_mod.train_epoch = counting
     data = small_synth(n=600)
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child trains, sends its per-epoch counts up and exits
-        code = 1
-        try:
-            run_fold(data.subset(np.arange(512)), data.subset(np.arange(512, 600)),
-                     quick_cfg(epochs=6, batch_size=128), quick_model(hidden=[64, 64]))
-            os.write(write, json.dumps(faults).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    with os.fdopen(read) as fh:
-        sent = fh.read()
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    faults = json.loads(sent)
+    run_fold(data.subset(np.arange(512)), data.subset(np.arange(512, 600)),
+             quick_cfg(epochs=6, batch_size=128), quick_model(hidden=[64, 64]))
+    return faults
+
+
+def test_training_steps_fault_no_fresh_pages_after_the_heap_setting():
+    """Counted in a fresh interpreter, whose heap no other test has shaped: a
+    forked child would also fault on each page it first writes of the heap
+    it shares with this process, and how many it writes depends on the tests
+    that ran before."""
+    code = (
+        "import json, sys; sys.path[:0] = json.loads(sys.argv[1]); "
+        f"from {__name__} import _epoch_minor_faults; print(json.dumps(_epoch_minor_faults()))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(sys.path)], capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    faults = json.loads(child.stdout)
     # 5 epochs of 4 steps; without the setting each step faults in 100-300 pages
     assert len(faults) == 6 and sum(faults[1:]) <= 3 * 5 * 4
 
