@@ -28,9 +28,10 @@ head's own), and dropout's cache is its mask, one draw per fold from the
 fold's stream: ``(n, width)`` for one network, ``(F, 1, n, width)`` for a
 stack. Swish evaluates its sigmoid once per forward call, in its output's
 buffer, and caches s'(x) and s''(x) times the input's tangent, both built
-from it; batch-norm caches a copy of its input's tangent rather than the
-input, twice its size. Both keep a stack's step small, and in eval mode,
-which never trains, neither builds what only a backward reads.
+from it; batch-norm caches x_hat = (v - mu) * istd, which its forward builds
+anyway, and a view of the input's tangent, and its backward is the compact
+gradient on x_hat (Ioffe & Szegedy, arXiv:1502.03167). In eval mode, which
+never trains, neither keeps what only a backward reads.
 ``sigmoid``, of arrays, is the package's one logistic function.
 """
 
@@ -86,7 +87,7 @@ def affine_weight_grad(cache: AffineCache, adj: np.ndarray):
 
 
 def affine_backward(cache: AffineCache, adj: np.ndarray):
-    return adj @ cache.w.swapaxes(-1, -2), affine_weight_grad(cache, adj)
+    return adj @ np.ascontiguousarray(cache.w.swapaxes(-1, -2)), affine_weight_grad(cache, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +159,18 @@ def swish_backward(cache: SwishCache, adj: np.ndarray):
 # tangent channel treats mu and var as constants so d(EDA)/dt stays a
 # per-sample quantity; the backward pass nevertheless differentiates the
 # *actual computed function*, which includes the tangent output's dependence
-# on var(x), so analytic gradients match finite differences exactly. Only a
-# train-mode forward has a backward: eval mode never trains. The cache keeps
-# scale and istd with a row axis, shaped (..., 1, width).
+# on var(x), so analytic gradients match finite differences exactly. With
+# the row sums s_v = sum(av), s_vx = sum(av * x_hat) and s_t = sum(at * xt),
+# d_scale = s_vx + istd * s_t, d_shift = s_v, adj_t = g * istd * at and
+# adj_v = g * istd * (av - s_v / n - x_hat * d_scale / n).
+# Only a train-mode forward has a backward: eval mode never trains. The
+# cache keeps scale and istd with a row axis, shaped (..., 1, width).
 
 
 @dataclass
 class BatchNormCache:
     scale: np.ndarray
-    x_centered: np.ndarray
+    x_hat: np.ndarray
     x_tangent: np.ndarray | None
     istd: np.ndarray
     new_running_mean: np.ndarray | None
@@ -186,55 +190,43 @@ def batchnorm_forward(
     v, t = _channels(x)
     if mode == "train":
         mu = v.mean(axis=-2)
-        x_centered = v - mu[..., None, :]
-        var = (x_centered * x_centered).mean(axis=-2)  # what v.var(axis=-2) computes
+        x_hat = v - mu[..., None, :]
+        var = (x_hat * x_hat).mean(axis=-2)  # what v.var(axis=-2) computes
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
-        x_centered = v - running_mean[..., None, :]
+        x_hat = v - running_mean[..., None, :]
         var = running_var
-        new_rm = None
-        new_rv = None
+        new_rm = new_rv = None
     else:
         raise ContractError(f"unknown batch-norm mode {mode!r}")
     scale, shift = scale[..., None, :], shift[..., None, :]
     istd = 1.0 / np.sqrt(var[..., None, :] + eps)
+    x_hat *= istd
     out, (out_v, out_t) = _empty_dual(v.shape)
-    np.add(scale * (x_centered * istd), shift, out=out_v)
+    np.multiply(x_hat, scale, out=out_v)
+    out_v += shift
     np.multiply(scale * istd, t, out=out_t)
-    # a copy of the tangent lets the input, twice its size, go; eval mode,
-    # which never trains, copies nothing
-    x_tangent = t.copy() if mode == "train" else None
-    return out, BatchNormCache(scale, x_centered, x_tangent, istd, new_rm, new_rv)
+    return out, BatchNormCache(scale, x_hat, t if mode == "train" else None, istd, new_rm, new_rv)
 
 
 def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
     if cache.new_running_mean is None:
         raise ContractError("batch-norm backward needs the cache of a train-mode forward")
-    g, istd = cache.scale, cache.istd
-    xc, xt = cache.x_centered, cache.x_tangent
+    g, istd, x_hat = cache.scale, cache.istd, cache.x_hat
     av, at = _channels(adj)
-    n = xc.shape[-2]
-
-    at_xt = at * xt
-    # tangent channel: output g*istd*xt depends on x through var(x)
-    s_t = at_xt.sum(axis=-2, keepdims=True)
-    at_xt *= istd
-    adj_scale = (av * (xc * istd)).sum(axis=-2) + at_xt.sum(axis=-2)
-    adj_shift = av.sum(axis=-2)
-
-    # value channel: standard batch-norm gradient through mu and var, built
-    # in place from dxhat = av * g, term by term, to keep the step's memory small
-    out, (out_v, out_t) = _empty_dual(xc.shape)
-    dxhat = np.multiply(av, g, out=out_v)
-    dvar = (dxhat * xc).sum(axis=-2, keepdims=True) * (-0.5) * istd**3
-    dmu = -(dxhat.sum(axis=-2, keepdims=True)) * istd
-    out_v *= istd
-    out_v += dvar * (2.0 / n) * xc
-    out_v += dmu / n
-    out_v -= (g * s_t / n) * istd**3 * xc
-    np.multiply(at, g * istd, out=out_t)
-    return out, adj_scale, adj_shift
+    n = x_hat.shape[-2]
+    adj_shift = av.sum(axis=-2, keepdims=True)
+    adj_scale = (av * x_hat).sum(axis=-2, keepdims=True)
+    adj_scale += istd * (at * cache.x_tangent).sum(axis=-2, keepdims=True)
+    g_istd = g * istd
+    out, (out_v, out_t) = _empty_dual(x_hat.shape)
+    np.multiply(x_hat, adj_scale / n, out=out_v)
+    np.subtract(av, adj_shift / n, out=out_t)  # out_t as scratch
+    np.subtract(out_t, out_v, out=out_v)
+    out_v *= g_istd
+    np.multiply(at, g_istd, out=out_t)
+    return out, adj_scale[..., 0, :], adj_shift[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Commands: synth, train, kfold, ablate, check, report. On noise-free
-data, ``synth --verify`` runs ``check``'s residual-free oracle
-(``suites.residual_free``) on the file it wrote. Exit codes are a stable
-contract: 0 success, 1 verification/acceptance failure, 2
-configuration or data error (an output that cannot be written, a run that
-does not fit in memory and a worker process that dies included), 3 numeric
-failure.
+Commands: synth, train, kfold, ablate, check, report. ``synth --verify``
+reads back the data file and the dy/dt file it wrote and, on noise-free
+data, runs ``check``'s residual-free oracle (``suites.residual_free``) on
+them. Exit codes are a stable contract: 0 success, 1 verification/acceptance
+failure, 2 configuration or data error (an output that cannot be written, a
+run that does not fit in memory and a worker process that dies included), 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .config import RunConfig, load_config
 from .data import (
     ddt_sibling_path,
     load_csv,
+    load_ddt_csv,
     stratified_kfold,
     synth_generate,
     write_csv,
@@ -79,6 +80,7 @@ def cmd_synth(cfg: RunConfig, out: Path, verify: bool) -> int:
     print(f"wrote {csv_path} ({len(data)} rows), {ddt_sibling_path(csv_path).name}, manifest.json")
     if verify:
         reloaded = load_csv(csv_path)
+        dydt = load_ddt_csv(ddt_sibling_path(csv_path), len(reloaded))
         if cfg.synth.noise == 0.0:
             result = residual_free(reloaded, dydt, cfg.synth.physics())
             print(f"residual-free check: {result.detail}: {'PASS' if result.passed else 'FAIL'}")

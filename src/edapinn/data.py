@@ -170,6 +170,19 @@ def write_ddt_csv(dydt: np.ndarray, path: str | Path) -> None:
     write_text_atomic(path, csv_text(DDT_HEADER, enumerate(dydt, start=1)))
 
 
+def load_ddt_csv(path: str | Path, rows: int) -> np.ndarray:
+    """The dy/dt that ``write_ddt_csv`` wrote for ``rows`` data rows, bit for
+    bit; any other file raises ``ConfigError``."""
+    text = read_text(path, ConfigError, "dy/dt file")
+    try:
+        dydt = [float(line.partition(",")[2]) for line in text.splitlines()[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if len(dydt) != rows or not np.isfinite(dydt).all() or text != csv_text(DDT_HEADER, enumerate(dydt, start=1)):
+        raise ConfigError(f"{path} is not what write_ddt_csv writes for {rows} rows: {len(dydt)} rows")
+    return np.array(dydt)
+
+
 def ddt_sibling_path(csv_path: str | Path) -> Path:
     p = Path(csv_path)
     return p.with_name(p.stem + ".ddt.csv")

@@ -333,7 +333,8 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
 
     adj_out = np.stack([lg.adj_y, lg.adj_dydt], axis=-2)[..., None]  # (..., 2, n, 1)
     head, caches.reg_affine = caches.reg_affine, None
-    adj, g["head_reg.w"][...] = ad.affine_backward(head, adj_out)
+    adj = adj_out * head.w.swapaxes(-1, -2)  # a k = 1 matmul is an outer product
+    g["head_reg.w"][...] = ad.affine_weight_grad(head, adj_out)
     g["head_reg.b"][...] = adj_out[..., 0, :, :].sum(axis=-2)
     adj_z = lg.adj_z[..., None]
     g["head_cls.w"][...] = head.x[..., 0, :, :].swapaxes(-1, -2) @ adj_z

@@ -466,9 +466,9 @@ def train_folds(
     sizes differ by at most one, V being the number of configs. So the
     stacks fill ``threads`` workers, and no stack holds more networks than
     one fold of every variant. The cap bounds memory, not time: a
-    network-epoch costs the same in a larger stack (21.3 ms at one fold of
-    4 variants, 20.1 ms at 5 folds of 4), but a process's peak RSS grows
-    with it (40.6 MB against 59.6 MB at 3 epochs).
+    network-epoch costs about the same in a larger stack (14.3 ms at one
+    fold of 4 variants, 14.7 ms at 5 folds of 4), but a process's peak RSS
+    grows with it (40.1 MB against 62.1 MB at 3 epochs).
 
     ``threads`` is the number of worker processes, capped at the number of
     stacks; with one, the stacks train in this process, in order. Each

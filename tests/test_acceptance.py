@@ -80,51 +80,67 @@ def test_criterion_6_physics_recovery():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def benchmark_run():
+CRITERION_7_VARIANTS = ["full", "no_physics", "eda_only", "emotion_only", "ridge", "logistic"]
+
+
+def criterion_7_run(data, model_cfg: ModelConfig, train_cfg: TrainRunConfig):
+    """Criterion 7's workload on one draw: the ablation table on two worker
+    processes (byte-identical to one, in about 60% of the time), as rows by
+    variant, the fold reports by variant and the seconds it took."""
     t0 = time.perf_counter()
-    data, _ = synth_generate(SynthSpec())  # defaults: n=2000, noise=0.01
-    rows, reports = ablation_table(
-        data,
-        ["full", "no_physics", "eda_only", "emotion_only", "ridge", "logistic"],
-        ModelConfig(),  # hidden 64/64, dropout 0.1
-        TrainRunConfig(),  # 50 epochs, batch 128, lr 0.001, k=5
-        threads=2,  # byte-identical to one thread, in about 60% of the time
-    )
+    rows, reports = ablation_table(data, CRITERION_7_VARIANTS, model_cfg, train_cfg, threads=2)
     return {r.variant: r for r in rows}, reports, time.perf_counter() - t0
 
 
-def test_criterion_7_synthetic_end_to_end(benchmark_run):
-    rows, reports, dt = benchmark_run
+def criterion_7_figures(rows, reports, seconds: float) -> tuple[dict, bool]:
+    """Every figure criterion 7 reads from one draw, plus ``no_physics`` r,
+    and whether all of its conditions hold. ``headline/seeds.py`` judges
+    other draws by this same function."""
     full = reports["full"]
-    mean_r = float(np.mean([f.regression.pearson_r for f in full]))
-    mean_f1 = float(np.mean([f.classification.f1 for f in full]))
-    ridge_below = rows["ridge"].pearson_r < rows["full"].pearson_r
-    eda_only_f1_zero = rows["eda_only"].emotion_f1 == 0.0
-    full_vs_emotion = rows["full"].pearson_r >= rows["emotion_only"].pearson_r
     # learned physics parameters stay stable across folds (cv < 0.2 each)
-    snaps = np.array(
-        [[f.physics.alpha0, *f.physics.beta, f.physics.gamma] for f in full]
-    )
+    snaps = np.array([[f.physics.alpha0, *f.physics.beta, f.physics.gamma] for f in full])
     cvs = snaps.std(axis=0) / np.abs(snaps.mean(axis=0))
+    figures = {
+        "mean_r": float(np.mean([f.regression.pearson_r for f in full])),
+        "mean_f1": float(np.mean([f.classification.f1 for f in full])),
+        "full_r": rows["full"].pearson_r,
+        "ridge_r": rows["ridge"].pearson_r,
+        "eda_only_f1": rows["eda_only"].emotion_f1,
+        "emotion_only_r": rows["emotion_only"].pearson_r,
+        "no_physics_r": rows["no_physics"].pearson_r,
+        "cv_max": float(cvs.max()),
+        "seconds": seconds,
+    }
     ok = (
-        mean_r >= 0.99
-        and mean_f1 >= 0.90
-        and ridge_below
-        and eda_only_f1_zero
-        and full_vs_emotion
+        figures["mean_r"] >= 0.99
+        and figures["mean_f1"] >= 0.90
+        and figures["ridge_r"] < figures["full_r"]
+        and figures["eda_only_f1"] == 0.0
+        and figures["full_r"] >= figures["emotion_only_r"]
         and bool(np.all(cvs < 0.2))
-        and dt < 600.0
+        and seconds < 600.0
     )
+    return figures, ok
+
+
+@pytest.fixture(scope="module")
+def benchmark_run():
+    data, _ = synth_generate(SynthSpec())  # defaults: n=2000, noise=0.01
+    # hidden 64/64, dropout 0.1; 50 epochs, batch 128, lr 0.001, k=5
+    return criterion_7_run(data, ModelConfig(), TrainRunConfig())
+
+
+def test_criterion_7_synthetic_end_to_end(benchmark_run):
+    fig, ok = criterion_7_figures(*benchmark_run)
     record(
         7,
         ok,
-        f"mean r {mean_r:.4f} >= 0.99, mean F1 {mean_f1:.4f} >= 0.90, "
-        f"ridge r {rows['ridge'].pearson_r:.4f} < full r {rows['full'].pearson_r:.4f}, "
-        f"eda_only F1 {rows['eda_only'].emotion_f1} == 0, "
-        f"full r >= emotion_only r ({rows['emotion_only'].pearson_r:.4f}), "
-        f"physics-parameter cv max {float(cvs.max()):.3f} < 0.2",
-        dt,
+        f"mean r {fig['mean_r']:.4f} >= 0.99, mean F1 {fig['mean_f1']:.4f} >= 0.90, "
+        f"ridge r {fig['ridge_r']:.4f} < full r {fig['full_r']:.4f}, "
+        f"eda_only F1 {fig['eda_only_f1']} == 0, "
+        f"full r >= emotion_only r ({fig['emotion_only_r']:.4f}), "
+        f"physics-parameter cv max {fig['cv_max']:.3f} < 0.2",
+        fig["seconds"],
     )
 
 

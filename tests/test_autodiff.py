@@ -283,6 +283,52 @@ def test_stacked_affine_equals_per_channel_matmuls_bit_for_bit(n, fan_in, fan_ou
     assert same_bits(affine_weight_grad(cache, dual(av, at)), dw)
 
 
+@pytest.mark.parametrize("models", [(), (1, 4), (3, 1)], ids=["network", "stack-1x4", "stack-3x1"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_head_product_and_contiguous_transpose_equal_the_matmuls_bit_for_bit(models, n):
+    # the training shapes: batches of 128 rows and a fold's last batch of 64
+    # (below about 19 rows OpenBLAS's small-matrix kernel rounds a transposed
+    # and a contiguous operand apart in the last bit)
+    adj_out = rand(models + (2, n, 1), 98)
+    w_head = rand(models + (64, 1), 99)[..., None, :, :]
+    assert same_bits(adj_out * w_head.swapaxes(-1, -2), adj_out @ w_head.swapaxes(-1, -2))
+    for fan_in in (4, 64):
+        w = rand(models + (fan_in, 64), 100)
+        _, cache = affine_forward(rand(models + (2, n, fan_in), 101), w)
+        adj = rand(models + (2, n, 64), 102)
+        assert same_bits(affine_backward(cache, adj)[0], adj @ w[..., None, :, :].swapaxes(-1, -2))
+
+
+def term_by_term_batchnorm_backward(x, g, adj, eps=1e-5):
+    """The batch-norm gradient built term by term through mu and var from the
+    raw input, the tangent output's dependence on var(x) included."""
+    (v, xt), (av, at) = np.moveaxis(x, -3, 0), np.moveaxis(adj, -3, 0)
+    n, g = v.shape[-2], g[..., None, :]
+    xc = v - v.mean(axis=-2, keepdims=True)
+    istd = 1.0 / np.sqrt((xc * xc).mean(axis=-2, keepdims=True) + eps)
+    s_t = (at * xt).sum(axis=-2, keepdims=True)
+    d_scale = (av * xc * istd).sum(axis=-2) + (at * xt * istd).sum(axis=-2)
+    dxhat = av * g
+    dvar = (dxhat * xc).sum(axis=-2, keepdims=True) * -0.5 * istd**3
+    dmu = -dxhat.sum(axis=-2, keepdims=True) * istd
+    adj_v = dxhat * istd + dvar * 2.0 * xc / n + dmu / n - g * s_t / n * istd**3 * xc
+    return np.stack([adj_v, at * g * istd], axis=-3), d_scale, av.sum(axis=-2)
+
+
+@pytest.mark.parametrize("models", [(), (1, 4), (3, 1)], ids=["network", "stack-1x4", "stack-3x1"])
+@pytest.mark.parametrize("n", [8, 128])
+def test_compact_batchnorm_backward_matches_the_term_by_term_form(models, n):
+    width = 64
+    x = np.stack([rand(models + (n, width), 110) * 3.0 + 1.0, rand(models + (n, width), 111)], axis=-3)
+    adj = np.stack([rand(models + (n, width), 112), rand(models + (n, width), 113)], axis=-3)
+    g, s = rand(models + (width,), 114), rand(models + (width,), 115)
+    assert (g < 0).any() and (adj[..., 1, :, :] != 0).all()
+    _, cache = batchnorm_forward(x, g, s, np.zeros(models + (width,)), np.ones(models + (width,)), "train")
+    for got, want in zip(batchnorm_backward(cache, adj), term_by_term_batchnorm_backward(x, g, adj)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_dropout_applies_one_mask_to_both_channels_bit_for_bit():
     x = dual(rand((128, 64), 95), rand((128, 64), 96))
     out, mask = dropout_forward(x, 0.1, "train", [Pcg32(97)])

@@ -226,6 +226,22 @@ def test_synth_verify_is_relative_to_the_terms_the_residual_cancels(tmp_path, ca
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "written, code",
+    [(lambda dydt: dydt * np.where(np.arange(len(dydt)) == 0, 1.0 + 1e-9, 1.0), 1), (lambda dydt: dydt[:-1], 2)],
+    ids=["one-cell-off-by-a-billionth", "truncated"],
+)
+def test_synth_verify_reads_back_the_ddt_file_it_wrote(tmp_path, capsys, monkeypatch, written, code):
+    import edapinn.cli as cli_mod
+
+    real = cli_mod.write_ddt_csv
+    monkeypatch.setattr(cli_mod, "write_ddt_csv", lambda dydt, path: real(written(dydt), path))
+    cfg_path = write_config(tmp_path, {"data": {"synth": {"n": 50, "noise": 0.0}}})
+    assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--verify"]) == code
+    captured = capsys.readouterr()
+    assert ("FAIL" in captured.out) if code == 1 else ("writes for 50 rows: 49 rows" in captured.err)
+
+
 # ---------------------------------------------------------------------------
 # kfold command
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from edapinn.data import (
     ddt_sibling_path,
     fit_normalizer,
     load_csv,
+    load_ddt_csv,
     ode_derivative,
     ode_solution,
     rk4_integrate,
@@ -28,8 +29,9 @@ from edapinn.data import (
     write_ddt_csv,
 )
 from edapinn.errors import ConfigError, ContractError, DataFormatError
-from edapinn.objective import PhysicsParams, physics_residual
+from edapinn.objective import PhysicsParams
 from edapinn.rng import Pcg32
+from edapinn.suites import residual_free
 
 
 def random_dataset(n, seed, stress_frac=0.5):
@@ -182,6 +184,32 @@ def test_csv_text_writes_each_cell_by_its_type(rows):
 
 def test_ddt_sibling_naming(tmp_path):
     assert ddt_sibling_path("runs/data.csv").name == "data.ddt.csv"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: ["row,dy_dt"] + lines[1:], "writes for 40 rows: 40 rows"),
+        (lambda lines: lines[:-1], "writes for 40 rows: 39 rows"),
+        (lambda lines: lines + ["41,0.5"], "writes for 40 rows: 41 rows"),
+        (lambda lines: lines[:3] + ["3,nan"] + lines[4:], "writes for 40 rows: 40 rows"),
+        (lambda lines: lines[:3] + ["3,inf"] + lines[4:], "writes for 40 rows: 40 rows"),
+        (lambda lines: lines[:3] + ["3,"] + lines[4:], "could not convert"),
+        (lambda lines: lines[:3] + ["4" + lines[3][1:]] + lines[4:], "writes for 40 rows: 40 rows"),
+    ],
+    ids=["header", "truncated", "extra-row", "nan", "inf", "empty-cell", "row-number"],
+)
+def test_load_ddt_csv_reads_back_what_write_ddt_csv_wrote(tmp_path, edit, message):
+    _, dydt = synth_generate(SynthSpec(n=40, seed=3))
+    path = tmp_path / "data.ddt.csv"
+    write_ddt_csv(dydt, path)
+    assert load_ddt_csv(path, 40).tobytes() == dydt.tobytes()
+    with pytest.raises(ConfigError, match="writes for 41 rows: 40 rows"):
+        load_ddt_csv(path, 41)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_ddt_csv(path, 40)
 
 
 class _HalfWriter:
@@ -444,8 +472,7 @@ def test_rk4_grid_contracts():
 def test_synth_residual_free_and_labels():
     spec = SynthSpec(n=800, noise=0.0, seed=31)
     data, dydt = synth_generate(spec)
-    r = physics_residual(dydt, data.y, data.e, spec.physics())
-    assert np.max(np.abs(r)) <= 1e-10
+    assert residual_free(data, dydt, spec.physics()).passed
     assert set(np.unique(data.label)) == {0, 1}
     # derivative consistency with the solution's finite difference
     h = 1e-7
@@ -463,8 +490,6 @@ def test_residual_free_fails_one_eda_cell_off_by_a_billionth_or_nan(seed):
     """The bound is relative to the terms the residual cancels: noise-free
     data passes, and one eda_mean cell moved by a relative 1e-9 (a figure
     of 6e-11 to 3e-10) fails, as does a NaN."""
-    from edapinn.suites import residual_free
-
     spec = SynthSpec(n=10000, noise=0.0, seed=seed)
     data, dydt = synth_generate(spec)
     result = residual_free(data, dydt, spec.physics())

@@ -249,7 +249,7 @@ def test_bn_eps_is_the_batch_norm_epsilon_of_a_train_forward():
     bn = forward(params, t, e, "train").caches.layers[0].bn
     x = np.column_stack([t, e]) @ params.views["layer0.w"]
     expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 0.5)
-    np.testing.assert_allclose(bn.x_centered * bn.istd, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bn.x_hat, expected, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

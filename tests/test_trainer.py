@@ -21,7 +21,7 @@ from edapinn.baselines import BASELINES
 from edapinn.data import Dataset, SynthSpec, apply_normalizer, fit_normalizer, synth_generate
 from edapinn.errors import ConfigError, ContractError, DataFormatError, NumericError
 from edapinn.model import ModelConfig, ModelParams, blocks, checkpoint_text, init_model, stack
-from edapinn.objective import VARIANTS, PhysicsParams, physics_residual
+from edapinn.objective import VARIANTS, PhysicsParams
 from edapinn.reporting import ablation_csv, ablation_table, curves_csv, metrics_csv, params_csv
 from edapinn.rng import Pcg32
 from edapinn.suites import suite_recovery
@@ -799,12 +799,6 @@ def test_recovery_suite_fails_a_solver_off_by_one_part_in_a_billion(monkeypatch)
     monkeypatch.setattr(trainer_mod, "physics_least_squares", off)
     result = suite_recovery(5)
     assert not result.passed and result.figure == pytest.approx(1e-9, rel=1e-3)
-
-
-def test_residual_free_data_supports_recovery_premise():
-    spec, data, dydt = recovery_inputs(seed=41, n=500)
-    r = physics_residual(dydt, data.y, data.e, spec.physics())
-    assert np.max(np.abs(r)) <= 1e-10
 
 
 def test_divergent_run_aborts_with_batch_index():
