@@ -9,9 +9,9 @@ over the rows as ``p[..., None, :]``, so one code path serves one model,
 with parameters of shape ``(width,)``, and a stack of F folds of V
 variants, with parameters of shape ``(F, V, width)``, whose input
 ``(F, 1, 2, n, 4)`` holds one batch per fold and broadcasts over the
-variants. Every forward takes one such array
-and returns one; every backward takes the adjoint of its output, an array of
-the same shape, and returns the adjoint of its input,
+variants. Every forward takes one such array and every backward the
+adjoint of its output, an array of the same shape, which it turns into the
+adjoint of its input,
 
     adj_input[0] = J^T @ adj[0] + (d[J @ xdot]/dx)^T @ adj[1]
     adj_input[1] = J^T @ adj[1]
@@ -19,19 +19,34 @@ the same shape, and returns the adjoint of its input,
 so nonlinear primitives carry their second derivative, because the training
 loss reads both channels (the physics residual needs d(EDA)/dt). The affine
 map and dropout are linear and act on both channels in one expression;
-swish and batch-norm treat the channels apart and write them straight into
-their output. The affine backward also returns ``dw`` (summed over the
-channel axis, -3) and batch-norm's ``(d_scale, d_shift)``;
-``affine_weight_grad`` gives ``dw`` alone, for the first layer, whose input
-needs no adjoint. The affine map has no bias (the model adds the regression
-head's own), and dropout's cache is its mask, one draw per fold from the
-fold's stream: ``(n, width)`` for one network, ``(F, 1, n, width)`` for a
-stack. Swish evaluates its sigmoid once per forward call, in its output's
-buffer, and caches s'(x) and s''(x) times the input's tangent, both built
-from it; batch-norm caches x_hat = (v - mu) * istd, which its forward builds
-anyway, and a view of the input's tangent, and its backward is the compact
-gradient on x_hat (Ioffe & Szegedy, arXiv:1502.03167). In eval mode, which
-never trains, neither keeps what only a backward reads.
+swish and batch-norm treat the channels apart. The affine backward also
+returns ``dw`` (summed over the channel axis, -3) and batch-norm's
+``(d_scale, d_shift)``; ``affine_weight_grad`` gives ``dw`` alone, for the
+first layer, whose input needs no adjoint. The affine map has no bias (the
+model adds the regression head's own).
+
+Who owns which array: the affine map writes a new array, and it caches its
+input and weights, which it never writes. Batch-norm, swish and dropout
+write their output into the array they are given and return it, and their
+backwards write the input's adjoint into the adjoint they are given and
+return it, so a hidden block trains in the affine output's buffer and in
+the adjoint it receives. The caller owns those arrays (``model.forward`` and
+``model.backward`` own every one of a pass), and a caller that still needs
+an input after the call passes a copy. A cache holds only arrays of its
+own, which its backward spends as scratch, so a backward runs once per
+forward:
+
+- swish: s'(x) and s''(x) times the input's tangent, both built from one
+  sigmoid;
+- batch-norm: the centred input v - mu, the factor scale * istd that scales
+  both channels, istd, and a copy of the input's tangent; its backward is
+  the compact gradient (Ioffe & Szegedy, arXiv:1502.03167) on the centred
+  input;
+- dropout: its mask, one draw per fold from the fold's stream: ``(n, width)``
+  for one network, ``(F, 1, n, width)`` for a stack.
+
+In eval mode, which never trains, swish and dropout cache nothing and
+batch-norm's cache is empty.
 ``sigmoid``, of arrays, is the package's one logistic function.
 """
 
@@ -108,47 +123,35 @@ def _channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0, :, :], x[..., 1, :, :]
 
 
-def _empty_dual(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """A new dual batch whose channels have ``shape``, and those channels:
-    outputs are written into them, with no stacking copy."""
-    out = np.empty(shape[:-2] + (2,) + shape[-2:])
-    return out, _channels(out)
-
-
 def swish_forward(x: np.ndarray, mode: str = "train"):
-    """Caches s'(x) and s''(x) * xdot, both from one sigmoid, built in the
-    output's tangent channel; eval mode, which never trains, caches nothing."""
+    """Writes swish into ``x`` and returns it. Caches s'(x) and s''(x) * xdot,
+    both from one sigmoid; eval mode, which never trains, caches nothing."""
     v, t = _channels(x)
-    out, (out_v, out_t) = _empty_dual(v.shape)
-    s = sigmoid(v, out=out_t)
-    one_minus_s = 1.0 - s
-    d1 = np.multiply(v, one_minus_s)
-    d1 += 1.0
-    d1 *= s
-    cache = None
+    d1 = sigmoid(v)  # s, until it becomes s'(x) = s (1 + v (1 - s))
+    d2_tangent = np.subtract(1.0, d1)  # 1 - s, until it becomes s''(x) * t
+    q = np.multiply(v, d2_tangent)  # v (1 - s)
+    v *= d1  # the value, v s
+    d2_tangent *= d1  # s (1 - s)
+    q += 1.0
+    d1 *= q
     if mode == "train":
-        # s * (1 - s) * (2 + v * (1 - 2 s)) * t, left to right
-        d2_tangent = np.multiply(s, 2.0)
-        np.subtract(1.0, d2_tangent, out=d2_tangent)
-        d2_tangent *= v
-        d2_tangent += 2.0
-        one_minus_s *= s
-        one_minus_s *= d2_tangent
-        d2_tangent = np.multiply(one_minus_s, t, out=one_minus_s)
-        cache = SwishCache(d1, d2_tangent)
-    np.multiply(v, s, out=out_v)
-    np.multiply(d1, t, out=out_t)  # s is spent
-    return out, cache
+        q += 1.0
+        q -= v  # 2 + v (1 - 2 s)
+        d2_tangent *= q
+        d2_tangent *= t
+    t *= d1
+    return x, SwishCache(d1, d2_tangent) if mode == "train" else None
 
 
 def swish_backward(cache: SwishCache, adj: np.ndarray):
+    """Writes the input's adjoint into ``adj`` and returns it; spends the cache."""
     d1, d2_tangent = cache.d1, cache.d2_tangent
     av, at = _channels(adj)
-    out, (out_v, out_t) = _empty_dual(d1.shape)
-    np.multiply(d1, av, out=out_v)
-    out_v += d2_tangent * at
-    np.multiply(d1, at, out=out_t)
-    return out
+    d2_tangent *= at
+    av *= d1
+    av += d2_tangent
+    at *= d1
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +163,25 @@ def swish_backward(cache: SwishCache, adj: np.ndarray):
 # per-sample quantity; the backward pass nevertheless differentiates the
 # *actual computed function*, which includes the tangent output's dependence
 # on var(x), so analytic gradients match finite differences exactly. With
-# the row sums s_v = sum(av), s_vx = sum(av * x_hat) and s_t = sum(at * xt),
-# d_scale = s_vx + istd * s_t, d_shift = s_v, adj_t = g * istd * at and
-# adj_v = g * istd * (av - s_v / n - x_hat * d_scale / n).
-# Only a train-mode forward has a backward: eval mode never trains. The
-# cache keeps scale and istd with a row axis, shaped (..., 1, width).
+# the centred input c = v - mu, x_hat = c * istd and the row sums
+# s_v = sum(av), s_vc = sum(av * c) and s_t = sum(at * xt),
+# d_scale = istd * (s_vc + s_t), d_shift = s_v, adj_t = g * istd * at and
+# adj_v = g * istd * (av - (s_v + c * istd * d_scale) / n).
+# The row sums are products with a vector of ones, one BLAS call each (the
+# forward keeps numpy's mean and var, whose bits the running statistics
+# record). Only a train-mode forward has a backward: eval mode never trains,
+# and its cache holds nothing. The cache keeps g * istd with a row axis,
+# shaped (..., 1, width), and istd without, shaped (..., width).
 
 
 @dataclass
 class BatchNormCache:
-    scale: np.ndarray
-    x_hat: np.ndarray
-    x_tangent: np.ndarray | None
-    istd: np.ndarray
-    new_running_mean: np.ndarray | None
-    new_running_var: np.ndarray | None
+    new_running_mean: np.ndarray | None = None
+    new_running_var: np.ndarray | None = None
+    centred: np.ndarray | None = None  # v - mu
+    factor: np.ndarray | None = None  # scale * istd
+    istd: np.ndarray | None = None
+    x_tangent: np.ndarray | None = None  # a copy of the input's tangent
 
 
 def batchnorm_forward(
@@ -187,46 +194,46 @@ def batchnorm_forward(
     eps: float = 1e-5,
     momentum: float = 0.9,
 ):
+    """Writes the normalized batch into ``x`` and returns it with its cache."""
     v, t = _channels(x)
     if mode == "train":
         mu = v.mean(axis=-2)
-        x_hat = v - mu[..., None, :]
-        var = (x_hat * x_hat).mean(axis=-2)  # what v.var(axis=-2) computes
+        centred = v - mu[..., None, :]
+        var = np.multiply(centred, centred, out=v).mean(axis=-2)  # what v.var(axis=-2) computes
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
-        x_hat = v - running_mean[..., None, :]
+        centred = np.subtract(v, running_mean[..., None, :], out=v)
         var = running_var
-        new_rm = new_rv = None
     else:
         raise ContractError(f"unknown batch-norm mode {mode!r}")
-    scale, shift = scale[..., None, :], shift[..., None, :]
-    istd = 1.0 / np.sqrt(var[..., None, :] + eps)
-    x_hat *= istd
-    out, (out_v, out_t) = _empty_dual(v.shape)
-    np.multiply(x_hat, scale, out=out_v)
-    out_v += shift
-    np.multiply(scale * istd, t, out=out_t)
-    return out, BatchNormCache(scale, x_hat, t if mode == "train" else None, istd, new_rm, new_rv)
+    istd = 1.0 / np.sqrt(var + eps)
+    factor = (scale * istd)[..., None, :]
+    np.multiply(centred, factor, out=v)
+    v += shift[..., None, :]
+    cache = BatchNormCache(new_rm, new_rv, centred, factor, istd, t.copy()) if mode == "train" else BatchNormCache()
+    t *= factor
+    return x, cache
 
 
 def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
-    if cache.new_running_mean is None:
+    """Writes the input's adjoint into ``adj`` and returns it with
+    ``(d_scale, d_shift)``; spends the cache."""
+    if cache.centred is None:
         raise ContractError("batch-norm backward needs the cache of a train-mode forward")
-    g, istd, x_hat = cache.scale, cache.istd, cache.x_hat
+    centred, istd, scratch = cache.centred, cache.istd, cache.x_tangent
     av, at = _channels(adj)
-    n = x_hat.shape[-2]
-    adj_shift = av.sum(axis=-2, keepdims=True)
-    adj_scale = (av * x_hat).sum(axis=-2, keepdims=True)
-    adj_scale += istd * (at * cache.x_tangent).sum(axis=-2, keepdims=True)
-    g_istd = g * istd
-    out, (out_v, out_t) = _empty_dual(x_hat.shape)
-    np.multiply(x_hat, adj_scale / n, out=out_v)
-    np.subtract(av, adj_shift / n, out=out_t)  # out_t as scratch
-    np.subtract(out_t, out_v, out=out_v)
-    out_v *= g_istd
-    np.multiply(at, g_istd, out=out_t)
-    return out, adj_scale[..., 0, :], adj_shift[..., 0, :]
+    ones = np.ones(centred.shape[-2])  # row sums as products with it, one BLAS call each
+    d_shift = ones @ av
+    d_scale = ones @ np.multiply(scratch, at, out=scratch)
+    d_scale += ones @ np.multiply(av, centred, out=scratch)
+    d_scale *= istd
+    centred *= (istd * d_scale / len(ones))[..., None, :]
+    centred += (d_shift / len(ones))[..., None, :]
+    av -= centred
+    av *= cache.factor
+    at *= cache.factor
+    return adj, d_scale, d_shift
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +250,10 @@ def make_dropout_mask(shape: tuple[int, int], rate: float, rng: Pcg32) -> np.nda
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Sequence[Pcg32] | None = None):
-    """The batch masked by a fresh ``(n, width)`` draw from each stream of
-    ``rng``, one per fold (a single network is one fold), and the mask
-    applied, or ``x`` itself and ``None`` when dropout is off (eval mode or
-    a zero rate). A stack's mask, ``(F, 1, ..., n, width)``, is shared
+    """``x`` masked in place by a fresh ``(n, width)`` draw from each stream
+    of ``rng``, one per fold (a single network is one fold), and the mask
+    applied, or ``x`` untouched and ``None`` when dropout is off (eval mode
+    or a zero rate). A stack's mask, ``(F, 1, ..., n, width)``, is shared
     along its axes after the first.
     """
     if mode == "eval" or rate == 0.0:
@@ -258,8 +265,12 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: Sequence[Pcg32] 
         raise ContractError(f"dropout needs one stream per fold, got {len(rng)} for a stack of {models}")
     mask = np.stack([make_dropout_mask(x.shape[-2:], rate, r) for r in rng])
     mask = mask.reshape(models[:1] + (1,) * (len(models) - 1) + x.shape[-2:])
-    return x * mask[..., None, :, :], mask
+    x *= mask[..., None, :, :]
+    return x, mask
 
 
 def dropout_backward(mask: np.ndarray | None, adj: np.ndarray):
-    return adj if mask is None else adj * mask[..., None, :, :]
+    """Masks ``adj`` in place and returns it."""
+    if mask is not None:
+        adj *= mask[..., None, :, :]
+    return adj

@@ -268,6 +268,10 @@ def forward(
     same masks; eval mode uses running statistics, disables dropout, never
     consumes randomness and keeps no caches. A stack over folds takes ``t``
     of shape ``(F, 1, n)`` and ``e`` of shape ``(F, 1, n, 3)``.
+
+    Each hidden block runs in the buffer its affine map writes: batch-norm,
+    swish and dropout write into it in turn. A non-finite value after a
+    hidden layer or in either head raises ``NumericError``.
     """
     t = np.asarray(t, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -296,6 +300,7 @@ def forward(
         dydt = y_out[..., 1, :, 0]
         z = (x[..., 0, :, :] @ views["head_cls.w"] + views["head_cls.b"][..., None, :])[..., 0]
         _require_finite(np.stack([y, dydt], axis=-2), models, "in the regression head")
+        _require_finite(z, models, "in the classification head")
 
     caches = None
     if mode == "train":
@@ -319,10 +324,15 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     For a stack every field carries the leading model axis, and so does the
     gradient, shaped as ``params.theta``.
 
-    ``caches`` is spent: each cache is dropped as soon as it has been used,
-    so the step's memory falls as the backward proceeds instead of holding
-    every layer's activations to the end; its running statistics stay. An
-    eval-mode forward has none to give: ``None`` raises ``ContractError``.
+    ``caches`` is spent: each primitive's backward writes over its cache's
+    arrays, and each cache is dropped as soon as it has been used, so the
+    step's memory falls as the backward proceeds instead of holding every
+    layer's activations to the end; its running statistics stay. So is the
+    adjoint: the heads' adjoint is built in one new array, each hidden
+    block's dropout, swish and batch-norm backwards write into it in turn,
+    and the block's affine backward hands the next block a new one. ``lg``
+    is read, not written. An eval-mode forward has no caches to give:
+    ``None`` raises ``ContractError``.
     """
     if caches is None:
         raise ContractError("backward needs the caches of a train-mode forward")
@@ -331,17 +341,22 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
     for f in fields(PhysicsParams):
         g[f"physics.{f.name}"][...] = getattr(lg, f"d_{f.name}")
 
-    adj_out = np.stack([lg.adj_y, lg.adj_dydt], axis=-2)[..., None]  # (..., 2, n, 1)
+    # the heads' adjoints as one (..., 2, n, 2) block: the regression head's
+    # (y, dy/dt) in the first column, the classification head's (z, 0) in the
+    # second, so one product over the value and tangent rows gives both
+    # heads' weight gradients and one gives the trunk's adjoint
     head, caches.reg_affine = caches.reg_affine, None
-    adj = adj_out * head.w.swapaxes(-1, -2)  # a k = 1 matmul is an outer product
-    g["head_reg.w"][...] = ad.affine_weight_grad(head, adj_out)
-    g["head_reg.b"][...] = adj_out[..., 0, :, :].sum(axis=-2)
-    adj_z = lg.adj_z[..., None]
-    g["head_cls.w"][...] = head.x[..., 0, :, :].swapaxes(-1, -2) @ adj_z
-    g["head_cls.b"][...] = adj_z.sum(axis=-2)
+    adj_heads = np.zeros(head.x.shape[:-1] + (2,))
+    adj_heads[..., 0, :, 0], adj_heads[..., 1, :, 0], adj_heads[..., 0, :, 1] = lg.adj_y, lg.adj_dydt, lg.adj_z
+    rows = head.x.shape[:-3] + (-1,)  # the channel axis folded into the rows
+    g_w = head.x.reshape(rows + head.x.shape[-1:]).swapaxes(-1, -2) @ adj_heads.reshape(rows + (2,))
+    g_b = adj_heads[..., 0, :, :].sum(axis=-2)
+    g["head_reg.w"][...], g["head_cls.w"][...] = g_w[..., :1], g_w[..., 1:]
+    g["head_reg.b"][...], g["head_cls.b"][...] = g_b[..., :1], g_b[..., 1:]
+    w_heads = np.concatenate([params.views["head_reg.w"], params.views["head_cls.w"]], axis=-1)
+    adj = (adj_heads.reshape(rows + (2,)) @ w_heads.swapaxes(-1, -2)).reshape(head.x.shape)
     del head
 
-    adj[..., 0, :, :] += adj_z @ params.views["head_cls.w"].swapaxes(-1, -2)
     while caches.layers:
         i = len(caches.layers) - 1
         affine, bn, swish, mask = caches.layers.pop()

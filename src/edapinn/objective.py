@@ -26,6 +26,7 @@ stack's last model axis.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -187,7 +188,7 @@ def loss_gradients(
     """
     if params.theta.shape[:-1][-1:] != (len(variants),):
         raise ContractError(f"{len(variants)} variants for a stack of {params.theta.shape[:-1]} networks")
-    use_eda, use_emotion, use_physics = np.array([VARIANTS[v] for v in variants]).T  # one flag per model
+    use_eda, use_emotion, use_physics = _variant_flags(tuple(variants))
     phys, floor = params.physics, params.config.lambda_floor
     n = len(batch)
     y = np.asarray(preds.y_eda, dtype=np.float64)
@@ -202,20 +203,23 @@ def loss_gradients(
     lam = phys.lambda_eff(floor)
     breakdown = LossBreakdown(l_eda, l_emotion, l_phys, lam, l_eda + l_emotion + lam * l_phys)
 
-    # a term a model does not train adds nothing, not even a NaN of its own
+    # each term's adjoint is built once; a term a model does not train adds
+    # nothing, not even a NaN of its own
     rows = (..., None)  # a per-model value against the rows
-    lam_r, alpha0_r, gamma_r = (np.asarray(a)[rows] for a in (lam, phys.alpha0, phys.gamma))
-    adj_y = np.zeros(y.shape)
-    adj_dydt = np.zeros(y.shape)
-    adj_z = np.zeros(y.shape)
-    adj_y += np.where(use_eda[rows], 2.0 * (y - batch.y) / n, 0.0)
-    adj_z += np.where(use_emotion[rows], (p - labels) / n, 0.0)
-    adj_y += np.where(use_physics[rows], lam_r * 2.0 * r * alpha0_r / n, 0.0)
-    adj_dydt += np.where(use_physics[rows], lam_r * 2.0 * r * gamma_r / n, 0.0)
-    d_alpha0 = np.where(use_physics, lam * 2.0 * _dot(r, y) / n, 0.0)
-    d_gamma = np.where(use_physics, lam * 2.0 * _dot(r, dydt) / n, 0.0)
-    r_e = (r[..., None, :] @ batch.e)[..., 0, :]
-    d_beta = np.where(use_physics[rows], -lam_r * 2.0 * r_e / n, 0.0)
+    adj_r = np.where(use_physics[rows], (2.0 / n) * lam[rows] * r, 0.0)  # d(lambda * L_physics)/dr
+    adj_y = np.where(use_eda[rows], (2.0 / n) * (y - batch.y), 0.0)
+    adj_y += adj_r * phys.alpha0[rows]
+    adj_z = np.where(use_emotion[rows], (p - labels) / n, 0.0)
+    d_beta = -(adj_r[..., None, :] @ batch.e)[..., 0, :]
     trains_rho = use_physics & (not params.config.lambda_frozen) & (softplus(phys.rho) > floor)
     d_rho = np.where(trains_rho, l_phys * sigmoid(phys.rho), 0.0)
-    return breakdown, LossGrads(adj_y, adj_dydt, adj_z, d_alpha0, d_beta, d_gamma, d_rho)
+    d_alpha0, d_gamma = _dot(adj_r, y), _dot(adj_r, dydt)
+    return breakdown, LossGrads(adj_y, adj_r * phys.gamma[rows], adj_z, d_alpha0, d_beta, d_gamma, d_rho)
+
+
+@functools.cache
+def _variant_flags(variants: tuple[str, ...]) -> np.ndarray:
+    """The (eda, emotion, physics) flags of each variant, shaped (3, V), read-only."""
+    flags = np.array([VARIANTS[v] for v in variants]).T
+    flags.setflags(write=False)
+    return flags

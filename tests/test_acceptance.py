@@ -5,7 +5,7 @@ PASS lines with the measured figures. Criteria 2-6, 8 and 9 run the
 verification suites of ``edapinn check`` (``edapinn.suites``), each at its own
 seed, tolerance and time bound. The synthetic end-to-end mirror (criterion 7) trains
 4 network variants x 5 folds x 50 epochs on two worker processes and
-dominates the runtime (about 9 s on a 2-core VM); everything else finishes
+dominates the runtime (about 6 s on a 2-core VM); everything else finishes
 in seconds.
 """
 

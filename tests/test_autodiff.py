@@ -197,10 +197,13 @@ def test_three_layer_chain_parameter_gradients_match_fd():
 
 def test_backward_additive_in_adjoints():
     xv, xt = rand((7, 3), 40), rand((7, 3), 41)
-    _, cache = swish_forward(dual(xv, xt))
+
+    def cache():  # a backward spends its cache and its adjoint: each call gets fresh ones
+        return swish_forward(dual(xv, xt))[1]
+
     a1, a2 = dual(rand((7, 3), 42), rand((7, 3), 44)), dual(rand((7, 3), 43), rand((7, 3), 45))
-    summed = swish_backward(cache, a1) + swish_backward(cache, a2)
-    assert np.allclose(swish_backward(cache, a1 + a2), summed, atol=1e-12)
+    summed = swish_backward(cache(), a1.copy()) + swish_backward(cache(), a2.copy())
+    assert np.allclose(swish_backward(cache(), a1 + a2), summed, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def test_dropout_same_mask_on_both_channels():
 def test_batchnorm_eval_uses_running_stats():
     x = dual(rand((8, 3), 60), rand((8, 3), 61))
     rm, rv = np.array([1.0, -2.0, 0.5]), np.array([4.0, 9.0, 1.0])
-    out, cache = batchnorm_forward(x, np.ones(3), np.zeros(3), rm, rv, "eval")
+    out, cache = batchnorm_forward(x.copy(), np.ones(3), np.zeros(3), rm, rv, "eval")
     expected = (x[0] - rm) / np.sqrt(rv + 1e-5)
     assert np.allclose(out[0], expected, atol=1e-12)
     assert cache.new_running_mean is None
@@ -257,8 +260,8 @@ def test_dropout_needs_one_stream_per_fold(models, mask_shape):
 
 def test_deterministic_forward_same_seed():
     x = dual(rand((4, 4), 80), rand((4, 4), 81))
-    o1, _ = dropout_forward(x, 0.3, "train", rng=[Pcg32(99).derive("mask")])
-    o2, _ = dropout_forward(x, 0.3, "train", rng=[Pcg32(99).derive("mask")])
+    o1, _ = dropout_forward(x.copy(), 0.3, "train", rng=[Pcg32(99).derive("mask")])
+    o2, _ = dropout_forward(x.copy(), 0.3, "train", rng=[Pcg32(99).derive("mask")])
     assert np.array_equal(o1, o2)
 
 
@@ -323,18 +326,18 @@ def test_compact_batchnorm_backward_matches_the_term_by_term_form(models, n):
     adj = np.stack([rand(models + (n, width), 112), rand(models + (n, width), 113)], axis=-3)
     g, s = rand(models + (width,), 114), rand(models + (width,), 115)
     assert (g < 0).any() and (adj[..., 1, :, :] != 0).all()
-    _, cache = batchnorm_forward(x, g, s, np.zeros(models + (width,)), np.ones(models + (width,)), "train")
-    for got, want in zip(batchnorm_backward(cache, adj), term_by_term_batchnorm_backward(x, g, adj)):
+    _, cache = batchnorm_forward(x.copy(), g, s, np.zeros(models + (width,)), np.ones(models + (width,)), "train")
+    for got, want in zip(batchnorm_backward(cache, adj.copy()), term_by_term_batchnorm_backward(x, g, adj)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_dropout_applies_one_mask_to_both_channels_bit_for_bit():
     x = dual(rand((128, 64), 95), rand((128, 64), 96))
-    out, mask = dropout_forward(x, 0.1, "train", [Pcg32(97)])
+    out, mask = dropout_forward(x.copy(), 0.1, "train", [Pcg32(97)])
     assert same_bits(mask, make_dropout_mask((128, 64), 0.1, Pcg32(97)))
     assert same_bits(out[0], x[0] * mask) and same_bits(out[1], x[1] * mask)
-    adj = dropout_backward(mask, x)
+    adj = dropout_backward(mask, x.copy())
     assert same_bits(adj[0], x[0] * mask) and same_bits(adj[1], x[1] * mask)
 
 
@@ -346,3 +349,91 @@ def test_dropout_mask_equals_scaled_keep_flags_bit_for_bit(rate):
     mask = make_dropout_mask((128, 64), rate, Pcg32(98))
     assert same_bits(mask, keep.astype(np.float64) / (1.0 - rate))
     assert mask.dtype == np.float64 and 0 < np.count_nonzero(mask) < mask.size
+
+
+# ---------------------------------------------------------------------------
+# the in-place contract: a block trains in the buffers it is given
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("models", [(), (3, 2)], ids=["network", "stack"])
+def test_each_primitive_returns_the_array_it_was_given(models):
+    n, width = 16, 8
+
+    def x():
+        return np.stack([rand(models + (n, width), 120), rand(models + (n, width), 121)], axis=-3)
+
+    g, s = rand(models + (width,), 122), rand(models + (width,), 123)
+    stats = np.zeros(models + (width,)), np.ones(models + (width,))
+    streams = [Pcg32(f) for f in range(models[0] if models else 1)]
+    for mode in ("train", "eval"):
+        for name, call in [
+            ("batchnorm_forward", lambda a: batchnorm_forward(a, g, s, *stats, mode)[0]),
+            ("swish_forward", lambda a: swish_forward(a, mode)[0]),
+            ("dropout_forward", lambda a: dropout_forward(a, 0.25, mode, streams)[0]),
+        ]:
+            given = x()
+            assert call(given) is given, (name, mode)
+    bn_cache = batchnorm_forward(x(), g, s, *stats, "train")[1]
+    sw_cache = swish_forward(x(), "train")[1]
+    mask = dropout_forward(x(), 0.25, "train", streams)[1]
+    for name, call in [
+        ("batchnorm_backward", lambda a: batchnorm_backward(bn_cache, a)[0]),
+        ("swish_backward", lambda a: swish_backward(sw_cache, a)),
+        ("dropout_backward", lambda a: dropout_backward(mask, a)),
+    ]:
+        given = x()
+        assert call(given) is given, name
+
+
+def test_caches_share_no_memory_with_the_array_returned():
+    # a cache holds arrays of its own: the whole batch-norm input, value
+    # channel included, does not stay alive until the backward for its tangent
+    x = dual(rand((16, 8), 124), rand((16, 8), 125))
+    out, bn = batchnorm_forward(x, rand((8,), 126), rand((8,), 127), np.zeros(8), np.ones(8), "train")
+    for name in ("centred", "factor", "istd", "x_tangent", "new_running_mean", "new_running_var"):
+        assert not np.shares_memory(getattr(bn, name), out), name
+    out, sw = swish_forward(out, "train")
+    assert not np.shares_memory(sw.d1, out) and not np.shares_memory(sw.d2_tangent, out)
+
+
+def term_by_term_swish(x, adj):
+    """Swish's output and input adjoint, each derivative written out from
+    the exp-based sigmoid."""
+    (v, t), (av, at) = np.moveaxis(x, -3, 0), np.moveaxis(adj, -3, 0)
+    s = 1.0 / (1.0 + np.exp(-v))
+    d1 = s + v * s * (1.0 - s)
+    d2 = 2.0 * s * (1.0 - s) + v * s * (1.0 - s) * (1.0 - 2.0 * s)
+    return np.stack([v * s, d1 * t], axis=-3), np.stack([d1 * av + d2 * t * at, d1 * at], axis=-3)
+
+
+def term_by_term_batchnorm_forward(x, g, s, eps=1e-5):
+    """Batch-norm's output from the batch's own mean and variance, and the
+    tangent scaled with them held constant."""
+    v, t = np.moveaxis(x, -3, 0)
+    mu, var = v.mean(axis=-2, keepdims=True), v.var(axis=-2, keepdims=True)
+    g, s = g[..., None, :], s[..., None, :]
+    return np.stack([g * (v - mu) / np.sqrt(var + eps) + s, g * t / np.sqrt(var + eps)], axis=-3)
+
+
+@pytest.mark.parametrize("models", [(), (1, 4), (3, 1)], ids=["network", "stack-1x4", "stack-3x1"])
+@pytest.mark.parametrize("n", [8, 128])
+def test_compact_swish_and_batchnorm_forward_match_term_by_term_references(models, n):
+    # batch-norm's backward has its own test above
+    width = 64
+    x = np.stack([rand(models + (n, width), 130) * 3.0 + 1.0, rand(models + (n, width), 131)], axis=-3)
+    adj = np.stack([rand(models + (n, width), 132), rand(models + (n, width), 133)], axis=-3)
+    g, s = rand(models + (width,), 134), rand(models + (width,), 135)
+    assert (g < 0).any() and (adj[..., 1, :, :] != 0).all()
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    out, cache = swish_forward(x.copy(), "train")
+    want_out, want_adj = term_by_term_swish(x, adj)
+    close(out, want_out)
+    close(swish_backward(cache, adj.copy()), want_adj)
+    stats = np.zeros(models + (width,)), np.ones(models + (width,))
+    out, _ = batchnorm_forward(x.copy(), g, s, *stats, "train")
+    close(out, term_by_term_batchnorm_forward(x, g, s))

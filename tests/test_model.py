@@ -249,7 +249,7 @@ def test_bn_eps_is_the_batch_norm_epsilon_of_a_train_forward():
     bn = forward(params, t, e, "train").caches.layers[0].bn
     x = np.column_stack([t, e]) @ params.views["layer0.w"]
     expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 0.5)
-    np.testing.assert_allclose(bn.x_hat, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bn.centred * bn.factor, expected, rtol=1e-12, atol=1e-12)  # the scale is 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +343,16 @@ def test_nonfinite_activation_names_layer():
     with pytest.raises(NumericError) as exc:
         forward(params, t, e, "eval")
     assert "layer 1" in str(exc.value)
+
+
+def test_a_nonfinite_classification_logit_raises():
+    # weights of alternating sign near the float maximum overflow some rows'
+    # logits to inf or NaN; the probability threshold would count a NaN as a
+    # negative prediction, with no error
+    from edapinn.errors import NumericError
+
+    params = init_model(ModelConfig(seed=31))
+    params.views["head_cls.w"][:, 0] = np.where(np.arange(64) % 2, -1.7e308, 1.7e308)
+    t, e = random_inputs(60, 32)
+    with pytest.raises(NumericError, match="non-finite activations in the classification head"):
+        forward(params, t, e, "eval")

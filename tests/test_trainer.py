@@ -126,6 +126,31 @@ def test_adam_shape_mismatch_rejected():
         adam_step(opt, params, np.zeros(params.theta.size - 1))
 
 
+def test_adam_scratch_form_matches_the_textbook_recurrence_for_each_network():
+    # a (2, 3) stack whose networks have taken different numbers of steps,
+    # against the recurrence written out for each network alone
+    params = stack([init_model(quick_model())] * 2, 3)
+    opt = init_adam(params, lr=0.01)
+    rng = np.random.default_rng(7)
+    opt.t[...] = [[0, 1, 2], [5, 0, 3]]
+    opt.m[...] = rng.normal(size=opt.m.shape) * 0.1
+    opt.v[...] = rng.uniform(0.0, 0.02, size=opt.v.shape)
+    start = params.theta.copy()
+    theta, m, v, t = start.copy(), opt.m.copy(), opt.v.copy(), opt.t.copy()
+    for _ in range(4):
+        grad = rng.normal(size=theta.shape)
+        adam_step(opt, params, grad)
+        for i in np.ndindex(t.shape):
+            t[i] += 1
+            m[i] = 0.9 * m[i] + (1 - 0.9) * grad[i]
+            v[i] = 0.999 * v[i] + (1 - 0.999) * grad[i] ** 2
+            theta[i] -= 0.01 * (m[i] / (1 - 0.9 ** t[i])) / (np.sqrt(v[i] / (1 - 0.999 ** t[i])) + 1e-8)
+        assert np.array_equal(opt.t, t)
+        np.testing.assert_allclose(opt.m, m, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(opt.v, v, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(params.theta - start, theta - start, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # epoch loop
 # ---------------------------------------------------------------------------
