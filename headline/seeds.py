@@ -7,7 +7,7 @@ trained as ``edapinn ablate --seed s`` trains with an empty config
 (``parse_config({}, s)``). Each draw is judged by the acceptance gate's own
 ``criterion_7_figures``, so the conditions live in one place. Writes, per
 draw, every criterion-7 figure, ``no_physics`` r, the seconds and the
-verdict as JSON. About 6 s a draw on a 2-core machine; it is not part of
+verdict as JSON. About 5 s a draw on a 2-core machine; it is not part of
 Tier-1.
 
 Run from the root of a checkout::

@@ -8,7 +8,7 @@ axes index a stack of models: every primitive reduces over the rows (axis
 over the rows as ``p[..., None, :]``, so one code path serves one model,
 with parameters of shape ``(width,)``, and a stack of F folds of V
 variants, with parameters of shape ``(F, V, width)``, whose input
-``(F, 1, 2, n, 4)`` holds one batch per fold and broadcasts over the
+``(F, 1, ...)`` holds one batch per fold and broadcasts over the
 variants. Every forward takes one such array and every backward the
 adjoint of its output, an array of the same shape, which it turns into the
 adjoint of its input,
@@ -21,12 +21,15 @@ loss reads both channels (the physics residual needs d(EDA)/dt). The affine
 map and dropout are linear and act on both channels in one expression;
 swish and batch-norm treat the channels apart. The affine backward also
 returns ``dw`` (summed over the channel axis, -3) and batch-norm's
-``(d_scale, d_shift)``; ``affine_weight_grad`` gives ``dw`` alone, for the
-first layer, whose input needs no adjoint. The affine map has no bias (the
-model adds the regression head's own).
+``(d_scale, d_shift)``. The affine map has no bias (the model adds the
+regression head's own). The first hidden block, ``input_block_forward``,
+is the affine map and batch-norm of the network input ``(..., n, 4)``,
+taken in its four columns (batch statistics from their 4 x 4 covariance);
+its backward gives ``(dw, d_scale, d_shift)`` and no input adjoint.
 
-Who owns which array: the affine map writes a new array, and it caches its
-input and weights, which it never writes. Batch-norm, swish and dropout
+Who owns which array: the affine map and the input block write a new
+array, and the affine map caches its input and weights, which it never
+writes. Batch-norm, swish and dropout
 write their output into the array they are given and return it, and their
 backwards write the input's adjoint into the adjoint they are given and
 return it, so a hidden block trains in the affine output's buffer and in
@@ -42,11 +45,14 @@ forward:
   both channels, istd, and a copy of the input's tangent; its backward is
   the compact gradient (Ioffe & Szegedy, arXiv:1502.03167) on the centred
   input;
+- the input block: the centred input, (n, 4), the covariance times the
+  weights, factor, istd and the weights, nothing of n rows by width; its
+  backward only reads its adjoint;
 - dropout: its mask, one draw per fold from the fold's stream: ``(n, width)``
   for one network, ``(F, 1, n, width)`` for a stack.
 
 In eval mode, which never trains, swish and dropout cache nothing and
-batch-norm's cache is empty.
+the caches of batch-norm and of the input block are empty.
 ``sigmoid``, of arrays, is the package's one logistic function.
 """
 
@@ -96,13 +102,9 @@ def affine_forward(x: np.ndarray, w: np.ndarray):
     return x @ w, AffineCache(x, w)
 
 
-def affine_weight_grad(cache: AffineCache, adj: np.ndarray):
-    """The weight gradient alone, for a layer whose input needs no adjoint."""
-    return (cache.x.swapaxes(-1, -2) @ adj).sum(axis=-3)
-
-
 def affine_backward(cache: AffineCache, adj: np.ndarray):
-    return adj @ np.ascontiguousarray(cache.w.swapaxes(-1, -2)), affine_weight_grad(cache, adj)
+    dw = (cache.x.swapaxes(-1, -2) @ adj).sum(axis=-3)
+    return adj @ np.ascontiguousarray(cache.w.swapaxes(-1, -2)), dw
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +169,9 @@ def swish_backward(cache: SwishCache, adj: np.ndarray):
 # s_v = sum(av), s_vc = sum(av * c) and s_t = sum(at * xt),
 # d_scale = istd * (s_vc + s_t), d_shift = s_v, adj_t = g * istd * at and
 # adj_v = g * istd * (av - (s_v + c * istd * d_scale) / n).
-# The row sums are products with a vector of ones, one BLAS call each (the
-# forward keeps numpy's mean and var, whose bits the running statistics
-# record). Only a train-mode forward has a backward: eval mode never trains,
+# The row sums, the forward's mu and var among them, are products with a
+# vector of ones, one BLAS call each. Only a train-mode forward has a
+# backward: eval mode never trains,
 # and its cache holds nothing. The cache keeps g * istd with a row axis,
 # shaped (..., 1, width), and istd without, shaped (..., width).
 
@@ -197,9 +199,10 @@ def batchnorm_forward(
     """Writes the normalized batch into ``x`` and returns it with its cache."""
     v, t = _channels(x)
     if mode == "train":
-        mu = v.mean(axis=-2)
+        ones = np.ones(v.shape[-2])
+        mu = ones @ v / len(ones)
         centred = v - mu[..., None, :]
-        var = np.multiply(centred, centred, out=v).mean(axis=-2)  # what v.var(axis=-2) computes
+        var = ones @ np.multiply(centred, centred, out=v) / len(ones)
         new_rm = momentum * running_mean + (1.0 - momentum) * mu
         new_rv = momentum * running_var + (1.0 - momentum) * var
     elif mode == "eval":
@@ -234,6 +237,87 @@ def batchnorm_backward(cache: BatchNormCache, adj: np.ndarray):
     av *= cache.factor
     at *= cache.factor
     return adj, d_scale, d_shift
+
+
+# ---------------------------------------------------------------------------
+# the first hidden block: affine map and batch-norm of the network input
+# ---------------------------------------------------------------------------
+#
+# The input X, (..., n, 4), has the tangent e0 in every row, so X W has the
+# tangent W[0] and its batch statistics live in X's columns: with
+# X_c = X - 1^T X / n and C = X_c^T X_c / n, its mean is (1^T X / n) W and
+# its variance colsum((C W) * W), clamped at 0, below which collinear input
+# can round it. The values are X_c (W * factor) + shift; with P = X_c^T av,
+# d_scale = istd * (colsum(W * P) + s_t * W[0]) and
+# dW = factor * (P - (C W) * istd * d_scale), plus factor * s_t in W[0].
+# C W is clipped to Cauchy-Schwarz's |(C W)_kj| <= sqrt(C_kk var_j), which
+# only rounding crosses, so a column rounded to variance 0 gets no gradient
+# of size C W / var^(3/2). Eval mode keeps the generic block's arithmetic.
+
+
+@dataclass
+class InputBlockCache:
+    new_running_mean: np.ndarray
+    new_running_var: np.ndarray
+    centred: np.ndarray  # X_c, (..., n, 4)
+    cov_w: np.ndarray  # C W, clipped
+    factor: np.ndarray  # scale * istd
+    istd: np.ndarray
+    w: np.ndarray
+
+
+def input_block_forward(
+    x: np.ndarray,
+    w: np.ndarray,
+    scale: np.ndarray,
+    shift: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    mode: str,
+    eps: float = 1e-5,
+    momentum: float = 0.9,
+):
+    """The affine map and batch-norm of the network input ``x``, ``(..., n, 4)``:
+    the dual batch, a new array, and its cache."""
+    n = x.shape[-2]
+    out = np.empty(np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (2, n, w.shape[-1]))
+    v = out[..., 0, :, :]
+    if mode != "train":  # the generic block, whose batch-norm refuses an unknown mode
+        np.matmul(x, w, out=v)
+        out[..., 1, :, :] = w[..., None, 0, :]
+        return batchnorm_forward(out, scale, shift, running_mean, running_var, mode, eps)
+    m = np.ones(n) @ x / n
+    centred = x - m[..., None, :]
+    cov = centred.swapaxes(-1, -2) @ centred / n
+    cov_w = cov @ w
+    var = np.maximum((cov_w * w).sum(axis=-2), 0.0)
+    bound = np.sqrt(cov.diagonal(0, -2, -1)[..., :, None] * var[..., None, :])
+    np.clip(cov_w, -bound, bound, out=cov_w)
+    istd = 1.0 / np.sqrt(var + eps)
+    factor = scale * istd
+    np.matmul(centred, w * factor[..., None, :], out=v)
+    v += shift[..., None, :]
+    out[..., 1, :, :] = (w[..., 0, :] * factor)[..., None, :]
+    new_rm = momentum * running_mean + (1.0 - momentum) * (m[..., None, :] @ w)[..., 0, :]
+    new_rv = momentum * running_var + (1.0 - momentum) * var
+    return out, InputBlockCache(new_rm, new_rv, centred, cov_w, factor, istd, w)
+
+
+def input_block_backward(cache: InputBlockCache, adj: np.ndarray):
+    """``(dw, d_scale, d_shift)`` from the adjoint of the block's output, which it only reads."""
+    if not isinstance(cache, InputBlockCache):
+        raise ContractError("the input block's backward needs the cache of a train-mode forward")
+    w, istd = cache.w, cache.istd
+    av, at = _channels(adj)
+    ones = np.ones(av.shape[-2])
+    d_shift, s_t = ones @ av, ones @ at
+    dw = cache.centred.swapaxes(-1, -2) @ av  # P
+    d_scale = (w * dw).sum(axis=-2) + s_t * w[..., 0, :]
+    d_scale *= istd
+    dw -= cache.cov_w * (istd * d_scale)[..., None, :]
+    dw[..., 0, :] += s_t
+    dw *= cache.factor[..., None, :]
+    return dw, d_scale, d_shift
 
 
 # ---------------------------------------------------------------------------

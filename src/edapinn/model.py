@@ -17,9 +17,10 @@ back to that head, so a confidently wrong logit still gets its full
 gradient. The probability sigmoid(z) is reported for thresholding and
 metrics only.
 
-The time column's tangent is seeded to 1 and the emotion columns' to 0, so
-the dual channel carries d(EDA)/dt with respect to the (normalized) time
-proxy of each sample.
+The time column's tangent is 1 and the emotion columns' 0, so the dual
+channel carries d(EDA)/dt with respect to the (normalized) time proxy of
+each sample. The first hidden block is computed in the input's four
+columns (``autodiff.input_block_forward``), with no adjoint of the input.
 
 A network's numbers are two vectors, ``theta`` (trainable, laid out by
 ``block_shapes``) and ``running`` (batch-norm running statistics, laid out
@@ -33,7 +34,7 @@ evaluation runs, and the stack of networks that training and the gradient
 checker run (``stack``): F folds of V variants of one config, ``theta``
 of shape ``(F, V, P)`` and ``running`` of shape ``(F, V, R)``, so every view
 carries the leading axes. Its batch holds one batch per fold, ``t`` of shape
-``(F, 1, n)``, so the input is ``(F, 1, 2, n, 4)`` and broadcasts over the
+``(F, 1, n)``, so the input is ``(F, 1, n, 4)`` and broadcasts over the
 variants; each fold draws its own dropout masks from its own stream,
 ``(F, 1, n, width)``, and the outputs are ``(F, V, n)``. A slice of a
 stack's folds, ``ModelParams(p.theta[s], p.running[s], normalizer,
@@ -67,7 +68,6 @@ from .rng import Pcg32
 
 CHECKPOINT_VERSION = "1"
 INPUT_WIDTH = 4  # 1 time column + 3 emotion features
-_INPUT_TANGENT = np.array([1.0, 0.0, 0.0, 0.0])  # d(input)/dt per column
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def stack(params: Sequence[ModelParams], models: int) -> ModelParams:
 
 
 class LayerCaches(NamedTuple):
-    affine: ad.AffineCache
-    bn: ad.BatchNormCache
+    affine: ad.AffineCache | None  # None in the first block, whose input block holds its affine map
+    bn: ad.BatchNormCache | ad.InputBlockCache
     swish: ad.SwishCache
     dropout_mask: np.ndarray | None  # None when dropout was off
 
@@ -269,8 +269,9 @@ def forward(
     consumes randomness and keeps no caches. A stack over folds takes ``t``
     of shape ``(F, 1, n)`` and ``e`` of shape ``(F, 1, n, 3)``.
 
-    Each hidden block runs in the buffer its affine map writes: batch-norm,
-    swish and dropout write into it in turn. A non-finite value after a
+    Each hidden block runs in one buffer: the affine map writes it and
+    batch-norm, swish and dropout write into it in turn; in the first block
+    the input block writes it, batch-normalized. A non-finite value after a
     hidden layer or in either head raises ``NumericError``.
     """
     t = np.asarray(t, dtype=np.float64)
@@ -279,16 +280,19 @@ def forward(
         raise ContractError(f"need t of shape (n,) and e of shape (n, 3), got {t.shape}, {e.shape}")
     cfg, views = params.config, params.views
     models = params.theta.shape[:-1]
-    inputs = np.concatenate([t[..., None], e], axis=-1)
-    x = np.stack([inputs, np.broadcast_to(_INPUT_TANGENT, inputs.shape)], axis=-3)
+    x = np.concatenate([t[..., None], e], axis=-1)
     # divergence is reported through the explicit per-layer checks below;
     # numpy's warnings on the already-poisoned arithmetic are redundant
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         layer_caches = []
         for i in range(len(cfg.hidden)):
-            x, c_aff = ad.affine_forward(x, views[f"layer{i}.w"])
             bn = [views[f"layer{i}.bn_{key}"] for key in ("scale", "shift", "running_mean", "running_var")]
-            x, c_bn = ad.batchnorm_forward(x, *bn, mode, eps=cfg.bn_eps, momentum=cfg.bn_momentum)
+            if i:
+                x, c_aff = ad.affine_forward(x, views[f"layer{i}.w"])
+                x, c_bn = ad.batchnorm_forward(x, *bn, mode, eps=cfg.bn_eps, momentum=cfg.bn_momentum)
+            else:
+                c_aff = None
+                x, c_bn = ad.input_block_forward(x, views["layer0.w"], *bn, mode, cfg.bn_eps, cfg.bn_momentum)
             x, c_sw = ad.swish_forward(x, mode)
             x, mask = ad.dropout_forward(x, cfg.dropout, mode, rng)
             _require_finite(x, models, f"after hidden layer {i}")
@@ -363,13 +367,13 @@ def backward(params: ModelParams, caches: ForwardCaches, lg: LossGrads) -> np.nd
         adj = ad.dropout_backward(mask, adj)
         adj = ad.swish_backward(swish, adj)
         del swish
-        adj, d_scale, d_shift = ad.batchnorm_backward(bn, adj)
-        del bn
-        g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
         if i:
+            adj, d_scale, d_shift = ad.batchnorm_backward(bn, adj)
+            del bn
             adj, g[f"layer{i}.w"][...] = ad.affine_backward(affine, adj)
         else:  # the network input needs no adjoint
-            g["layer0.w"][...] = ad.affine_weight_grad(affine, adj)
+            g["layer0.w"][...], d_scale, d_shift = ad.input_block_backward(bn, adj)
+        g[f"layer{i}.bn_scale"][...], g[f"layer{i}.bn_shift"][...] = d_scale, d_shift
     return grad
 
 

@@ -482,9 +482,9 @@ def train_folds(
     sizes differ by at most one, V being the number of configs. So the
     stacks fill ``threads`` workers, and no stack holds more networks than
     one fold of every variant. The cap bounds memory, not time: a
-    network-epoch costs about the same in a larger stack (9.1 ms at one
-    fold of 4 variants and at 5 folds of 4), but a process's peak RSS
-    grows with it (39.0 MB against 57.5 MB at 3 epochs).
+    network-epoch costs about the same in a larger stack (8.5 ms at one
+    fold of 4 variants, 8.3 ms at 5 folds of 4), but a process's peak RSS
+    grows with it (38.4 MB against 54.7 MB at 3 epochs).
 
     ``threads`` is the number of worker processes, capped at the number of
     stacks; with one, the stacks train in this process, in order. Each

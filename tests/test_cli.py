@@ -499,8 +499,8 @@ def test_check_command_passes(capsys):
     """check's draws and formats, byte for byte at seed 1."""
     assert main(["check", "--seed", "1"]) == 0
     assert capsys.readouterr().out == (
-        "gradient-check           PASS  max rel error 2.688e-07 (worst block layer0.w, tol 1e-6)\n"
-        "tangent-check            PASS  max rel error 1.543e-07 over 100 samples (tol 1e-05)\n"
+        "gradient-check           PASS  max rel error 2.611e-07 (worst block layer0.w, tol 1e-6)\n"
+        "tangent-check            PASS  max rel error 1.643e-07 over 100 samples (tol 1e-05)\n"
         "ode-oracle               PASS  max abs error 4.640e-12 over 20 draws (tol 1e-8); "
         "halving ratio 16.1x (need >= 12)\n"
         "residual-free-synthesis  PASS  max |r| / terms 1.710e-16 over 10000 noise-free samples (tol 1e-12)\n"

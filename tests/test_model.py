@@ -228,19 +228,30 @@ def test_unpickled_model_keeps_its_parts_on_theta():
 
 
 def test_bn_momentum_sets_the_committed_running_statistics():
+    # layer 0 is the input block, which takes its statistics in the input's
+    # four columns, and layer 1 the generic batch-norm; both blend the
+    # batch's own mean and variance into the running statistics
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     for m in (0.0, 0.9):
-        params = init_model(ModelConfig(hidden=[8], seed=3, dropout=0.0, bn_momentum=m))
-        mean, var = params.views["layer0.bn_running_mean"], params.views["layer0.bn_running_var"]
-        mean[...] = np.linspace(-1.0, 1.0, 8)
-        var[...] = np.linspace(0.5, 2.0, 8)
-        old_mean, old_var = mean.copy(), var.copy()
+        params = init_model(ModelConfig(hidden=[8, 8], seed=3, dropout=0.0, bn_momentum=m))
+        stats = [[params.views[f"layer{i}.bn_running_{key}"] for key in ("mean", "var")] for i in range(2)]
+        for mean, var in stats:
+            mean[...] = np.linspace(-1.0, 1.0, 8)
+            var[...] = np.linspace(0.5, 2.0, 8)
+        old = [(mean.copy(), var.copy()) for mean, var in stats]
         running = params.running
         t, e = random_inputs(32, 4)
-        commit_batchnorm(params, forward(params, t, e, "train").caches)
-        x = np.column_stack([t, e]) @ params.views["layer0.w"] + np.zeros(8)
-        assert params.running is running and params.views["layer0.bn_running_mean"] is mean  # in place
-        assert np.array_equal(mean, m * old_mean + (1.0 - m) * x.mean(axis=0))
-        assert np.array_equal(var, m * old_var + (1.0 - m) * x.var(axis=0))
+        caches = forward(params, t, e, "train").caches
+        inputs = [np.column_stack([t, e]), caches.layers[1].affine.x[0]]  # layer 1's input values
+        commit_batchnorm(params, caches)
+        assert params.running is running
+        for i, ((mean, var), (old_mean, old_var), x) in enumerate(zip(stats, old, inputs)):
+            assert params.views[f"layer{i}.bn_running_mean"] is mean  # in place
+            x = x @ params.views[f"layer{i}.w"]
+            close(mean, m * old_mean + (1.0 - m) * x.mean(axis=0))
+            close(var, m * old_var + (1.0 - m) * x.var(axis=0))
 
 
 def test_bn_eps_is_the_batch_norm_epsilon_of_a_train_forward():
@@ -249,7 +260,8 @@ def test_bn_eps_is_the_batch_norm_epsilon_of_a_train_forward():
     bn = forward(params, t, e, "train").caches.layers[0].bn
     x = np.column_stack([t, e]) @ params.views["layer0.w"]
     expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 0.5)
-    np.testing.assert_allclose(bn.centred * bn.factor, expected, rtol=1e-12, atol=1e-12)  # the scale is 1
+    x_hat = (bn.centred @ bn.w) * bn.factor  # the scale is 1
+    np.testing.assert_allclose(x_hat, expected, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
